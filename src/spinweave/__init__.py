@@ -13,29 +13,23 @@ from .config import (ExperimentConfig, MitigationConfig, config_from_dict,
 from .errors import (CapacityError, ChannelError, ConfigError,
                      MalformedGateError)
 from .heatmap import render_heatmap
-from .ising import (ExactEvolution, IsingParams, RegimePreset,
-                    build_classical_hamiltonian, build_hamiltonian,
-                    classical_otoc, classical_otoc_bruteforce,
-                    classical_otoc_phase, exact_unitary, preset_params,
-                    regime_preset)
-from .mitigation import (TmemProblem, TmemSolver, ZnePair, project_simplex,
-                         tmem_correct, tmem_solve, zne_correct)
+from .ising import (ExactEvolution, IsingParams, build_classical_hamiltonian,
+                    build_hamiltonian, classical_otoc, classical_otoc_bruteforce,
+                    classical_otoc_phase, exact_unitary, preset_params)
+from .mitigation import TmemSolver, ZnePair, project_simplex, zne_correct
 from .noise import (NoiseModel, ShotResult, build_confusion_matrix,
                     depolarizing_kraus, empirical_distribution,
                     estimate_confusion_matrix, fold_cnots, sample_counts,
                     simulate_noisy)
-from .otoc import (OtocPoint, SpreadSurface, build_surface, commutator_exact,
-                   commutator_xy_exact, fabs_measurement_circuit,
-                   fixed_node_commutator, fixed_node_otoc, otoc_exact,
-                   otoc_from_unitary)
+from .otoc import (build_surface, commutator_exact, commutator_xy_exact,
+                   fabs_measurement_circuit, fixed_node_commutator,
+                   fixed_node_otoc, otoc_exact, otoc_from_unitary)
 from .qsim import (BitstringDistribution, Circuit, DensityMatrix, Gate,
                    StateVector, align_global_phase, apply_channel,
-                   apply_circuit, apply_circuit_dm, apply_gate, apply_gate_dm,
+                   apply_circuit, apply_circuit_dm, apply_gate,
                    circuit_unitary, cnot, cnot_count, cz, dagger, gate_matrix,
                    h_gate, measurement_distribution, pz, rx, rzz, s_gate,
                    sdg_gate, x_gate, y_gate, z_gate)
-from .surface_io import (SurfaceTable, diff_surfaces, load_surface,
-                         surface_to_table, write_surface)
-from .weave import (WeaveDecomposition, WeaveSchedule, magic_rzz,
-                    rzz_decomposition, trotter_step, weave_circuit,
-                    weave_decomposition, weave_operators)
+from .surface_io import SurfaceTable, diff_surfaces, load_surface, write_surface
+from .weave import (WeaveSchedule, magic_rzz, rzz_decomposition, trotter_step,
+                    weave_circuit, weave_operators)

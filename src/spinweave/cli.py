@@ -80,16 +80,16 @@ def _resolve_output_dir(cli_value, config_value) -> Path:
 def _cmd_run(args) -> int:
     cfg = validate_config(args.config)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed,
-                      noise=replace(cfg.noise, seed=args.seed))
+        if args.seed < 0:
+            raise ConfigError(f"seed: must be >= 0 (got {args.seed})")
+        cfg = replace(cfg, seed=args.seed)
     out_dir = _resolve_output_dir(args.output_dir, cfg.output_dir)
-    surface = build_surface(cfg, jobs=max(1, args.jobs))
-    csv_path, meta_path = write_surface(surface, cfg, out_dir)
+    table = build_surface(cfg, jobs=max(1, args.jobs))
+    csv_path, meta_path = write_surface(table, cfg, out_dir)
     print(csv_path)
     print(meta_path)
-    table = load_surface(csv_path)
     for column in ("C_raw", "C_tmem", "C_zne", "C_corr", "C_exact"):
-        if not bool(np.any(~np.isnan(table.grid(column)))):
+        if np.isnan(table.columns[column]).all():
             continue
         svg_path = out_dir / f"heatmap_{column}.svg"
         svg_path.write_bytes(render_heatmap(table, column).encode("utf-8"))

@@ -32,12 +32,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from numbers import Real
 from pathlib import Path
 
 from .errors import ConfigError
-from .ising import REGIME_COUPLINGS, IsingParams
+from .ising import MAX_OTOC_QUBITS, REGIME_COUPLINGS, IsingParams
 from .noise import DEFAULT_SHOTS, NoiseModel
-from .weave import WeaveSchedule
+from .qsim import MAX_DM_QUBITS, MAX_QUBITS
+from .weave import WeaveSchedule, check_magic_constraint
 
 PIPELINES = ("exact", "trotter_exact", "sampled", "noisy", "mitigated")
 STATES = ("zeros", "plus", "maximally_mixed")
@@ -87,6 +90,38 @@ class ExperimentConfig:
         return WeaveSchedule(self.tau, self.k, self.ell_max, self.magic)
 
 
+def _field(errors: list[str], src: dict, name: str, default, kind, check=None,
+           msg: str = "", prefix: str = ""):
+    """``src[name]`` (``default`` when absent) converted to ``kind``.
+
+    A value of the wrong type, or one that fails ``check``, is reported in
+    ``errors`` under ``prefix + name`` and replaced by ``default``.
+    """
+    label = prefix + name
+    value = src.get(name, default)
+    if kind is bool and not isinstance(value, bool):
+        errors.append(f"{label}: expected true/false (got {value!r})")
+        return default
+    if kind is int and isinstance(value, bool):
+        errors.append(f"{label}: expected int (got {value!r})")
+        return default
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        errors.append(f"{label}: expected a whole number (got {value!r})")
+        return default
+    if kind is float and (isinstance(value, bool) or not isinstance(value, Real)):
+        errors.append(f"{label}: expected a number (got {value!r})")
+        return default
+    try:
+        value = kind(value)
+    except (TypeError, ValueError):
+        errors.append(f"{label}: expected {kind.__name__} (got {value!r})")
+        return default
+    if check is not None and not check(value):
+        errors.append(f"{label}: {msg} (got {value!r})")
+        return default
+    return value
+
+
 def _resolve_regime(value, n: int, errors: list[str]):
     if isinstance(value, str):
         if value not in REGIME_COUPLINGS:
@@ -102,17 +137,22 @@ def _resolve_regime(value, n: int, errors: list[str]):
             errors.append(f"regime: coupling object needs keys J, Bx, Bz "
                           f"(missing {sorted(missing)}, unexpected {sorted(extra)})")
             return "invalid", None
-        return "custom", IsingParams(n, float(value["J"]), float(value["Bx"]),
-                                     float(value["Bz"]))
+        before = len(errors)
+        j, bx, bz = (_field(errors, value, key, 0.0, float, math.isfinite,
+                            "must be finite", prefix="regime.")
+                     for key in ("J", "Bx", "Bz"))
+        if len(errors) > before:
+            return "invalid", None
+        return "custom", IsingParams(n, j, bx, bz)
     errors.append("regime: must be a preset name or a coupling object")
     return "invalid", None
 
 
-def _build_noise(data, n: int, seed: int, pipeline: str, errors: list[str]):
+def _build_noise(data, n: int, pipeline: str, errors: list[str]):
     if data is None:
         if pipeline in _NOISY_PIPELINES:
-            return NoiseModel.default(n, seed)
-        return NoiseModel.ideal(n, seed)
+            return NoiseModel.default(n)
+        return NoiseModel.ideal(n)
     if not isinstance(data, dict):
         errors.append("noise: must be an object")
         return None
@@ -128,11 +168,11 @@ def _build_noise(data, n: int, seed: int, pipeline: str, errors: list[str]):
                               "t1_given_0/t0_given_1, not both")
                 return None
             return NoiseModel(n, cnot, data.get("t1_given_0", [0.0] * n),
-                              data.get("t0_given_1", [0.0] * n), seed)
+                              data.get("t0_given_1", [0.0] * n))
         eps = data.get("spam_epsilon", NoiseModel.default(n).t1_given_0)
-        return NoiseModel.symmetric_spam(n, cnot, eps, seed)
-    except ValueError as exc:
-        errors.append(f"noise: {exc}")
+        return NoiseModel.symmetric_spam(n, cnot, eps)
+    except ValueError as exc:  # the message starts with the offending key
+        errors.append(f"noise.{exc}")
         return None
 
 
@@ -145,34 +185,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     extra = set(data) - _TOP_KEYS
     if extra:
         errors.append(f"unknown fields {sorted(extra)}")
+    take = partial(_field, errors, data)
 
-    def take(name, default, kind, check=None, msg=""):
-        value = data.get(name, default)
-        if kind is bool and not isinstance(value, bool):
-            errors.append(f"{name}: expected true/false (got {value!r})")
-            return default
-        if kind is int and isinstance(value, bool):
-            errors.append(f"{name}: expected int (got {value!r})")
-            return default
-        if kind is int and isinstance(value, float) and not value.is_integer():
-            errors.append(f"{name}: expected a whole number (got {value!r})")
-            return default
-        try:
-            value = kind(value)
-        except (TypeError, ValueError):
-            errors.append(f"{name}: expected {kind.__name__} (got {value!r})")
-            return default
-        if check is not None and not check(value):
-            errors.append(f"{name}: {msg} (got {value!r})")
-            return default
-        return value
-
-    n = take("n", 4, int, lambda v: 3 <= v <= 14, "must be in 3..14")
+    n = take("n", 4, int, lambda v: 3 <= v <= MAX_QUBITS, f"must be in 3..{MAX_QUBITS}")
     tau = take("tau", 0.06, float, lambda v: v > 0 and math.isfinite(v), "must be > 0")
     k = take("k", 1, int, lambda v: v >= 1, "must be >= 1")
     ell_max = take("ell_max", 24, int, lambda v: v >= 0, "must be >= 0")
     shots = take("shots", DEFAULT_SHOTS, int, lambda v: v >= 1, "must be >= 1")
-    seed = take("seed", 0, int)
+    seed = take("seed", 0, int, lambda v: v >= 0, "must be >= 0")
     magic = take("magic", False, bool)
     magic_override = take("magic_override", False, bool)
     pipeline = take("pipeline", "exact", str, lambda v: v in PIPELINES,
@@ -193,20 +213,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         errors.append("state/probe: measured pipelines support only the "
                       "all-zeros state with the X probe; alternative states "
                       "and probes run through the exact pipeline")
-    if pipeline in _NOISY_PIPELINES and n > 8:
+    if pipeline in _NOISY_PIPELINES and n > MAX_DM_QUBITS:
         errors.append(f"n: pipeline {pipeline!r} is density-matrix based and "
-                      f"limited to n <= 8 (got {n})")
-    if pipeline in ("exact", "trotter_exact", "sampled") and n > 10:
+                      f"limited to n <= {MAX_DM_QUBITS} (got {n})")
+    if pipeline in ("exact", "trotter_exact", "sampled") and n > MAX_OTOC_QUBITS:
         errors.append(f"n: pipeline {pipeline!r} records dense exact values "
-                      f"and is limited to n <= 10 (got {n})")
+                      f"and is limited to n <= {MAX_OTOC_QUBITS} (got {n})")
 
     if params is not None and magic and not magic_override:
-        angle = 2.0 * params.J * k * tau
-        if abs(abs(angle) - math.pi / 2) > 1e-9:
-            errors.append(
-                "magic: requires |2*J*k*tau| = pi/2 within 1e-9 "
-                f"(got 2*J*k*tau = {angle:.6g}); set magic_override to run "
-                "with the nominal angle replaced by the nearest +-pi/2 rotation")
+        try:
+            check_magic_constraint(params, WeaveSchedule(tau, k, ell_max, magic))
+        except ConfigError as exc:
+            errors.append(str(exc))
 
     mit_data = data.get("mitigation")
     mitigation = MitigationConfig()
@@ -217,15 +235,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             extra = set(mit_data) - _MITIGATION_KEYS
             if extra:
                 errors.append(f"mitigation: unknown keys {sorted(extra)}")
-            order = mit_data.get("order", "tmem_then_zne")
-            if order not in MITIGATION_ORDERS:
-                errors.append(f"mitigation.order: must be one of {MITIGATION_ORDERS} "
-                              f"(got {order!r})")
-            else:
-                mitigation = MitigationConfig(bool(mit_data.get("tmem", True)),
-                                              bool(mit_data.get("zne", True)), order)
+            take_mit = partial(_field, errors, mit_data, prefix="mitigation.")
+            mitigation = MitigationConfig(
+                take_mit("tmem", True, bool), take_mit("zne", True, bool),
+                take_mit("order", "tmem_then_zne", str,
+                         lambda v: v in MITIGATION_ORDERS,
+                         f"must be one of {MITIGATION_ORDERS}"))
 
-    noise = _build_noise(data.get("noise"), n, seed, pipeline, errors)
+    noise = _build_noise(data.get("noise"), n, pipeline, errors)
 
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))

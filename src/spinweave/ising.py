@@ -25,8 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError
+from .qsim import MAX_QUBITS
 
-MAX_DENSE_QUBITS = 14
 MAX_OTOC_QUBITS = 10
 
 
@@ -50,13 +50,7 @@ REGIME_COUPLINGS = {
 }
 
 
-@dataclass(frozen=True)
-class RegimePreset:
-    name: str
-    params: IsingParams
-
-
-def regime_preset(name: str, n: int) -> RegimePreset:
+def preset_params(name: str, n: int) -> IsingParams:
     """Bundled parameter sets: 'integrable' (J, Bx, Bz) = (-1, 0, 1) and
     'chaotic' (-1, 0.7, 1.5)."""
     try:
@@ -64,11 +58,7 @@ def regime_preset(name: str, n: int) -> RegimePreset:
     except KeyError:
         raise ValueError(
             f"unknown regime {name!r}; choose from {sorted(REGIME_COUPLINGS)}") from None
-    return RegimePreset(name, IsingParams(n, j, bx, bz))
-
-
-def preset_params(name: str, n: int) -> IsingParams:
-    return regime_preset(name, n).params
+    return IsingParams(n, j, bx, bz)
 
 
 def _site_bits(n: int) -> np.ndarray:
@@ -84,8 +74,8 @@ def classical_energies(p: IsingParams) -> np.ndarray:
 
 
 def _check_dense(n: int):
-    if n > MAX_DENSE_QUBITS:
-        raise CapacityError(f"dense construction limited to n <= {MAX_DENSE_QUBITS}, got n={n}")
+    if n > MAX_QUBITS:
+        raise CapacityError(f"dense construction limited to n <= {MAX_QUBITS}, got n={n}")
 
 
 def build_hamiltonian(p: IsingParams) -> np.ndarray:
@@ -138,9 +128,9 @@ def cached_evolution(p: IsingParams) -> ExactEvolution:
     return ExactEvolution(build_hamiltonian(p))
 
 
-def _check_site(p: IsingParams, j: int, name: str = "j"):
-    if not 1 <= j <= p.n:
-        raise ValueError(f"site {name}={j} out of range 1..{p.n}")
+def _check_site(n: int, site: int, name: str = "j"):
+    if not 1 <= site <= n:
+        raise ValueError(f"site {name}={site} out of range 1..{n}")
 
 
 def classical_otoc_phase(p: IsingParams, j: int, t: float) -> float:
@@ -149,7 +139,7 @@ def classical_otoc_phase(p: IsingParams, j: int, t: float) -> float:
     4(J + Bz)t at the butterfly site, 4Jt at its neighbour, and 0 further
     out (including the far chain end).
     """
-    _check_site(p, j)
+    _check_site(p.n, j)
     if j == 1:
         return 4.0 * (p.J + p.Bz) * t
     if j == 2:
@@ -168,8 +158,8 @@ def classical_otoc_bruteforce(p: IsingParams, i: int, j: int, t: float) -> compl
     also covers general (i, j)."""
     if p.n > MAX_OTOC_QUBITS:
         raise CapacityError(f"brute-force OTOC limited to n <= {MAX_OTOC_QUBITS}")
-    _check_site(p, i, "i")
-    _check_site(p, j, "j")
+    _check_site(p.n, i, "i")
+    _check_site(p.n, j, "j")
     d = 2 ** p.n
     e = classical_energies(p)
     rows = np.arange(d)

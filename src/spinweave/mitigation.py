@@ -49,42 +49,22 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + lam, 0.0)
 
 
-@dataclass(frozen=True)
-class TmemProblem:
-    """Confusion matrix plus the noisy distribution to be corrected."""
-
-    T: np.ndarray
-    p_noisy: BitstringDistribution
-
-    def __post_init__(self):
-        t = np.asarray(self.T, dtype=float)
-        d = self.p_noisy.probabilities.size
-        if t.shape != (d, d):
-            raise ValueError(f"T must be {d}x{d}, got {t.shape}")
-        if np.max(np.abs(t.sum(axis=0) - 1.0)) > 1e-9:
-            raise ValueError("T columns must sum to 1")
-        object.__setattr__(self, "T", t)
-
-
-@dataclass(frozen=True)
-class TmemSolution:
-    distribution: BitstringDistribution
-    iterations: int
-    converged: bool
-    condition_number: float
-    objective: float
-
-
 class TmemSolver:
     """Reusable projected-gradient solver for a fixed confusion matrix.
 
     Precomputes the step size and condition number once so that surface
-    runs can correct hundreds of distributions against the same T.
+    runs can correct hundreds of distributions against the same T.  T must
+    be square and column-stochastic.
     """
 
     def __init__(self, t: np.ndarray, tol: float = TMEM_TOL,
                  max_iter: int = TMEM_MAX_ITER):
-        self.t = np.asarray(t, dtype=float)
+        t = np.asarray(t, dtype=float)
+        if t.ndim != 2 or t.shape[0] != t.shape[1]:
+            raise ValueError(f"T must be square, got shape {t.shape}")
+        if np.max(np.abs(t.sum(axis=0) - 1.0)) > 1e-9:
+            raise ValueError("T columns must sum to 1")
+        self.t = t
         self.tol = tol
         self.max_iter = max_iter
         self.gram = self.t.T @ self.t
@@ -102,21 +82,6 @@ class TmemSolver:
             if delta < self.tol:
                 return x, it, True
         return x, self.max_iter, False
-
-
-def tmem_solve(t: np.ndarray, p_noisy: np.ndarray,
-               x0: np.ndarray | None = None) -> TmemSolution:
-    solver = TmemSolver(t)
-    x, iters, ok = solver.solve(np.asarray(p_noisy, dtype=float), x0)
-    n_qubits = int(np.log2(x.size))
-    return TmemSolution(
-        BitstringDistribution(n_qubits, x), iters, ok,
-        solver.condition_number, float(np.sum((t @ x - p_noisy) ** 2)))
-
-
-def tmem_correct(problem: TmemProblem) -> BitstringDistribution:
-    """Constrained least-squares readout correction of a noisy distribution."""
-    return tmem_solve(problem.T, problem.p_noisy.probabilities).distribution
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from numbers import Real
 
 import numpy as np
 
@@ -35,22 +36,19 @@ DEFAULT_SPAM_EPSILON = (0.043, 0.015, 0.017, 0.017)
 DEFAULT_SHOTS = 8192
 
 
-def _per_edge(value, n: int, name: str) -> tuple[float, ...]:
-    vals = [float(value)] * (n - 1) if np.isscalar(value) else [float(v) for v in value]
-    if len(vals) != n - 1:
-        raise ValueError(f"{name} needs {n - 1} per-edge values, got {len(vals)}")
-    if any(not 0.0 <= v <= 1.0 for v in vals):
-        raise ValueError(f"{name} entries must lie in [0, 1]")
-    return tuple(vals)
+def _rates(value, count: int, name: str) -> tuple[float, ...]:
+    """``count`` probabilities from one number (repeated) or a sequence.
 
-
-def _per_qubit(value, n: int, name: str) -> tuple[float, ...]:
-    vals = [float(value)] * n if np.isscalar(value) else [float(v) for v in value]
-    if len(vals) != n:
-        raise ValueError(f"{name} needs {n} per-qubit values, got {len(vals)}")
+    Errors start with ``name`` so that callers can prefix the field path.
+    """
+    vals = list(value) if isinstance(value, (list, tuple, np.ndarray)) else [value] * count
+    if len(vals) != count:
+        raise ValueError(f"{name}: needs {count} values, got {len(vals)}")
+    if any(isinstance(v, bool) or not isinstance(v, Real) for v in vals):
+        raise ValueError(f"{name}: expected numbers (got {value!r})")
     if any(not 0.0 <= v <= 1.0 for v in vals):
-        raise ValueError(f"{name} entries must lie in [0, 1]")
-    return tuple(vals)
+        raise ValueError(f"{name}: entries must lie in [0, 1]")
+    return tuple(float(v) for v in vals)
 
 
 @dataclass(frozen=True)
@@ -61,35 +59,33 @@ class NoiseModel:
     cnot_error: tuple[float, ...]
     t1_given_0: tuple[float, ...]
     t0_given_1: tuple[float, ...]
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "cnot_error",
-                           _per_edge(self.cnot_error, self.n_qubits, "cnot_error"))
+                           _rates(self.cnot_error, self.n_qubits - 1, "cnot_error"))
         object.__setattr__(self, "t1_given_0",
-                           _per_qubit(self.t1_given_0, self.n_qubits, "t1_given_0"))
+                           _rates(self.t1_given_0, self.n_qubits, "t1_given_0"))
         object.__setattr__(self, "t0_given_1",
-                           _per_qubit(self.t0_given_1, self.n_qubits, "t0_given_1"))
+                           _rates(self.t0_given_1, self.n_qubits, "t0_given_1"))
 
     @classmethod
-    def ideal(cls, n_qubits: int, seed: int = 0) -> "NoiseModel":
+    def ideal(cls, n_qubits: int) -> "NoiseModel":
         return cls(n_qubits, (0.0,) * (n_qubits - 1), (0.0,) * n_qubits,
-                   (0.0,) * n_qubits, seed)
+                   (0.0,) * n_qubits)
 
     @classmethod
-    def default(cls, n_qubits: int = 4, seed: int = 0) -> "NoiseModel":
+    def default(cls, n_qubits: int = 4) -> "NoiseModel":
         """Bundled calibration defaults for a 4-qubit chain (repeating the
         last table entry when a longer chain is requested)."""
         def take(table, count):
             return tuple(table[i] if i < len(table) else table[-1] for i in range(count))
         eps = take(DEFAULT_SPAM_EPSILON, n_qubits)
-        return cls(n_qubits, take(DEFAULT_CNOT_ERRORS, n_qubits - 1), eps, eps, seed)
+        return cls(n_qubits, take(DEFAULT_CNOT_ERRORS, n_qubits - 1), eps, eps)
 
     @classmethod
-    def symmetric_spam(cls, n_qubits: int, cnot_error, spam_epsilon,
-                       seed: int = 0) -> "NoiseModel":
-        eps = _per_qubit(spam_epsilon, n_qubits, "spam_epsilon")
-        return cls(n_qubits, cnot_error, eps, eps, seed)
+    def symmetric_spam(cls, n_qubits: int, cnot_error, spam_epsilon) -> "NoiseModel":
+        eps = _rates(spam_epsilon, n_qubits, "spam_epsilon")
+        return cls(n_qubits, cnot_error, eps, eps)
 
     def edge_error(self, edge: int) -> float:
         return self.cnot_error[edge]

@@ -25,20 +25,20 @@ accurate outside the spreading lightcone and deep in the scrambled regime.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import CapacityError
-from .ising import (IsingParams, MAX_OTOC_QUBITS, cached_evolution,
-                    classical_otoc_phase)
+from .ising import (IsingParams, MAX_OTOC_QUBITS, _check_site,
+                    cached_evolution, classical_otoc_phase)
 from .mitigation import TmemSolver, ZnePair, zne_correct
 from .noise import (build_confusion_matrix, empirical_distribution, fold_cnots,
                     sample_counts, simulate_noisy)
 from .qsim import (BitstringDistribution, Circuit, StateVector, apply_circuit,
                    dagger, measurement_distribution, x_gate)
-from .weave import WeaveSchedule, weave_circuit
+from .surface_io import FLOAT_COLUMNS, SurfaceTable
+from .weave import weave_circuit
 
 STATE_TAGS = ("zeros", "plus", "maximally_mixed")
 
@@ -53,11 +53,6 @@ def _site_operator(probe: str, site: int, n: int) -> np.ndarray:
     full = np.kron(full, np.eye(2 ** (n - site)))
     full.setflags(write=False)
     return full
-
-
-def _check_site(n: int, site: int, name: str):
-    if not 1 <= site <= n:
-        raise ValueError(f"site {name}={site} out of range 1..{n}")
 
 
 def _otoc_value(a: np.ndarray, state: str, n: int) -> complex:
@@ -84,8 +79,9 @@ def otoc_from_unitary(u: np.ndarray, i: int, j: int, state: str = "zeros",
 
 
 def otoc_exact(p: IsingParams, i: int, j: int, t: float,
-               state: str = "zeros") -> complex:
-    """F_ij(t) under exact evolution of the full Hamiltonian.
+               state: str = "zeros", probe: str = "x") -> complex:
+    """F_ij(t) under exact evolution of the full Hamiltonian, with the X_j
+    probe or, for ``probe="y"``, the Y_j probe.
 
     The Hamiltonian is eigendecomposed once per parameter set and cached,
     so sweeps over t and j stay cheap.
@@ -94,13 +90,6 @@ def otoc_exact(p: IsingParams, i: int, j: int, t: float,
         raise CapacityError(f"exact OTOC limited to n <= {MAX_OTOC_QUBITS}")
     if state not in STATE_TAGS:
         raise ValueError(f"unknown state tag {state!r}; choose from {STATE_TAGS}")
-    return otoc_from_unitary(cached_evolution(p).unitary(t), i, j, state)
-
-
-def _otoc_exact_probe(p: IsingParams, i: int, j: int, t: float, state: str,
-                      probe: str) -> complex:
-    if p.n > MAX_OTOC_QUBITS:
-        raise CapacityError(f"exact OTOC limited to n <= {MAX_OTOC_QUBITS}")
     return otoc_from_unitary(cached_evolution(p).unitary(t), i, j, state, probe)
 
 
@@ -113,7 +102,7 @@ def commutator_exact(p: IsingParams, i: int, j: int, t: float,
 def commutator_xy_exact(p: IsingParams, i: int, j: int, t: float) -> float:
     """Squared commutator of X_i(t) against the Y_j probe on the all-zeros
     state.  Nonzero already at t = 0 when i = j, where it equals 4."""
-    return 2.0 - 2.0 * _otoc_exact_probe(p, i, j, t, "zeros", "y").real
+    return 2.0 - 2.0 * otoc_exact(p, i, j, t, probe="y").real
 
 
 def fabs_measurement_circuit(u: Circuit, i: int, j: int) -> Circuit:
@@ -150,45 +139,6 @@ def fixed_node_commutator(f_abs: float, p: IsingParams, j: int, t: float) -> flo
 
 # --- spreading surfaces ----------------------------------------------------
 
-VARIANT_NAMES = ("raw", "tmem", "zne", "corr", "exact")
-
-
-@dataclass(frozen=True)
-class OtocPoint:
-    """One grid point: probe site, time index, and the fixed-node pair
-    (modulus, phase) with the commutator they reconstruct."""
-
-    j: int
-    ell: int
-    t: float
-    f_abs: float
-    f_phase: float
-    c: float
-
-
-@dataclass(frozen=True)
-class SpreadSurface:
-    """Commutator values over the (site, time-index) grid, one array per
-    pipeline variant (absent variants hold NaN)."""
-
-    regime: str
-    params: IsingParams
-    schedule: WeaveSchedule
-    pipeline: str
-    state: str
-    probe: str
-    points: tuple
-    variants: dict
-
-    @property
-    def n(self) -> int:
-        return self.params.n
-
-    @property
-    def ell_max(self) -> int:
-        return self.schedule.ell_max
-
-
 def _point_seed(seed: int, j: int, ell: int, fold: int) -> np.random.SeedSequence:
     """Independent, order-insensitive stream per grid point and fold level."""
     return np.random.SeedSequence(seed, spawn_key=(j, ell, fold))
@@ -197,8 +147,9 @@ def _point_seed(seed: int, j: int, ell: int, fold: int) -> np.random.SeedSequenc
 def _surface_row(cfg, ell: int) -> list[tuple]:
     """All probe sites at one time index.
 
-    Returns per-site tuples (f_abs, f_phase, raw, tmem, zne, corr, exact);
-    module-level so surface rows can be dispatched to worker processes.
+    Returns one tuple per site holding the values of the CSV columns
+    ``FLOAT_COLUMNS[1:]`` (C_raw, C_tmem, C_zne, C_corr, C_exact, F_abs,
+    F_phase); module-level so rows can be dispatched to worker processes.
     """
     p = cfg.params
     n = p.n
@@ -214,7 +165,7 @@ def _surface_row(cfg, ell: int) -> list[tuple]:
             f = _otoc_value(xit_exact @ _site_operator(cfg.probe, j, n),
                             cfg.state, n)
             c_exact = 2.0 - 2.0 * f.real
-            out.append((abs(f), float(np.angle(f)), nan, nan, nan, nan, c_exact))
+            out.append((nan, nan, nan, nan, c_exact, abs(f), float(np.angle(f))))
         return out
 
     u_circ = weave_circuit(p, cfg.schedule, ell,
@@ -237,7 +188,7 @@ def _surface_row(cfg, ell: int) -> list[tuple]:
             sv = apply_circuit(StateVector.zeros(n), meas)
             p0 = float(np.abs(sv.amplitudes[0]) ** 2)
             raw = commutator(p0)
-            out.append((np.sqrt(p0), phase, raw, nan, nan, nan, c_exact))
+            out.append((raw, nan, nan, nan, c_exact, np.sqrt(p0), phase))
             continue
 
         if cfg.pipeline == "sampled":
@@ -250,7 +201,7 @@ def _surface_row(cfg, ell: int) -> list[tuple]:
         raw = commutator(p0_raw)
 
         if cfg.pipeline in ("sampled", "noisy"):
-            out.append((np.sqrt(max(p0_raw, 0.0)), phase, raw, nan, nan, nan, c_exact))
+            out.append((raw, nan, nan, nan, c_exact, np.sqrt(max(p0_raw, 0.0)), phase))
             continue
 
         # mitigated pipeline
@@ -284,45 +235,30 @@ def _surface_row(cfg, ell: int) -> list[tuple]:
         else:
             c_corr = raw
 
-        out.append((np.sqrt(max(p0_raw, 0.0)), phase, raw, c_tmem, c_zne,
-                    c_corr, c_exact))
+        out.append((raw, c_tmem, c_zne, c_corr, c_exact,
+                    np.sqrt(max(p0_raw, 0.0)), phase))
     return out
 
 
-def build_surface(cfg, jobs: int = 1) -> SpreadSurface:
+def build_surface(cfg, jobs: int = 1) -> SurfaceTable:
     """Evaluate the configured pipeline over the full (j, ell) grid.
 
+    Rows come out in CSV order: probe site j (1..n), then time index ell.
     Grid points are independent; ``jobs > 1`` dispatches time indices to
     worker processes.  Results are identical for any ``jobs`` because every
     sampled point draws from its own derived seed.
     """
-    n = cfg.params.n
-    ells = range(cfg.ell_max + 1)
+    n, l1 = cfg.params.n, cfg.ell_max + 1
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(partial(_surface_row, cfg), ells))
+            rows = list(pool.map(partial(_surface_row, cfg), range(l1)))
     else:
-        rows = [_surface_row(cfg, ell) for ell in ells]
+        rows = [_surface_row(cfg, ell) for ell in range(l1)]
 
-    variants = {name: np.full((n, cfg.ell_max + 1), np.nan)
-                for name in VARIANT_NAMES}
-    points = []
-    for j in range(1, n + 1):
-        col = []
-        for ell in ells:
-            f_abs, f_phase, raw, tmem, zne, corr, exact = rows[ell][j - 1]
-            if cfg.pipeline == "exact":
-                c = 2.0 - 2.0 * f_abs * np.cos(f_phase)
-            else:
-                c = raw
-            col.append(OtocPoint(j, ell, ell * cfg.tau, float(f_abs),
-                                 float(f_phase), float(c)))
-            variants["raw"][j - 1, ell] = raw
-            variants["tmem"][j - 1, ell] = tmem
-            variants["zne"][j - 1, ell] = zne
-            variants["corr"][j - 1, ell] = corr
-            variants["exact"][j - 1, ell] = exact
-        points.append(tuple(col))
-
-    return SpreadSurface(cfg.regime, cfg.params, cfg.schedule, cfg.pipeline,
-                         cfg.state, cfg.probe, tuple(points), variants)
+    # rows[ell][j - 1] -> one (n * l1, columns) block, j-major
+    values = np.array(rows, dtype=float).transpose(1, 0, 2).reshape(n * l1, -1)
+    ell = np.tile(np.arange(l1), n).astype(float)
+    columns = {"j": np.repeat(np.arange(1, n + 1), l1).astype(float),
+               "ell": ell, "t": ell * cfg.tau}
+    columns.update(zip(FLOAT_COLUMNS[1:], values.T.copy()))
+    return SurfaceTable(columns)

@@ -261,10 +261,6 @@ def bitstring(index: int, n_qubits: int) -> str:
     return format(index, f"0{n_qubits}b")
 
 
-def basis_index(bits: str) -> int:
-    return int(bits, 2)
-
-
 # --- gate application ------------------------------------------------------
 
 def _contract(tensor: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -300,24 +296,18 @@ def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
     return StateVector(state.n_qubits, psi.reshape(-1))
 
 
-def apply_gate_dm(dm: DensityMatrix, g: Gate) -> DensityMatrix:
-    """Conjugate a density matrix by one gate: rho -> U rho U^dag."""
-    _check_bounds(g, dm.n_qubits)
-    n = dm.n_qubits
-    u = gate_matrix(g)
-    t = dm.entries.reshape((2,) * (2 * n))
-    t = _contract(t, u, g.qubits)
-    t = _contract(t, u.conj(), tuple(n + q for q in g.qubits))
-    return DensityMatrix(n, t.reshape(2 ** n, 2 ** n))
-
-
 def apply_circuit_dm(dm: DensityMatrix, c: Circuit) -> DensityMatrix:
+    """Conjugate a density matrix by a circuit, gate by gate:
+    rho -> U rho U^dag."""
     if c.n_qubits != dm.n_qubits:
         raise ValueError("circuit and state qubit counts differ")
-    out = dm
+    n = dm.n_qubits
+    t = dm.entries.reshape((2,) * (2 * n))
     for g in c.gates:
-        out = apply_gate_dm(out, g)
-    return out
+        u = gate_matrix(g)
+        t = _contract(t, u, g.qubits)
+        t = _contract(t, u.conj(), tuple(n + q for q in g.qubits))
+    return DensityMatrix(n, t.reshape(2 ** n, 2 ** n))
 
 
 def apply_channel(dm: DensityMatrix, kraus, qubits) -> DensityMatrix:
@@ -347,11 +337,6 @@ def apply_channel(dm: DensityMatrix, kraus, qubits) -> DensityMatrix:
 def measurement_distribution(state: StateVector) -> BitstringDistribution:
     """Born-rule probabilities |amplitude(x)|^2 over classical states."""
     return BitstringDistribution(state.n_qubits, np.abs(state.amplitudes) ** 2)
-
-
-def dm_distribution(dm: DensityMatrix) -> BitstringDistribution:
-    """Readout distribution of a density matrix (its clipped real diagonal)."""
-    return BitstringDistribution(dm.n_qubits, np.clip(np.diag(dm.entries).real, 0.0, None))
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:

@@ -30,7 +30,6 @@ import numpy as np
 
 from ._version import __version__
 from .config import ExperimentConfig, config_echo
-from .otoc import SpreadSurface
 
 CSV_COLUMNS = ("j", "ell", "t", "C_raw", "C_tmem", "C_zne", "C_corr",
                "C_exact", "F_abs", "F_phase")
@@ -47,7 +46,7 @@ def format_value(x: float) -> str:
 
 @dataclass(frozen=True)
 class SurfaceTable:
-    """Column-array view of a surface CSV."""
+    """A surface as one float array per CSV column, rows in file order."""
 
     columns: dict
 
@@ -79,29 +78,6 @@ class SurfaceTable:
         return out
 
 
-def surface_to_table(surface: SpreadSurface) -> SurfaceTable:
-    n, l1 = surface.n, surface.ell_max + 1
-    rows = n * l1
-    cols = {
-        "j": np.repeat(np.arange(1, n + 1), l1).astype(float),
-        "ell": np.tile(np.arange(l1), n).astype(float),
-        "t": np.empty(rows),
-        "F_abs": np.empty(rows),
-        "F_phase": np.empty(rows),
-    }
-    for name in ("raw", "tmem", "zne", "corr", "exact"):
-        cols["C_" + name] = surface.variants[name].reshape(rows).copy()
-    r = 0
-    for j in range(1, n + 1):
-        for ell in range(l1):
-            pt = surface.points[j - 1][ell]
-            cols["t"][r] = pt.t
-            cols["F_abs"][r] = pt.f_abs
-            cols["F_phase"][r] = pt.f_phase
-            r += 1
-    return SurfaceTable(cols)
-
-
 def render_csv(table: SurfaceTable) -> str:
     lines = [",".join(CSV_COLUMNS)]
     j = table.columns["j"]
@@ -124,18 +100,22 @@ def surface_metadata(cfg: ExperimentConfig, table: SurfaceTable) -> dict:
     }
 
 
-def write_surface(surface: SpreadSurface, cfg: ExperimentConfig, out_dir,
-                  basename: str = "surface"):
-    """Write CSV and metadata; returns (csv_path, meta_path)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    table = surface_to_table(surface)
-    csv_path = out / f"{basename}.csv"
-    csv_path.write_bytes(render_csv(table).encode("utf-8"))
-    meta_path = out / f"{basename}.meta.json"
-    meta = json.dumps(surface_metadata(cfg, table), sort_keys=True, indent=2) + "\n"
-    meta_path.write_bytes(meta.encode("utf-8"))
-    return csv_path, meta_path
+def write_table(table: SurfaceTable, out_path, meta: dict):
+    """Write a table as CSV plus its ``.meta.json`` sidecar; returns
+    (csv_path, meta_path)."""
+    out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.write_bytes(render_csv(table).encode("utf-8"))
+    meta_path = out_path.with_suffix(".meta.json")
+    meta_path.write_bytes((json.dumps(meta, sort_keys=True, indent=2) + "\n").encode())
+    return out_path, meta_path
+
+
+def write_surface(table: SurfaceTable, cfg: ExperimentConfig, out_dir):
+    """Write ``surface.csv`` and its metadata sidecar into ``out_dir``;
+    returns (csv_path, meta_path)."""
+    return write_table(table, Path(out_dir) / "surface.csv",
+                       surface_metadata(cfg, table))
 
 
 def load_surface(path) -> SurfaceTable:
@@ -175,14 +155,3 @@ def diff_surfaces(a: SurfaceTable, b: SurfaceTable, column: str,
         cols[name] = a.columns[name].copy()
     cols[column] = a.columns[column] - b.columns[column_b]
     return SurfaceTable(cols)
-
-
-def write_table(table: SurfaceTable, out_path, meta: dict | None = None):
-    """Write a bare table (used for diffs); metadata sidecar optional."""
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_bytes(render_csv(table).encode("utf-8"))
-    if meta is not None:
-        side = out_path.with_suffix(".meta.json")
-        side.write_bytes((json.dumps(meta, sort_keys=True, indent=2) + "\n").encode())
-    return out_path

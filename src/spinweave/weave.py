@@ -50,19 +50,6 @@ class WeaveSchedule:
             raise ValueError(f"ell_max must be >= 0, got {self.ell_max}")
 
 
-@dataclass(frozen=True)
-class WeaveDecomposition:
-    """How a time index splits into cell applications plus one shift."""
-
-    cell_applications: int
-    shift_duration_steps: int
-
-
-def weave_decomposition(ell: int, k: int) -> WeaveDecomposition:
-    shift = ell % k
-    return WeaveDecomposition((ell - shift) // k, shift)
-
-
 def magic_cell_angle(p: IsingParams, s: WeaveSchedule) -> float:
     """ZZ angle of the cell operator, 2*J*k*tau."""
     return 2.0 * p.J * s.k * s.tau
@@ -73,9 +60,9 @@ def check_magic_constraint(p: IsingParams, s: WeaveSchedule):
     angle = magic_cell_angle(p, s)
     if abs(abs(angle) - math.pi / 2) > MAGIC_ANGLE_TOL:
         raise ConfigError(
-            "magic cell requires |2*J*k*tau| = pi/2 "
-            f"(got 2*J*k*tau = {angle:.6g}); adjust tau or k, or set the "
-            "magic override to run with the nominal angle replaced by the "
+            "magic: requires |2*J*k*tau| = pi/2 "
+            f"(got 2*J*k*tau = {angle:.6g}); adjust tau or k, or set "
+            "magic_override to run with the nominal angle replaced by the "
             "nearest +-pi/2 rotation")
 
 
@@ -168,8 +155,8 @@ def weave_circuit(p: IsingParams, s: WeaveSchedule, ell: int,
     if not 0 <= ell <= s.ell_max:
         raise ValueError(f"ell={ell} out of range 0..{s.ell_max}")
     ops = weave_operators(p, s, allow_magic_mismatch)
-    dec = weave_decomposition(ell, s.k)
-    shift = ops[dec.shift_duration_steps - 1].gates if dec.shift_duration_steps else ()
-    cells = ops[-1].gates * dec.cell_applications
+    n_cells, shift_steps = divmod(ell, s.k)
+    shift = ops[shift_steps - 1].gates if shift_steps else ()
+    cells = ops[-1].gates * n_cells
     gates = cells + shift if cell_first else shift + cells
     return Circuit(p.n, gates)

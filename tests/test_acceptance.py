@@ -69,7 +69,7 @@ def test_criterion_02_integrable_localization():
     cfg = config_from_dict({"regime": "integrable", "n": 6, "tau": 0.06,
                             "ell_max": 24, "pipeline": "exact"})
     surf = build_surface(cfg)
-    c = surf.variants["exact"]
+    c = surf.grid("C_exact")
     far = np.max(np.abs(c[2:, :]))
     t_grid = 0.06 * np.arange(25)
     neighbour_dev = np.max(np.abs(c[1] - (2 - 2 * np.cos(4 * t_grid))))
@@ -106,7 +106,7 @@ def _first_crossings(grid, threshold=0.2, sites=4):
     "strict increase holds only from j=2 on (4 < 24 < 50)"))
 def test_criterion_03_front_strictly_increasing_from_site_one():
     surf, _ = _chaotic_exact_surface()
-    fronts = _first_crossings(surf.variants["exact"])
+    fronts = _first_crossings(surf.grid("C_exact"))
     ok = (None not in fronts
           and all(a < b for a, b in zip(fronts, fronts[1:])))
     report("3-front", ok, f"first 0.2-crossings for j=1..4: {fronts}")
@@ -121,12 +121,12 @@ def test_criterion_03_front_strictly_increasing_from_site_one():
     "part of the mask does hold, see the companion test)"))
 def test_criterion_03_fixed_node_agreement_on_both_masks():
     surf, cfg = _chaotic_exact_surface()
-    exact = surf.variants["exact"]
+    exact = surf.grid("C_exact")
     fixed = np.empty_like(exact)
     for j in range(1, 7):
         for ell in range(73):
             fixed[j - 1, ell] = fixed_node_commutator(
-                surf.points[j - 1][ell].f_abs, cfg.params, j, ell * cfg.tau)
+                surf.grid("F_abs")[j - 1, ell], cfg.params, j, ell * cfg.tau)
     mask = (exact <= 0.1) | (exact >= 1.9)
     dev = np.max(np.abs(fixed - exact)[mask])
     report("3-fixed-node", dev <= 0.05,
@@ -141,14 +141,14 @@ def test_criterion_03_verified_spreading_properties():
     computation fits the runtime budget."""
     start = time.perf_counter()
     surf, cfg = _chaotic_exact_surface()
-    exact = surf.variants["exact"]
+    exact = surf.grid("C_exact")
     fronts = _first_crossings(exact)
     outward = fronts[1] < fronts[2] < fronts[3]
     fixed = np.empty_like(exact)
     for j in range(1, 7):
         for ell in range(73):
             fixed[j - 1, ell] = fixed_node_commutator(
-                surf.points[j - 1][ell].f_abs, cfg.params, j, ell * cfg.tau)
+                surf.grid("F_abs")[j - 1, ell], cfg.params, j, ell * cfg.tau)
     low_mask = exact <= 0.1
     low_dev = np.max(np.abs(fixed - exact)[low_mask])
     elapsed = time.perf_counter() - start
@@ -310,7 +310,7 @@ def test_criterion_09_integrable_insets_localized():
     worst = 0.0
     for preset in ("fig4", "fig6a"):
         surf, _ = _inset_surface(preset)
-        worst = max(worst, float(np.max(np.abs(surf.variants["raw"][2:, :]))))
+        worst = max(worst, float(np.max(np.abs(surf.grid("C_raw")[2:, :]))))
     report("9-localization", worst < 1e-10,
            f"integrable insets: max C beyond the neighbour {worst:.2e}")
     assert worst < 1e-10
@@ -325,7 +325,7 @@ def test_criterion_09_chaotic_insets_front_strictly_increasing():
     ok = True
     for preset in ("fig5", "fig6b"):
         surf, _ = _inset_surface(preset)
-        fronts = _first_crossings(surf.variants["raw"])
+        fronts = _first_crossings(surf.grid("C_raw"))
         results[preset] = fronts
         ok = ok and None not in fronts and all(
             a < b for a, b in zip(fronts, fronts[1:]))
@@ -338,9 +338,9 @@ def test_criterion_09_chaotic_insets_spread_outward():
     outward from the neighbour site, and in the short magic-cell window the
     far end stays quiet because the front has not arrived yet."""
     surf5, _ = _inset_surface("fig5")
-    fronts5 = _first_crossings(surf5.variants["raw"])
+    fronts5 = _first_crossings(surf5.grid("C_raw"))
     surf6, _ = _inset_surface("fig6b")
-    fronts6 = _first_crossings(surf6.variants["raw"])
+    fronts6 = _first_crossings(surf6.grid("C_raw"))
     ok = (fronts5[1] < fronts5[2] < fronts5[3]
           and fronts6[1] < fronts6[2] and fronts6[3] is None)
     report("9-spreading", ok, f"fig5 inset {fronts5}, fig6b inset {fronts6}")
@@ -382,7 +382,7 @@ def test_criterion_10_alternative_commutators_match_oracles():
             u = expm(-1j * h * ell * 0.06)
             for j in range(1, 5):
                 oracle = 2 - 2 * dense_otoc(u, 1, j, 4, state, probe).real
-                dev = abs(surf.variants["exact"][j - 1, ell] - oracle)
+                dev = abs(surf.grid("C_exact")[j - 1, ell] - oracle)
                 worst = max(worst, dev)
     from spinweave.otoc import commutator_xy_exact
     xy_t0 = commutator_xy_exact(CHAOTIC4, 2, 2, 0.0)

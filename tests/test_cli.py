@@ -55,6 +55,28 @@ class TestRun:
         assert main(["run", str(cfg)]) == 0
         assert (target / "surface.csv").exists()
 
+    def test_negative_seed_override_rejected_before_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output-dir", str(out),
+                     "--seed", "-3"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pipeline", ["exact", "mitigated"])
+    def test_heatmaps_match_render_of_written_csv(self, tmp_path, pipeline):
+        cfg = write_config(tmp_path, pipeline=pipeline)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output-dir", str(out)]) == 0
+        heatmaps = sorted(out.glob("heatmap_*.svg"))
+        assert heatmaps
+        for svg in heatmaps:
+            column = svg.stem[len("heatmap_"):]
+            rendered = tmp_path / f"render_{column}.svg"
+            assert main(["render", str(out / "surface.csv"), "--variant", column,
+                         "--out", str(rendered)]) == 0
+            assert svg.read_bytes() == rendered.read_bytes(), column
+
     def test_jobs_flag_matches_serial(self, tmp_path):
         cfg = write_config(tmp_path, pipeline="sampled", shots=128)
         a, b = tmp_path / "serial", tmp_path / "parallel"

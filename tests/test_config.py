@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,34 @@ class TestValidation:
     def test_noisy_pipeline_defaults_to_calibration_noise(self):
         cfg = config_from_dict({"regime": "chaotic", "pipeline": "mitigated"})
         assert cfg.noise.cnot_error == (7.67e-3, 7.00e-3, 7.68e-3)
+
+    @pytest.mark.parametrize("key", ["tmem", "zne"])
+    @pytest.mark.parametrize("value", ["false", 0, "yes"])
+    def test_mitigation_flags_must_be_booleans(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape(f"mitigation.{key}")):
+            config_from_dict({"regime": "chaotic", "pipeline": "mitigated",
+                              "mitigation": {key: value}})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            config_from_dict({"regime": "chaotic", "seed": -3})
+
+    @pytest.mark.parametrize("field, data", [
+        ("regime.J", {"regime": {"J": float("nan"), "Bx": 0.7, "Bz": 1.5}}),
+        ("regime.Bx", {"regime": {"J": -1.0, "Bx": float("inf"), "Bz": 1.5}}),
+        ("regime.J", {"regime": {"J": [1], "Bx": 0.7, "Bz": 1.5}}),
+        ("regime.Bz", {"regime": {"J": -1.0, "Bx": 0.7, "Bz": "x"}}),
+        ("regime.J", {"regime": {"J": True, "Bx": 0.7, "Bz": 1.5}}),
+        ("noise.cnot_error", {"regime": "chaotic", "pipeline": "noisy",
+                              "noise": {"cnot_error": [[0.01], [0.01], [0.01]]}}),
+        ("noise.spam_epsilon", {"regime": "chaotic", "pipeline": "noisy",
+                                "noise": {"spam_epsilon": float("nan")}}),
+        ("noise.t1_given_0", {"regime": "chaotic", "pipeline": "noisy",
+                              "noise": {"t1_given_0": [True] * 4}}),
+    ])
+    def test_non_finite_or_non_numeric_values_name_their_field(self, field, data):
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            config_from_dict(data)
 
     def test_mitigation_order_validated(self):
         with pytest.raises(ConfigError, match="mitigation.order"):

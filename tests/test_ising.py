@@ -6,21 +6,21 @@ from spinweave.ising import (ExactEvolution, IsingParams,
                              build_classical_hamiltonian, build_hamiltonian,
                              classical_otoc, classical_otoc_bruteforce,
                              classical_otoc_phase, exact_unitary,
-                             preset_params, regime_preset)
+                             preset_params)
 
 from conftest import dense_hamiltonian
 
 
 class TestPresets:
     def test_coupling_values(self):
-        integrable = regime_preset("integrable", 4).params
+        integrable = preset_params("integrable", 4)
         assert (integrable.J, integrable.Bx, integrable.Bz) == (-1.0, 0.0, 1.0)
-        chaotic = regime_preset("chaotic", 4).params
+        chaotic = preset_params("chaotic", 4)
         assert (chaotic.J, chaotic.Bx, chaotic.Bz) == (-1.0, 0.7, 1.5)
 
     def test_unknown_regime(self):
         with pytest.raises(ValueError):
-            regime_preset("thermal", 4)
+            preset_params("thermal", 4)
 
     def test_chain_too_short(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from spinweave.mitigation import (TmemProblem, TmemSolver, ZnePair,
-                                  project_simplex, tmem_correct, tmem_solve,
+from spinweave.mitigation import (TmemSolver, ZnePair, project_simplex,
                                   zne_correct, zne_extrapolate)
 from spinweave.noise import NoiseModel, build_confusion_matrix
 from spinweave.qsim import BitstringDistribution
@@ -93,14 +92,14 @@ class TestProjectSimplex:
 class TestTmem:
     def test_identity_matrix_is_fixed_point(self):
         p = np.array([0.4, 0.1, 0.3, 0.2])
-        out = tmem_correct(TmemProblem(np.eye(4), dist(p)))
-        assert np.max(np.abs(out.probabilities - p)) < 1e-9
+        x, _, _ = TmemSolver(np.eye(4)).solve(p)
+        assert np.max(np.abs(x - p)) < 1e-9
 
     def test_roundtrip_recovers_interior_truth(self, rng):
         t = build_confusion_matrix(NoiseModel.default(4))
         p_true = rng.dirichlet(np.full(16, 5.0))
-        out = tmem_correct(TmemProblem(t, dist(t @ p_true)))
-        assert np.max(np.abs(out.probabilities - p_true)) < 1e-8
+        x, _, _ = TmemSolver(t).solve(t @ p_true)
+        assert np.max(np.abs(x - p_true)) < 1e-8
 
     def test_boundary_case_against_grid_search(self):
         t = np.array([[0.99, 0.02], [0.01, 0.98]])
@@ -109,17 +108,17 @@ class TestTmem:
         objs = (t[0, 0] * xs + t[0, 1] * (1 - xs) - 1) ** 2 \
             + (t[1, 0] * xs + t[1, 1] * (1 - xs)) ** 2
         x_grid = xs[np.argmin(objs)]
-        sol = tmem_solve(t, b)
-        assert abs(sol.distribution.probabilities[0] - x_grid) < 1.5e-6
-        assert sol.objective <= objs.min() + 1e-12
+        x, _, _ = TmemSolver(t).solve(b)
+        assert abs(x[0] - x_grid) < 1.5e-6
+        assert np.sum((t @ x - b) ** 2) <= objs.min() + 1e-12
         # the minimizer sits on the simplex boundary
-        assert sol.distribution.probabilities[1] == pytest.approx(0.0, abs=1e-12)
+        assert x[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_objective_not_worse_than_input(self, rng):
         t = build_confusion_matrix(NoiseModel.default(4))
         p_noisy = rng.dirichlet(np.ones(16))
-        sol = tmem_solve(t, p_noisy)
-        assert sol.objective <= np.sum((t @ p_noisy - p_noisy) ** 2) + 1e-15
+        x, _, _ = TmemSolver(t).solve(p_noisy)
+        assert np.sum((t @ x - p_noisy) ** 2) <= np.sum((t @ p_noisy - p_noisy) ** 2) + 1e-15
 
     def test_global_minimum_from_random_starts(self, rng):
         t = build_confusion_matrix(NoiseModel.default(4))
@@ -134,25 +133,25 @@ class TestTmem:
 
     def test_output_always_a_distribution(self, rng):
         t = build_confusion_matrix(NoiseModel.default(4))
+        solver = TmemSolver(t)
         for _ in range(5):
             p_noisy = project_simplex(rng.normal(size=16))
-            out = tmem_correct(TmemProblem(t, dist(p_noisy)))
-            assert np.all(out.probabilities >= 0)
-            assert out.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
+            x, _, _ = solver.solve(p_noisy)
+            assert np.all(x >= 0)
+            assert x.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_condition_number_reported(self):
-        sol = tmem_solve(build_confusion_matrix(NoiseModel.default(4)),
-                         np.full(16, 1 / 16))
-        assert sol.condition_number >= 1.0
-        assert np.isfinite(sol.condition_number)
+        solver = TmemSolver(build_confusion_matrix(NoiseModel.default(4)))
+        assert solver.condition_number >= 1.0
+        assert np.isfinite(solver.condition_number)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            TmemProblem(np.eye(4), dist(np.array([1.0, 0.0])))
+        with pytest.raises(ValueError, match="square"):
+            TmemSolver(np.full((4, 2), 0.25))
 
     def test_non_stochastic_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            TmemProblem(2 * np.eye(2), dist(np.array([1.0, 0.0])))
+        with pytest.raises(ValueError, match="sum to 1"):
+            TmemSolver(2 * np.eye(2))
 
 
 class TestZne:

@@ -229,22 +229,22 @@ class TestBuildSurface:
         cfg = config_from_dict({"regime": "integrable", "n": 4, "tau": 0.06,
                                 "ell_max": 24, "pipeline": "exact"})
         surf = build_surface(cfg)
-        assert np.max(np.abs(surf.variants["exact"][3])) < 1e-10
+        assert np.max(np.abs(surf.grid("C_exact")[3])) < 1e-10
 
     def test_chaotic_t0_row_is_zero(self):
         cfg = config_from_dict({"regime": "chaotic", "n": 4, "tau": 0.06,
                                 "ell_max": 4, "pipeline": "exact"})
         surf = build_surface(cfg)
-        assert np.max(np.abs(surf.variants["exact"][:, 0])) < 1e-10
+        assert np.max(np.abs(surf.grid("C_exact")[:, 0])) < 1e-10
 
     def test_point_reconstruction_invariant(self):
         cfg = config_from_dict({"regime": "chaotic", "n": 4, "tau": 0.06,
                                 "ell_max": 6, "k": 6, "pipeline": "trotter_exact"})
         surf = build_surface(cfg)
-        for column in surf.points:
-            for pt in column:
-                assert abs(pt.c - (2 - 2 * pt.f_abs * np.cos(pt.f_phase))) < 1e-12
-                assert -1e-9 <= pt.f_abs <= 1 + 1e-9
+        f_abs, f_phase = surf.columns["F_abs"], surf.columns["F_phase"]
+        assert np.max(np.abs(
+            surf.columns["C_raw"] - (2 - 2 * f_abs * np.cos(f_phase)))) < 1e-12
+        assert np.all((-1e-9 <= f_abs) & (f_abs <= 1 + 1e-9))
 
     def test_sampled_matches_noiseless_within_three_sigma(self):
         shots = 100_000
@@ -254,8 +254,8 @@ class TestBuildSurface:
             {**base, "pipeline": "sampled", "shots": shots, "seed": 5}))
         for j in range(4):
             for ell in range(9):
-                p_true = exact_surf.points[j][ell].f_abs ** 2
-                p_hat = sampled_surf.points[j][ell].f_abs ** 2
+                p_true = exact_surf.grid("F_abs")[j, ell] ** 2
+                p_hat = sampled_surf.grid("F_abs")[j, ell] ** 2
                 sigma = np.sqrt(max(p_true * (1 - p_true), 1e-12) / shots)
                 assert abs(p_hat - p_true) <= 3 * sigma + 3 / shots
 
@@ -265,8 +265,8 @@ class TestBuildSurface:
                                 "shots": 512, "seed": 9})
         serial = build_surface(cfg, jobs=1)
         parallel = build_surface(cfg, jobs=2)
-        for name in serial.variants:
-            assert np.array_equal(serial.variants[name], parallel.variants[name],
+        for name in serial.columns:
+            assert np.array_equal(serial.columns[name], parallel.columns[name],
                                   equal_nan=True)
 
     def test_mitigated_point_recomputed_by_hand(self):
@@ -300,13 +300,13 @@ class TestBuildSurface:
         def c_of(p0):
             return fixed_node_commutator(np.sqrt(p0), cfg.params, j, t)
 
-        assert surf.variants["raw"][j - 1, ell] == pytest.approx(
+        assert surf.grid("C_raw")[j - 1, ell] == pytest.approx(
             c_of(p1.probabilities[0]), abs=1e-12)
-        assert surf.variants["tmem"][j - 1, ell] == pytest.approx(
+        assert surf.grid("C_tmem")[j - 1, ell] == pytest.approx(
             c_of(q1.probabilities[0]), abs=1e-12)
-        assert surf.variants["zne"][j - 1, ell] == pytest.approx(
+        assert surf.grid("C_zne")[j - 1, ell] == pytest.approx(
             c_of(zne_correct(ZnePair(p1, p3)).probabilities[0]), abs=1e-12)
-        assert surf.variants["corr"][j - 1, ell] == pytest.approx(
+        assert surf.grid("C_corr")[j - 1, ell] == pytest.approx(
             c_of(zne_correct(ZnePair(q1, q3)).probabilities[0]), abs=1e-12)
 
     def test_mitigation_order_is_configurable(self):
@@ -335,7 +335,7 @@ class TestBuildSurface:
         expected = fixed_node_commutator(
             np.sqrt(solver.solve(zc.probabilities)[0][0]),
             cfg.params, j, ell * cfg.tau)
-        assert surf.variants["corr"][j - 1, ell] == pytest.approx(expected, abs=1e-12)
+        assert surf.grid("C_corr")[j - 1, ell] == pytest.approx(expected, abs=1e-12)
 
     def test_trotter_exact_raw_matches_fixed_node_of_circuit(self):
         cfg = config_from_dict({"regime": "chaotic", "n": 4, "tau": 0.06, "k": 6,
@@ -347,7 +347,7 @@ class TestBuildSurface:
                 u = circuit_unitary(weave_circuit(CHAOTIC4, s, ell))
                 f = dense_otoc(u, 1, j, 4)
                 expected = fixed_node_commutator(abs(f), CHAOTIC4, j, ell * cfg.tau)
-                assert abs(surf.variants["raw"][j - 1, ell] - expected) < 1e-9
+                assert abs(surf.grid("C_raw")[j - 1, ell] - expected) < 1e-9
 
 
 class TestAlternativeStateSurfaces:
@@ -360,7 +360,7 @@ class TestAlternativeStateSurfaces:
             u = expm_unitary(CHAOTIC4, ell * 0.06)
             for j in range(1, 5):
                 oracle = 2 - 2 * dense_otoc(u, 1, j, 4, "maximally_mixed").real
-                assert abs(surf.variants["exact"][j - 1, ell] - oracle) < 1e-10
+                assert abs(surf.grid("C_exact")[j - 1, ell] - oracle) < 1e-10
 
     def test_uniform_superposition_matches_oracle(self):
         cfg = config_from_dict({"regime": "chaotic", "n": 4, "tau": 0.06,
@@ -370,7 +370,7 @@ class TestAlternativeStateSurfaces:
             u = expm_unitary(CHAOTIC4, ell * 0.06)
             for j in range(1, 5):
                 oracle = 2 - 2 * dense_otoc(u, 1, j, 4, "plus").real
-                assert abs(surf.variants["exact"][j - 1, ell] - oracle) < 1e-10
+                assert abs(surf.grid("C_exact")[j - 1, ell] - oracle) < 1e-10
 
     def test_y_probe_matches_oracle(self):
         cfg = config_from_dict({"regime": "chaotic", "n": 4, "tau": 0.06,
@@ -380,4 +380,4 @@ class TestAlternativeStateSurfaces:
             u = expm_unitary(CHAOTIC4, ell * 0.06)
             for j in range(1, 5):
                 oracle = 2 - 2 * dense_otoc(u, 1, j, 4, "zeros", "y").real
-                assert abs(surf.variants["exact"][j - 1, ell] - oracle) < 1e-10
+                assert abs(surf.grid("C_exact")[j - 1, ell] - oracle) < 1e-10

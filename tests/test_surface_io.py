@@ -6,7 +6,7 @@ from spinweave.heatmap import MISSING_COLOR, color_for, render_heatmap
 from spinweave.otoc import build_surface
 from spinweave.surface_io import (CSV_COLUMNS, SurfaceTable, diff_surfaces,
                                   format_value, load_surface, render_csv,
-                                  surface_to_table, write_surface)
+                                  write_surface)
 
 
 @pytest.fixture(scope="module")
@@ -35,10 +35,9 @@ class TestCsv:
         csv_path, meta_path = write_surface(surface, cfg, tmp_path)
         table = load_surface(csv_path)
         assert len(table) == 4 * 6
-        original = surface_to_table(surface)
         for name in ("C_raw", "C_corr", "C_exact", "F_abs"):
             got = table.columns[name]
-            want = original.columns[name]
+            want = surface.columns[name]
             mask = ~np.isnan(want)
             assert np.array_equal(np.isnan(got), np.isnan(want))
             assert np.max(np.abs(got[mask] - want[mask])) < 1e-11
@@ -47,14 +46,14 @@ class TestCsv:
     def test_row_count_and_schema_stable_across_pipelines(
             self, exact_surface, mitigated_surface):
         for surface, cfg in (exact_surface, mitigated_surface):
-            text = render_csv(surface_to_table(surface))
+            text = render_csv(surface)
             lines = text.strip().split("\n")
             assert lines[0] == ",".join(CSV_COLUMNS)
             assert len(lines) - 1 == cfg.params.n * (cfg.ell_max + 1)
 
     def test_exact_pipeline_leaves_measured_columns_empty(self, exact_surface):
         surface, _ = exact_surface
-        lines = render_csv(surface_to_table(surface)).strip().split("\n")
+        lines = render_csv(surface).strip().split("\n")
         first = lines[1].split(",")
         columns = dict(zip(CSV_COLUMNS, first))
         assert columns["C_raw"] == ""
@@ -62,8 +61,7 @@ class TestCsv:
         assert columns["C_exact"] != ""
 
     def test_time_column_is_index_times_resolution(self, exact_surface):
-        surface, cfg = exact_surface
-        table = surface_to_table(surface)
+        table, cfg = exact_surface
         expected = table.columns["ell"] * cfg.tau
         assert np.array_equal(table.columns["t"], expected)
 
@@ -104,17 +102,17 @@ class TestDiff:
                                 "shots": 2048, "seed": 8,
                                 "noise": {"cnot_error": 0.0, "spam_epsilon": 0.0}})
         surface = build_surface(cfg)
-        gap = surface.variants["tmem"] - surface.variants["raw"]
+        gap = surface.columns["C_tmem"] - surface.columns["C_raw"]
         assert np.nanmax(np.abs(gap)) < 1e-7
 
     def test_grid_mismatch_rejected(self, exact_surface, mitigated_surface):
-        a = surface_to_table(exact_surface[0])
-        b = surface_to_table(mitigated_surface[0])
+        a = exact_surface[0]
+        b = mitigated_surface[0]
         with pytest.raises(ValueError, match="congruent"):
             diff_surfaces(a, b, "C_exact")
 
     def test_unknown_column_rejected(self, exact_surface):
-        table = surface_to_table(exact_surface[0])
+        table = exact_surface[0]
         with pytest.raises(ValueError, match="unknown column"):
             diff_surfaces(table, table, "C_bogus")
 
@@ -133,18 +131,17 @@ class TestHeatmap:
         assert color_for(float("nan")) == MISSING_COLOR
 
     def test_render_deterministic(self, exact_surface):
-        table = surface_to_table(exact_surface[0])
+        table = exact_surface[0]
         assert render_heatmap(table, "C_exact") == render_heatmap(table, "C_exact")
 
     def test_unknown_variant_rejected(self, exact_surface):
-        table = surface_to_table(exact_surface[0])
+        table = exact_surface[0]
         with pytest.raises(ValueError, match="variant"):
             render_heatmap(table, "C_bogus")
 
     def test_localized_surface_confines_color(self, exact_surface):
         # integrable dynamics: sites 3 and 4 never light up
-        surface, cfg = exact_surface
-        table = surface_to_table(surface)
+        table = exact_surface[0]
         svg = render_heatmap(table, "C_exact")
         baseline = color_for(0.0)
         count = svg.count(f'fill="{baseline}"')
@@ -154,7 +151,7 @@ class TestHeatmap:
         assert np.max(np.abs(grid[2:, :])) < 1e-10
 
     def test_nan_cells_render_gray(self, exact_surface):
-        table = surface_to_table(exact_surface[0])
+        table = exact_surface[0]
         svg = render_heatmap(table, "C_tmem")  # empty for the exact pipeline
         assert svg.count(f'fill="{MISSING_COLOR}"') == len(table)
 
@@ -165,7 +162,7 @@ class TestTableValidation:
             SurfaceTable({"j": np.array([1.0])})
 
     def test_grid_indexing(self, exact_surface):
-        table = surface_to_table(exact_surface[0])
+        table = exact_surface[0]
         grid = table.grid("C_exact")
         assert grid.shape == (4, 11)
         row = table.columns["C_exact"][:11]

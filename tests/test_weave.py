@@ -9,8 +9,7 @@ from spinweave.qsim import (StateVector, align_global_phase, apply_circuit,
                             circuit_unitary, cnot_count, dagger, gate_matrix,
                             rzz)
 from spinweave.weave import (WeaveSchedule, magic_rzz, rzz_decomposition,
-                             trotter_step, weave_circuit, weave_decomposition,
-                             weave_operators)
+                             trotter_step, weave_circuit, weave_operators)
 
 CHAOTIC4 = preset_params("chaotic", 4)
 
@@ -191,13 +190,6 @@ class TestWeaveCircuit:
         with pytest.raises(ValueError):
             weave_circuit(CHAOTIC4, s, -1)
 
-    def test_decomposition_identity(self):
-        for k in (1, 2, 6, 7):
-            for ell in range(0, 30):
-                dec = weave_decomposition(ell, k)
-                assert dec.cell_applications * k + dec.shift_duration_steps == ell
-                assert 0 <= dec.shift_duration_steps <= k - 1
-
     def test_unitary_approaches_exact_under_refinement(self):
         h = build_hamiltonian(CHAOTIC4)
         t = 0.72
@@ -213,8 +205,8 @@ class TestWeaveCircuit:
         s = WeaveSchedule(0.05, 6, 30)
         per_step = 2 * (CHAOTIC4.n - 1)
         for ell in (0, 3, 6, 11, 14, 24):
-            dec = weave_decomposition(ell, s.k)
-            steps = dec.cell_applications + (1 if dec.shift_duration_steps else 0)
+            cells, shift = divmod(ell, s.k)
+            steps = cells + (1 if shift else 0)
             assert cnot_count(weave_circuit(CHAOTIC4, s, ell)) == per_step * steps
 
     def test_magic_cell_cnot_count(self):
