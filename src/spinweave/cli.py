@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -78,16 +77,14 @@ def _resolve_output_dir(cli_value, config_value) -> Path:
 
 
 def _cmd_run(args) -> int:
-    cfg = validate_config(args.config)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"seed: must be >= 0 (got {args.seed})")
-        cfg = replace(cfg, seed=args.seed)
+    cfg = validate_config(args.config, seed=args.seed)
     out_dir = _resolve_output_dir(args.output_dir, cfg.output_dir)
-    table = build_surface(cfg, jobs=max(1, args.jobs))
-    csv_path, meta_path = write_surface(table, cfg, out_dir)
+    surface = build_surface(cfg, jobs=max(1, args.jobs))
+    csv_path, meta_path = write_surface(surface, cfg, out_dir)
     print(csv_path)
     print(meta_path)
+    # The heatmaps are drawn from the file just written, as `render` would.
+    table = load_surface(csv_path)
     for column in ("C_raw", "C_tmem", "C_zne", "C_corr", "C_exact"):
         if np.isnan(table.columns[column]).all():
             continue

@@ -255,8 +255,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         description=description)
 
 
-def validate_config(path) -> ExperimentConfig:
-    """Parse and validate a config file, with line diagnostics on bad JSON."""
+def validate_config(path, seed: int | None = None) -> ExperimentConfig:
+    """Parse and validate a config file, with line diagnostics on bad JSON.
+
+    A ``seed`` other than None replaces the file's seed before validation.
+    """
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
@@ -264,6 +267,8 @@ def validate_config(path) -> ExperimentConfig:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
+    if seed is not None and isinstance(data, dict):
+        data = {**data, "seed": seed}
     try:
         return config_from_dict(data)
     except ConfigError as exc:

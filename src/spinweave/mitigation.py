@@ -73,8 +73,12 @@ class TmemSolver:
 
     def solve(self, b: np.ndarray, x0: np.ndarray | None = None):
         """Minimize ||T x - b||_2^2 over the simplex; returns (x, iters, ok)."""
+        b = np.asarray(b, dtype=float)
+        if b.shape != self.t.shape[:1]:
+            raise ValueError(f"distribution must have {self.t.shape[0]} entries, "
+                             f"got shape {b.shape}")
         tb = self.t.T @ b
-        x = project_simplex(np.asarray(b, dtype=float) if x0 is None else x0)
+        x = project_simplex(b if x0 is None else x0)
         for it in range(1, self.max_iter + 1):
             x_new = project_simplex(x - self.step * (self.gram @ x - tb))
             delta = np.max(np.abs(x_new - x))

@@ -37,19 +37,22 @@ from .noise import (build_confusion_matrix, empirical_distribution, fold_cnots,
                     sample_counts, simulate_noisy)
 from .qsim import (BitstringDistribution, Circuit, StateVector, apply_circuit,
                    dagger, measurement_distribution, x_gate)
-from .surface_io import FLOAT_COLUMNS, SurfaceTable
+from .surface_io import SurfaceTable
 from .weave import weave_circuit
 
 STATE_TAGS = ("zeros", "plus", "maximally_mixed")
+# Surface columns in the order of the value tuples that _surface_row builds.
+ROW_COLUMNS = ("C_raw", "C_tmem", "C_zne", "C_corr", "C_exact", "F_abs", "F_phase")
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_PAULI = {"x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+          "y": np.array([[0.0, -1.0j], [1.0j, 0.0]])}
 
 
 @lru_cache(maxsize=128)
 def _site_operator(probe: str, site: int, n: int) -> np.ndarray:
-    op = _X if probe == "x" else _Y
-    full = np.kron(np.eye(2 ** (site - 1)), op)
+    if probe not in _PAULI:
+        raise ValueError(f"unknown probe {probe!r}; choose from {tuple(_PAULI)}")
+    full = np.kron(np.eye(2 ** (site - 1)), _PAULI[probe])
     full = np.kron(full, np.eye(2 ** (n - site)))
     full.setflags(write=False)
     return full
@@ -147,9 +150,8 @@ def _point_seed(seed: int, j: int, ell: int, fold: int) -> np.random.SeedSequenc
 def _surface_row(cfg, ell: int) -> list[tuple]:
     """All probe sites at one time index.
 
-    Returns one tuple per site holding the values of the CSV columns
-    ``FLOAT_COLUMNS[1:]`` (C_raw, C_tmem, C_zne, C_corr, C_exact, F_abs,
-    F_phase); module-level so rows can be dispatched to worker processes.
+    Returns one tuple per site holding the values of ``ROW_COLUMNS``, in
+    that order; module-level so rows can be dispatched to worker processes.
     """
     p = cfg.params
     n = p.n
@@ -257,8 +259,9 @@ def build_surface(cfg, jobs: int = 1) -> SurfaceTable:
 
     # rows[ell][j - 1] -> one (n * l1, columns) block, j-major
     values = np.array(rows, dtype=float).transpose(1, 0, 2).reshape(n * l1, -1)
+    assert values.shape[1] == len(ROW_COLUMNS)
     ell = np.tile(np.arange(l1), n).astype(float)
     columns = {"j": np.repeat(np.arange(1, n + 1), l1).astype(float),
                "ell": ell, "t": ell * cfg.tau}
-    columns.update(zip(FLOAT_COLUMNS[1:], values.T.copy()))
+    columns.update(zip(ROW_COLUMNS, values.T.copy()))
     return SurfaceTable(columns)

@@ -148,6 +148,8 @@ class TestTmem:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="square"):
             TmemSolver(np.full((4, 2), 0.25))
+        with pytest.raises(ValueError, match="4 entries"):
+            TmemSolver(np.eye(4)).solve(np.array([1.0, 0.0]))
 
     def test_non_stochastic_matrix_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):

@@ -30,6 +30,10 @@ class TestOtocExact:
         for state in ("zeros", "plus", "maximally_mixed"):
             assert otoc_exact(CHAOTIC4, 1, 3, 0.0, state) == pytest.approx(1.0, abs=1e-12)
 
+    def test_unknown_probe_rejected(self):
+        with pytest.raises(ValueError, match="probe"):
+            otoc_exact(CHAOTIC4, 1, 2, 0.3, probe="z")
+
     def test_classical_limit_beyond_neighbour(self):
         # Bx = 0 makes the evolution classical: no spreading past j = 2
         for t in (0.3, 1.1, 2.7):

@@ -130,6 +130,14 @@ class TestHeatmap:
     def test_missing_values_render_gray(self):
         assert color_for(float("nan")) == MISSING_COLOR
 
+    def test_table_in_memory_renders_like_written_csv(
+            self, tmp_path, exact_surface, mitigated_surface):
+        for surface, cfg in (exact_surface, mitigated_surface):
+            csv_path, _ = write_surface(surface, cfg, tmp_path / cfg.pipeline)
+            table = load_surface(csv_path)
+            for column in ("C_raw", "C_tmem", "C_zne", "C_corr", "C_exact"):
+                assert render_heatmap(surface, column) == render_heatmap(table, column)
+
     def test_render_deterministic(self, exact_surface):
         table = exact_surface[0]
         assert render_heatmap(table, "C_exact") == render_heatmap(table, "C_exact")
