@@ -23,7 +23,7 @@ from .noise import (NoiseModel, ShotResult, build_confusion_matrix,
                     simulate_noisy)
 from .otoc import (build_surface, commutator_exact, commutator_xy_exact,
                    fabs_measurement_circuit, fixed_node_commutator,
-                   fixed_node_otoc, otoc_exact, otoc_from_unitary)
+                   fixed_node_otoc, otoc_exact)
 from .qsim import (BitstringDistribution, Circuit, DensityMatrix, Gate,
                    StateVector, align_global_phase, apply_channel,
                    apply_circuit, apply_circuit_dm, apply_gate,

@@ -77,9 +77,11 @@ def _resolve_output_dir(cli_value, config_value) -> Path:
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = validate_config(args.config, seed=args.seed)
     out_dir = _resolve_output_dir(args.output_dir, cfg.output_dir)
-    surface = build_surface(cfg, jobs=max(1, args.jobs))
+    surface = build_surface(cfg, jobs=args.jobs)
     csv_path, meta_path = write_surface(surface, cfg, out_dir)
     print(csv_path)
     print(meta_path)

@@ -92,29 +92,30 @@ class ExperimentConfig:
 
 def _field(errors: list[str], src: dict, name: str, default, kind, check=None,
            msg: str = "", prefix: str = ""):
-    """``src[name]`` (``default`` when absent) converted to ``kind``.
+    """``src[name]`` (``default`` when absent), checked to be a ``kind``.
 
     A value of the wrong type, or one that fails ``check``, is reported in
-    ``errors`` under ``prefix + name`` and replaced by ``default``.
+    ``errors`` under ``prefix + name`` and replaced by ``default``.  Numbers
+    are never parsed from strings; an int field takes a whole float.
     """
     label = prefix + name
     value = src.get(name, default)
     if kind is bool and not isinstance(value, bool):
         errors.append(f"{label}: expected true/false (got {value!r})")
         return default
-    if kind is int and isinstance(value, bool):
-        errors.append(f"{label}: expected int (got {value!r})")
+    if kind is str and not isinstance(value, str):
+        errors.append(f"{label}: expected a string (got {value!r})")
+        return default
+    if kind in (int, float) and (isinstance(value, bool) or not isinstance(value, Real)):
+        errors.append(f"{label}: expected a number (got {value!r})")
         return default
     if kind is int and isinstance(value, float) and not value.is_integer():
         errors.append(f"{label}: expected a whole number (got {value!r})")
         return default
-    if kind is float and (isinstance(value, bool) or not isinstance(value, Real)):
-        errors.append(f"{label}: expected a number (got {value!r})")
-        return default
     try:
         value = kind(value)
-    except (TypeError, ValueError):
-        errors.append(f"{label}: expected {kind.__name__} (got {value!r})")
+    except OverflowError:  # an int too large for a float field
+        errors.append(f"{label}: expected a finite number (got {value!r})")
         return default
     if check is not None and not check(value):
         errors.append(f"{label}: {msg} (got {value!r})")

@@ -105,7 +105,8 @@ class ExactEvolution:
     """Exact propagator of a fixed Hermitian matrix, eigendecomposed once.
 
     The decomposition is reused for every requested time, which is what the
-    surface runs need: one O(8^n) factorization, then O(4^n) per time point.
+    surface runs need: one O(8^n) factorization, then one dense 2^n x 2^n
+    matrix product, also O(8^n), per time point.
     """
 
     def __init__(self, h: np.ndarray):

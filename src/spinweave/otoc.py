@@ -20,15 +20,24 @@ to |0...0> makes the all-zeros return probability equal |F_ij|^2.  The
 fixed-node variant then restores a phase from the classical-Hamiltonian
 OTOC, which is exact whenever the transverse field vanishes and remains
 accurate outside the spreading lightcone and deep in the scrambled regime.
+
+Exact values come from one kernel, :func:`_otoc_value`, that builds no
+2^n x 2^n probe matrix.  X_i U is U with its rows flipped on bit i, so
+X_i(t) costs one matrix product.  V_j flips the column index of X_i(t),
+times +i or -i per column for Y.  Each state forms only what rho reads of
+A_j A_j, A_j = X_i(t) V_j: row 0 times column 0 (all zeros), the column sums
+times the row sums over d (uniform superposition), or sum(A_j * A_j^T) / d
+(maximally mixed).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
+from .config import PROBES, STATES
 from .errors import CapacityError
 from .ising import (IsingParams, MAX_OTOC_QUBITS, _check_site,
                     cached_evolution, classical_otoc_phase)
@@ -40,45 +49,43 @@ from .qsim import (BitstringDistribution, Circuit, StateVector, apply_circuit,
 from .surface_io import SurfaceTable
 from .weave import weave_circuit
 
-STATE_TAGS = ("zeros", "plus", "maximally_mixed")
 # Surface columns in the order of the value tuples that _surface_row builds.
 ROW_COLUMNS = ("C_raw", "C_tmem", "C_zne", "C_corr", "C_exact", "F_abs", "F_phase")
 
-_PAULI = {"x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-          "y": np.array([[0.0, -1.0j], [1.0j, 0.0]])}
+
+def _heisenberg_x(p: IsingParams, i: int, t: float) -> np.ndarray:
+    """X_i(t) = U^dag X_i U; X_i U is U with its rows flipped on bit i."""
+    u = cached_evolution(p).unitary(t)
+    return u.conj().T @ u[np.arange(2 ** p.n) ^ (1 << (p.n - i))]
 
 
-@lru_cache(maxsize=128)
-def _site_operator(probe: str, site: int, n: int) -> np.ndarray:
-    if probe not in _PAULI:
-        raise ValueError(f"unknown probe {probe!r}; choose from {tuple(_PAULI)}")
-    full = np.kron(np.eye(2 ** (site - 1)), _PAULI[probe])
-    full = np.kron(full, np.eye(2 ** (n - site)))
-    full.setflags(write=False)
-    return full
+def _otoc_value(xit: np.ndarray, state: str, probe: str) -> np.ndarray:
+    """F_ij = tr[rho A_j A_j], A_j = X_i(t) V_j, for every probe site j = 1..n.
 
-
-def _otoc_value(a: np.ndarray, state: str, n: int) -> complex:
-    """tr[rho A A] for the supported density operators, A = X_i(t) V_j."""
-    if state == "zeros":
-        return complex((a @ a)[0, 0])
-    if state == "plus":
-        v = np.full(2 ** n, 2 ** (-n / 2))
-        return complex(v @ (a @ (a @ v)))
-    if state == "maximally_mixed":
-        return complex(np.trace(a @ a) / 2 ** n)
-    raise ValueError(f"unknown state tag {state!r}; choose from {STATE_TAGS}")
-
-
-def otoc_from_unitary(u: np.ndarray, i: int, j: int, state: str = "zeros",
-                      probe: str = "x") -> complex:
-    """OTOC evaluated with an explicit evolution unitary substituted for
-    exp(-iHt); used both by Trotterized references and as a dense oracle."""
-    n = int(np.log2(u.shape[0]))
-    _check_site(n, i, "i")
-    _check_site(n, j, "j")
-    xit = u.conj().T @ _site_operator("x", i, n) @ u
-    return _otoc_value(xit @ _site_operator(probe, j, n), state, n)
+    V_j flips the column index of X_i(t) on bit j (times +i or -i by that
+    bit for the Y probe), and each state forms only what rho reads.
+    """
+    if state not in STATES:
+        raise ValueError(f"unknown state tag {state!r}; choose from {STATES}")
+    if probe not in PROBES:
+        raise ValueError(f"unknown probe {probe!r}; choose from {PROBES}")
+    d = xit.shape[0]
+    n = d.bit_length() - 1
+    index = np.arange(d)
+    out = np.empty(n, dtype=complex)
+    for j in range(1, n + 1):
+        bit = n - j
+        cols = index ^ (1 << bit)
+        scale = np.ones(d) if probe == "x" else 1j * (1 - 2 * ((index >> bit) & 1))
+        if state == "zeros":  # row 0 of A_j times its column 0
+            out[j - 1] = (xit[0, cols] * scale) @ (xit[:, cols[0]] * scale[0])
+            continue
+        a = xit[:, cols] * scale
+        if state == "plus":  # rho = |v><v| with v uniform
+            out[j - 1] = a.sum(axis=0) @ a.sum(axis=1) / d
+        else:
+            out[j - 1] = np.sum(a * a.T) / d
+    return out
 
 
 def otoc_exact(p: IsingParams, i: int, j: int, t: float,
@@ -91,9 +98,9 @@ def otoc_exact(p: IsingParams, i: int, j: int, t: float,
     """
     if p.n > MAX_OTOC_QUBITS:
         raise CapacityError(f"exact OTOC limited to n <= {MAX_OTOC_QUBITS}")
-    if state not in STATE_TAGS:
-        raise ValueError(f"unknown state tag {state!r}; choose from {STATE_TAGS}")
-    return otoc_from_unitary(cached_evolution(p).unitary(t), i, j, state, probe)
+    _check_site(p.n, i, "i")
+    _check_site(p.n, j, "j")
+    return complex(_otoc_value(_heisenberg_x(p, i, t), state, probe)[j - 1])
 
 
 def commutator_exact(p: IsingParams, i: int, j: int, t: float,
@@ -135,9 +142,7 @@ def fixed_node_otoc(f_abs: float, p: IsingParams, j: int, t: float) -> complex:
 def fixed_node_commutator(f_abs: float, p: IsingParams, j: int, t: float) -> float:
     """2 - 2 |F| cos(classical phase); equals the exact commutator whenever
     the transverse field vanishes."""
-    if not -1e-9 <= f_abs <= 1.0 + 1e-9:
-        raise ValueError(f"|F| must lie in [0, 1] (within 1e-9), got {f_abs}")
-    return 2.0 - 2.0 * f_abs * np.cos(classical_otoc_phase(p, j, t))
+    return 2.0 - 2.0 * fixed_node_otoc(f_abs, p, j, t).real
 
 
 # --- spreading surfaces ----------------------------------------------------
@@ -157,88 +162,57 @@ def _surface_row(cfg, ell: int) -> list[tuple]:
     n = p.n
     t = ell * cfg.tau
     nan = float("nan")
-    ev = cached_evolution(p)
-    u_exact = ev.unitary(t)
-    xit_exact = u_exact.conj().T @ _site_operator("x", 1, n) @ u_exact
-
+    f_exact = _otoc_value(_heisenberg_x(p, 1, t), cfg.state, cfg.probe)
+    c_exact = 2.0 - 2.0 * f_exact.real
     if cfg.pipeline == "exact":
-        out = []
-        for j in range(1, n + 1):
-            f = _otoc_value(xit_exact @ _site_operator(cfg.probe, j, n),
-                            cfg.state, n)
-            c_exact = 2.0 - 2.0 * f.real
-            out.append((nan, nan, nan, nan, c_exact, abs(f), float(np.angle(f))))
-        return out
+        return [(nan, nan, nan, nan, c, abs(f), float(np.angle(f)))
+                for c, f in zip(c_exact, f_exact)]
 
     u_circ = weave_circuit(p, cfg.schedule, ell,
                            allow_magic_mismatch=cfg.magic_override)
-    solver = None
-    if cfg.pipeline == "mitigated" and cfg.mitigation.tmem:
+    mit = cfg.mitigation if cfg.pipeline == "mitigated" else None
+    if mit is not None and mit.tmem:
         solver = TmemSolver(build_confusion_matrix(cfg.noise))
+
+    def modulus(dist: BitstringDistribution) -> float:
+        return np.sqrt(max(float(dist.probabilities[0]), 0.0))
+
+    def tmem(dist: BitstringDistribution) -> BitstringDistribution:
+        return BitstringDistribution(n, solver.solve(dist.probabilities)[0])
 
     out = []
     for j in range(1, n + 1):
         meas = fabs_measurement_circuit(u_circ, 1, j)
-        f_exact = _otoc_value(xit_exact @ _site_operator("x", j, n), "zeros", n)
-        c_exact = 2.0 - 2.0 * f_exact.real
-        phase = classical_otoc_phase(p, j, t)
 
-        def commutator(p_zero: float) -> float:
-            return 2.0 - 2.0 * np.sqrt(max(p_zero, 0.0)) * np.cos(phase)
-
-        if cfg.pipeline == "trotter_exact":
-            sv = apply_circuit(StateVector.zeros(n), meas)
-            p0 = float(np.abs(sv.amplitudes[0]) ** 2)
-            raw = commutator(p0)
-            out.append((raw, nan, nan, nan, c_exact, np.sqrt(p0), phase))
-            continue
-
-        if cfg.pipeline == "sampled":
-            dist = measurement_distribution(apply_circuit(StateVector.zeros(n), meas))
-        else:
-            dist = simulate_noisy(meas, cfg.noise)
-        p1 = empirical_distribution(
-            sample_counts(dist, cfg.shots, _point_seed(cfg.seed, j, ell, 1)))
-        p0_raw = float(p1.probabilities[0])
-        raw = commutator(p0_raw)
-
-        if cfg.pipeline in ("sampled", "noisy"):
-            out.append((raw, nan, nan, nan, c_exact, np.sqrt(max(p0_raw, 0.0)), phase))
-            continue
-
-        # mitigated pipeline
-        c_tmem = c_zne = c_corr = nan
-        p3 = None
-        if cfg.mitigation.zne:
-            dist3 = simulate_noisy(fold_cnots(meas, 3), cfg.noise)
-            p3 = empirical_distribution(
-                sample_counts(dist3, cfg.shots, _point_seed(cfg.seed, j, ell, 3)))
-        q1 = q3 = None
-        if cfg.mitigation.tmem:
-            q1 = BitstringDistribution(n, solver.solve(p1.probabilities)[0])
-            c_tmem = commutator(float(q1.probabilities[0]))
-            if p3 is not None:
-                q3 = BitstringDistribution(n, solver.solve(p3.probabilities)[0])
-        if p3 is not None:
-            c_zne = commutator(float(zne_correct(ZnePair(p1, p3)).probabilities[0]))
-
-        if cfg.mitigation.tmem and cfg.mitigation.zne:
-            if cfg.mitigation.order == "tmem_then_zne":
-                corrected = zne_correct(ZnePair(q1, q3))
+        def readout(fold: int) -> BitstringDistribution:
+            if cfg.pipeline in ("trotter_exact", "sampled"):
+                dist = measurement_distribution(apply_circuit(StateVector.zeros(n), meas))
             else:
-                zc = zne_correct(ZnePair(p1, p3))
-                corrected = BitstringDistribution(
-                    n, solver.solve(zc.probabilities)[0])
-            c_corr = commutator(float(corrected.probabilities[0]))
-        elif cfg.mitigation.tmem:
-            c_corr = c_tmem
-        elif cfg.mitigation.zne:
-            c_corr = c_zne
-        else:
-            c_corr = raw
+                dist = simulate_noisy(fold_cnots(meas, fold), cfg.noise)
+            if cfg.pipeline == "trotter_exact":
+                return dist
+            return empirical_distribution(
+                sample_counts(dist, cfg.shots, _point_seed(cfg.seed, j, ell, fold)))
 
-        out.append((raw, c_tmem, c_zne, c_corr, c_exact,
-                    np.sqrt(max(p0_raw, 0.0)), phase))
+        def commutator(dist: BitstringDistribution | None) -> float:
+            if dist is None:
+                return nan
+            return fixed_node_commutator(modulus(dist), p, j, t)
+
+        p1 = readout(1)
+        q1 = z = corrected = None
+        if mit is not None:
+            p3 = readout(3) if mit.zne else None
+            q1 = tmem(p1) if mit.tmem else None
+            z = zne_correct(ZnePair(p1, p3)) if mit.zne else None
+            if mit.tmem and mit.zne:
+                corrected = (zne_correct(ZnePair(q1, tmem(p3)))
+                             if mit.order == "tmem_then_zne" else tmem(z))
+            else:  # the one method applied, or the raw readout
+                corrected = q1 or z or p1
+        out.append((commutator(p1), commutator(q1), commutator(z),
+                    commutator(corrected), c_exact[j - 1], modulus(p1),
+                    classical_otoc_phase(p, j, t)))
     return out
 
 

@@ -63,6 +63,15 @@ class TestRun:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_rejected_before_run(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output-dir", str(out),
+                     "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("pipeline", ["exact", "mitigated"])
     def test_heatmaps_match_render_of_written_csv(self, tmp_path, pipeline):
         cfg = write_config(tmp_path, pipeline=pipeline)

@@ -136,6 +136,21 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(field)):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("field, data", [
+        ("n", {"n": "5"}),
+        ("shots", {"shots": "100"}),
+        ("seed", {"seed": "3"}),
+        ("description", {"description": 7}),
+        ("pipeline", {"pipeline": 1}),
+        ("state", {"state": ["zeros"]}),
+        ("probe", {"probe": None}),
+        ("mitigation.order", {"pipeline": "mitigated", "mitigation": {"order": 0}}),
+        ("tau", {"tau": 10 ** 400}),
+    ])
+    def test_values_of_the_wrong_type_name_their_field(self, field, data):
+        with pytest.raises(ConfigError, match=re.escape(f"{field}: expected")):
+            config_from_dict({"regime": "chaotic", **data})
+
     def test_mitigation_order_validated(self):
         with pytest.raises(ConfigError, match="mitigation.order"):
             config_from_dict({"regime": "chaotic", "pipeline": "mitigated",

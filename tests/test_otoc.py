@@ -48,6 +48,16 @@ class TestOtocExact:
                 oracle = dense_otoc(u, i, j, 4, state)
                 assert abs(got - oracle) < 1e-10
 
+    @pytest.mark.parametrize("state", ["zeros", "plus", "maximally_mixed"])
+    @pytest.mark.parametrize("probe", ["x", "y"])
+    def test_every_state_and_probe_matches_dense_oracle(self, state, probe):
+        p = preset_params("chaotic", 5)
+        for t in (0.0, 0.37, 1.9):
+            u = expm_unitary(p, t)
+            for i, j in ((1, 1), (1, 4), (2, 2), (3, 1), (5, 3), (4, 5)):
+                got = otoc_exact(p, i, j, t, state, probe)
+                assert abs(got - dense_otoc(u, i, j, 5, state, probe)) < 1e-10
+
     def test_chaotic_butterfly_site_scrambles(self):
         # |F_11| decays at late times; threshold frozen from this oracle
         # sweep (minimum 0.14 on the grid below), not asserted a priori
@@ -352,6 +362,91 @@ class TestBuildSurface:
                 f = dense_otoc(u, 1, j, 4)
                 expected = fixed_node_commutator(abs(f), CHAOTIC4, j, ell * cfg.tau)
                 assert abs(surf.grid("C_raw")[j - 1, ell] - expected) < 1e-9
+
+
+MITIGATION_FLAGS = [(tmem, zne, order) for tmem in (True, False)
+                    for zne in (True, False)
+                    for order in ("tmem_then_zne", "zne_then_tmem")]
+COMBINER_BASE = {"regime": "chaotic", "n": 3, "tau": 0.2, "k": 2, "ell_max": 2,
+                 "shots": 256, "seed": 21}
+
+
+@pytest.fixture(scope="module")
+def combiner_surfaces():
+    """The noisy surface and every mitigated variant of one tiny grid."""
+    out = {"noisy": build_surface(config_from_dict(
+        {**COMBINER_BASE, "pipeline": "noisy"}))}
+    for tmem, zne, order in MITIGATION_FLAGS:
+        out[tmem, zne, order] = build_surface(config_from_dict(
+            {**COMBINER_BASE, "pipeline": "mitigated",
+             "mitigation": {"tmem": tmem, "zne": zne, "order": order}}))
+    return out
+
+
+class TestMitigationCombiner:
+    def test_nan_pattern(self, combiner_surfaces):
+        noisy = combiner_surfaces["noisy"].columns
+        for name in ("C_tmem", "C_zne", "C_corr"):
+            assert np.isnan(noisy[name]).all(), name
+        for tmem, zne, order in MITIGATION_FLAGS:
+            columns = combiner_surfaces[tmem, zne, order].columns
+            assert (np.isnan(columns["C_tmem"]) == (not tmem)).all()
+            assert (np.isnan(columns["C_zne"]) == (not zne)).all()
+            for name in ("C_raw", "C_corr", "C_exact", "F_abs", "F_phase"):
+                assert not np.isnan(columns[name]).any(), name
+
+    def test_corrected_column_with_one_method_or_none(self, combiner_surfaces):
+        for tmem, zne, order in MITIGATION_FLAGS:
+            if tmem and zne:
+                continue
+            columns = combiner_surfaces[tmem, zne, order].columns
+            source = "C_tmem" if tmem else "C_zne" if zne else "C_raw"
+            assert np.array_equal(columns["C_corr"], columns[source])
+
+    def test_raw_and_single_method_columns_shared_by_all_variants(
+            self, combiner_surfaces):
+        reference = combiner_surfaces["noisy"].columns
+        for flags in MITIGATION_FLAGS:
+            columns = combiner_surfaces[flags].columns
+            for name in ("C_raw", "C_exact", "F_abs", "F_phase"):
+                assert np.array_equal(columns[name], reference[name]), name
+        for order in ("tmem_then_zne", "zne_then_tmem"):
+            both = combiner_surfaces[True, True, order].columns
+            assert np.array_equal(both["C_tmem"],
+                                  combiner_surfaces[True, False, order].columns["C_tmem"])
+            assert np.array_equal(both["C_zne"],
+                                  combiner_surfaces[False, True, order].columns["C_zne"])
+
+    @pytest.mark.parametrize("order", ["tmem_then_zne", "zne_then_tmem"])
+    def test_corrected_point_recomputed_by_hand(self, combiner_surfaces, order):
+        from spinweave.mitigation import TmemSolver, ZnePair, zne_correct
+        from spinweave.noise import (build_confusion_matrix,
+                                     empirical_distribution, fold_cnots,
+                                     sample_counts, simulate_noisy)
+        from spinweave.qsim import BitstringDistribution
+
+        cfg = config_from_dict({**COMBINER_BASE, "pipeline": "mitigated",
+                                "mitigation": {"order": order}})
+        j, ell = 2, 2
+        meas = fabs_measurement_circuit(
+            weave_circuit(cfg.params, cfg.schedule, ell), 1, j)
+        p1, p3 = (empirical_distribution(sample_counts(
+            simulate_noisy(fold_cnots(meas, fold), cfg.noise), cfg.shots,
+            np.random.SeedSequence(cfg.seed, spawn_key=(j, ell, fold))))
+            for fold in (1, 3))
+        solver = TmemSolver(build_confusion_matrix(cfg.noise))
+
+        def tmem(dist):
+            return BitstringDistribution(3, solver.solve(dist.probabilities)[0])
+
+        if order == "tmem_then_zne":
+            corrected = zne_correct(ZnePair(tmem(p1), tmem(p3)))
+        else:
+            corrected = tmem(zne_correct(ZnePair(p1, p3)))
+        expected = fixed_node_commutator(np.sqrt(corrected.probabilities[0]),
+                                         cfg.params, j, ell * cfg.tau)
+        got = combiner_surfaces[True, True, order].grid("C_corr")[j - 1, ell]
+        assert got == pytest.approx(expected, abs=1e-12)
 
 
 class TestAlternativeStateSurfaces:
