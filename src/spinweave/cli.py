@@ -26,11 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import preset_names, preset_path, validate_config
-from .errors import CapacityError, ConfigError
 from .heatmap import render_heatmap
 from .otoc import build_surface
-from .surface_io import (FLOAT_COLUMNS, diff_surfaces, load_surface,
-                         write_surface, write_table)
+from .surface_io import (CSV_COLUMNS, FLOAT_COLUMNS, diff_surfaces,
+                         load_surface, write_surface, write_table)
 
 ENV_OUTPUT_DIR = "SPINWEAVE_OUTPUT_DIR"
 
@@ -87,8 +86,8 @@ def _cmd_run(args) -> int:
     print(meta_path)
     # The heatmaps are drawn from the file just written, as `render` would.
     table = load_surface(csv_path)
-    for column in ("C_raw", "C_tmem", "C_zne", "C_corr", "C_exact"):
-        if np.isnan(table.columns[column]).all():
+    for column in CSV_COLUMNS:
+        if not column.startswith("C_") or np.isnan(table.columns[column]).all():
             continue
         svg_path = out_dir / f"heatmap_{column}.svg"
         svg_path.write_bytes(render_heatmap(table, column).encode("utf-8"))
@@ -136,7 +135,7 @@ def main(argv=None) -> int:
                 "diff": _cmd_diff, "presets": _cmd_presets}
     try:
         return handlers[args.command](args)
-    except (ConfigError, CapacityError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and CapacityError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

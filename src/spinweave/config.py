@@ -223,7 +223,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     if params is not None and magic and not magic_override:
         try:
-            check_magic_constraint(params, WeaveSchedule(tau, k, ell_max, magic))
+            check_magic_constraint(2.0 * params.J * k * tau)
         except ConfigError as exc:
             errors.append(str(exc))
 

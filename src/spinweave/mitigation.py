@@ -57,35 +57,33 @@ class TmemSolver:
     be square and column-stochastic.
     """
 
-    def __init__(self, t: np.ndarray, tol: float = TMEM_TOL,
-                 max_iter: int = TMEM_MAX_ITER):
+    def __init__(self, t: np.ndarray):
         t = np.asarray(t, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError(f"T must be square, got shape {t.shape}")
         if np.max(np.abs(t.sum(axis=0) - 1.0)) > 1e-9:
             raise ValueError("T columns must sum to 1")
         self.t = t
-        self.tol = tol
-        self.max_iter = max_iter
         self.gram = self.t.T @ self.t
         self.step = 1.0 / np.linalg.norm(self.gram, 2)
         self.condition_number = float(np.linalg.cond(self.t))
 
-    def solve(self, b: np.ndarray, x0: np.ndarray | None = None):
-        """Minimize ||T x - b||_2^2 over the simplex; returns (x, iters, ok)."""
+    def solve(self, b: np.ndarray):
+        """Minimize ||T x - b||_2^2 over the simplex within TMEM_TOL, in at
+        most TMEM_MAX_ITER steps from b projected; returns (x, iters, ok)."""
         b = np.asarray(b, dtype=float)
         if b.shape != self.t.shape[:1]:
             raise ValueError(f"distribution must have {self.t.shape[0]} entries, "
                              f"got shape {b.shape}")
         tb = self.t.T @ b
-        x = project_simplex(b if x0 is None else x0)
-        for it in range(1, self.max_iter + 1):
+        x = project_simplex(b)
+        for it in range(1, TMEM_MAX_ITER + 1):
             x_new = project_simplex(x - self.step * (self.gram @ x - tb))
             delta = np.max(np.abs(x_new - x))
             x = x_new
-            if delta < self.tol:
+            if delta < TMEM_TOL:
                 return x, it, True
-        return x, self.max_iter, False
+        return x, TMEM_MAX_ITER, False
 
 
 @dataclass(frozen=True)

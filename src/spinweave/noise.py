@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .qsim import (MAX_DM_QUBITS, BitstringDistribution, Circuit, Gate,
-                   bitstring, gate_matrix, x_gate, _contract)
+                   bitstring, gate_matrix, _contract)
 
 DEFAULT_CNOT_ERRORS = (7.67e-3, 7.00e-3, 7.68e-3)
 DEFAULT_SPAM_EPSILON = (0.043, 0.015, 0.017, 0.017)
@@ -86,9 +86,6 @@ class NoiseModel:
     def symmetric_spam(cls, n_qubits: int, cnot_error, spam_epsilon) -> "NoiseModel":
         eps = _rates(spam_epsilon, n_qubits, "spam_epsilon")
         return cls(n_qubits, cnot_error, eps, eps)
-
-    def edge_error(self, edge: int) -> float:
-        return self.cnot_error[edge]
 
     def qubit_confusion(self, q: int) -> np.ndarray:
         """Column-stochastic 2x2: column = prepared bit, row = observed bit."""
@@ -162,7 +159,7 @@ def simulate_noisy(c: Circuit, nm: NoiseModel) -> BitstringDistribution:
         t = _contract(t, u, g.qubits)
         t = _contract(t, u.conj(), tuple(n + q for q in g.qubits))
         if g.kind == "CNOT":
-            p = nm.edge_error(min(g.qubits))
+            p = nm.cnot_error[min(g.qubits)]
             if p > 0.0:
                 t = _depolarize_pair(t, g.qubits[0], g.qubits[1], n, p)
     d = 2 ** n
@@ -214,17 +211,3 @@ def fold_cnots(c: Circuit, m: int) -> Circuit:
     for g in c.gates:
         gates.extend([g] * m if g.kind == "CNOT" else [g])
     return Circuit(c.n_qubits, tuple(gates))
-
-
-def estimate_confusion_matrix(nm: NoiseModel, shots: int, seed) -> np.ndarray:
-    """Empirical confusion matrix from the 2^n calibration preparations,
-    each prepared with X gates and read out with ``shots`` samples."""
-    n = nm.n_qubits
-    d = 2 ** n
-    t = np.zeros((d, d))
-    for x in range(d):
-        prep = Circuit(n, tuple(x_gate(q) for q in range(n) if (x >> (n - 1 - q)) & 1))
-        dist = simulate_noisy(prep, nm)
-        sr = sample_counts(dist, shots, np.random.SeedSequence(seed, spawn_key=(x,)))
-        t[:, x] = sr.vector() / shots
-    return t

@@ -32,6 +32,7 @@ times the row sums over d (uniform superposition), or sum(A_j * A_j^T) / d
 
 from __future__ import annotations
 
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
@@ -177,9 +178,6 @@ def _surface_row(cfg, ell: int) -> list[tuple]:
     def modulus(dist: BitstringDistribution) -> float:
         return np.sqrt(max(float(dist.probabilities[0]), 0.0))
 
-    def tmem(dist: BitstringDistribution) -> BitstringDistribution:
-        return BitstringDistribution(n, solver.solve(dist.probabilities)[0])
-
     out = []
     for j in range(1, n + 1):
         meas = fabs_measurement_circuit(u_circ, 1, j)
@@ -194,6 +192,13 @@ def _surface_row(cfg, ell: int) -> list[tuple]:
             return empirical_distribution(
                 sample_counts(dist, cfg.shots, _point_seed(cfg.seed, j, ell, fold)))
 
+        def tmem(dist: BitstringDistribution, fold: int) -> BitstringDistribution:
+            x, iterations, converged = solver.solve(dist.probabilities)
+            if not converged:  # fold 0 is the ZNE extrapolation
+                warnings.warn(f"TMEM did not converge at j={j}, ell={ell}, fold={fold} "
+                              f"after {iterations} iterations", RuntimeWarning)
+            return BitstringDistribution(n, x)
+
         def commutator(dist: BitstringDistribution | None) -> float:
             if dist is None:
                 return nan
@@ -203,11 +208,11 @@ def _surface_row(cfg, ell: int) -> list[tuple]:
         q1 = z = corrected = None
         if mit is not None:
             p3 = readout(3) if mit.zne else None
-            q1 = tmem(p1) if mit.tmem else None
+            q1 = tmem(p1, 1) if mit.tmem else None
             z = zne_correct(ZnePair(p1, p3)) if mit.zne else None
             if mit.tmem and mit.zne:
-                corrected = (zne_correct(ZnePair(q1, tmem(p3)))
-                             if mit.order == "tmem_then_zne" else tmem(z))
+                corrected = (zne_correct(ZnePair(q1, tmem(p3, 3)))
+                             if mit.order == "tmem_then_zne" else tmem(z, 0))
             else:  # the one method applied, or the raw readout
                 corrected = q1 or z or p1
         out.append((commutator(p1), commutator(q1), commutator(z),

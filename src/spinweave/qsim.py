@@ -6,6 +6,8 @@ Conventions used throughout the package:
   significant bit of the basis index, so ``|q0 q1 ... q(n-1)>`` lives at
   index ``sum(q_i << (n - 1 - i))``.  ``|10>`` on two qubits is index 2.
 * All values are immutable; every operation returns a new object.
+* The gate set is what the weave and the |F| protocol emit (RX, PZ, S, SDG,
+  H, X, CNOT) plus RZZ, the reference ZZ rotation the weave expands.
 * Gates act in O(2^n) time per gate by contracting the gate tensor against
   the state tensor; the full 2^n x 2^n operator is never formed except in
   :func:`circuit_unitary`, which exists for oracles and diagnostics.
@@ -26,8 +28,8 @@ from .errors import CapacityError, ChannelError, MalformedGateError
 MAX_QUBITS = 14
 MAX_DM_QUBITS = 8
 
-ONE_QUBIT_KINDS = frozenset({"RX", "PZ", "S", "SDG", "H", "X", "Y", "Z"})
-TWO_QUBIT_KINDS = frozenset({"RZZ", "CNOT", "CZ"})
+ONE_QUBIT_KINDS = frozenset({"RX", "PZ", "S", "SDG", "H", "X"})
+TWO_QUBIT_KINDS = frozenset({"RZZ", "CNOT"})
 PARAMETRIC_KINDS = frozenset({"RX", "PZ", "RZZ"})
 GATE_KINDS = ONE_QUBIT_KINDS | TWO_QUBIT_KINDS
 
@@ -82,10 +84,6 @@ def cnot(control: int, target: int) -> Gate:
     return Gate("CNOT", (control, target))
 
 
-def cz(i: int, j: int) -> Gate:
-    return Gate("CZ", (i, j))
-
-
 def s_gate(q: int) -> Gate:
     return Gate("S", (q,))
 
@@ -100,14 +98,6 @@ def h_gate(q: int) -> Gate:
 
 def x_gate(q: int) -> Gate:
     return Gate("X", (q,))
-
-
-def y_gate(q: int) -> Gate:
-    return Gate("Y", (q,))
-
-
-def z_gate(q: int) -> Gate:
-    return Gate("Z", (q,))
 
 
 @dataclass(frozen=True)
@@ -130,9 +120,6 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def extended(self, gates) -> "Circuit":
-        return Circuit(self.n_qubits, self.gates + tuple(gates))
-
 
 def gate_matrix(g: Gate) -> np.ndarray:
     """Return the 2x2 or 4x4 unitary of a gate in the basis of its qubit list."""
@@ -148,8 +135,6 @@ def gate_matrix(g: Gate) -> np.ndarray:
     if kind == "CNOT":
         return np.array(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    if kind == "CZ":
-        return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     if kind == "S":
         return np.diag([1.0, 1j])
     if kind == "SDG":
@@ -158,10 +143,6 @@ def gate_matrix(g: Gate) -> np.ndarray:
         return np.array([[_SQRT05, _SQRT05], [_SQRT05, -_SQRT05]], dtype=complex)
     if kind == "X":
         return np.array([[0, 1], [1, 0]], dtype=complex)
-    if kind == "Y":
-        return np.array([[0, -1j], [1j, 0]])
-    if kind == "Z":
-        return np.diag([1.0, -1.0]).astype(complex)
     raise MalformedGateError(f"unknown gate kind {kind!r}")  # pragma: no cover
 
 
@@ -205,15 +186,6 @@ class StateVector:
         amps[0] = 1.0
         return cls(n_qubits, amps)
 
-    @classmethod
-    def plus(cls, n_qubits: int) -> "StateVector":
-        d = 2 ** n_qubits
-        return cls(n_qubits, np.full(d, d ** -0.5, dtype=complex))
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -235,10 +207,6 @@ class DensityMatrix:
         m = np.zeros((d, d), dtype=complex)
         m[0, 0] = 1.0
         return cls(n_qubits, m)
-
-    @classmethod
-    def from_statevector(cls, sv: StateVector) -> "DensityMatrix":
-        return cls(sv.n_qubits, np.outer(sv.amplitudes, sv.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -270,20 +238,6 @@ def _contract(tensor: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.nd
     uk = u.reshape((2,) * (2 * k))
     out = np.tensordot(uk, tensor, axes=(tuple(range(k, 2 * k)), axes))
     return np.moveaxis(out, tuple(range(k)), axes)
-
-
-def _check_bounds(g: Gate, n_qubits: int):
-    if max(g.qubits) >= n_qubits:
-        raise MalformedGateError(
-            f"{g.kind} on {g.qubits} exceeds n_qubits={n_qubits}")
-
-
-def apply_gate(state: StateVector, g: Gate) -> StateVector:
-    """Apply one gate to a pure state."""
-    _check_bounds(g, state.n_qubits)
-    psi = state.amplitudes.reshape((2,) * state.n_qubits)
-    psi = _contract(psi, gate_matrix(g), g.qubits)
-    return StateVector(state.n_qubits, psi.reshape(-1))
 
 
 def apply_circuit(state: StateVector, c: Circuit) -> StateVector:

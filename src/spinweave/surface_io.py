@@ -118,20 +118,45 @@ def write_surface(table: SurfaceTable, cfg: ExperimentConfig, out_dir):
                        surface_metadata(cfg, table))
 
 
+def _parse_field(text: str, column: str, where: str) -> float:
+    """One CSV field as a float; j >= 1, ell >= 0 (whole) and t are required."""
+    if not text and column not in ("j", "ell", "t"):
+        return np.nan
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{where}, column {column}: expected a number, "
+                         f"got {text!r}") from None
+    lowest = {"j": 1, "ell": 0}.get(column)
+    if lowest is not None and not (value.is_integer() and value >= lowest):
+        raise ValueError(f"{where}, column {column}: expected a whole number "
+                         f">= {lowest}, got {text!r}")
+    return value
+
+
 def load_surface(path) -> SurfaceTable:
-    """Read a surface CSV back into column arrays (empty fields become NaN)."""
+    """Read a surface CSV back into column arrays (empty fields become NaN);
+    a malformed file raises ValueError naming the path, line and column."""
+    rows, grid = [], set()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
-            raise ValueError(
-                f"{path}: expected columns {CSV_COLUMNS}, got {reader.fieldnames}")
-        raw_rows = list(reader)
-    cols = {name: np.empty(len(raw_rows)) for name in CSV_COLUMNS}
-    for r, row in enumerate(raw_rows):
-        for name in CSV_COLUMNS:
-            text = row[name]
-            cols[name][r] = float(text) if text else np.nan
-    return SurfaceTable(cols)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != list(CSV_COLUMNS):
+            raise ValueError(f"{path}: expected columns {CSV_COLUMNS}, got {header}")
+        for fields in reader:
+            where = f"{path}: line {reader.line_num}"
+            if len(fields) != len(CSV_COLUMNS):
+                raise ValueError(f"{where}: expected {len(CSV_COLUMNS)} fields, "
+                                 f"got {len(fields)}")
+            rows.append([_parse_field(text, column, where)
+                         for column, text in zip(CSV_COLUMNS, fields)])
+            if tuple(rows[-1][:2]) in grid:
+                raise ValueError(f"{where}: repeats the grid point "
+                                 f"j={fields[0]}, ell={fields[1]}")
+            grid.add(tuple(rows[-1][:2]))
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return SurfaceTable(dict(zip(CSV_COLUMNS, np.array(rows).T.copy())))
 
 
 def diff_surfaces(a: SurfaceTable, b: SurfaceTable, column: str,

@@ -50,14 +50,8 @@ class WeaveSchedule:
             raise ValueError(f"ell_max must be >= 0, got {self.ell_max}")
 
 
-def magic_cell_angle(p: IsingParams, s: WeaveSchedule) -> float:
-    """ZZ angle of the cell operator, 2*J*k*tau."""
-    return 2.0 * p.J * s.k * s.tau
-
-
-def check_magic_constraint(p: IsingParams, s: WeaveSchedule):
-    """Magic cells require |2*J*k*tau| = pi/2 within 1e-9."""
-    angle = magic_cell_angle(p, s)
+def check_magic_constraint(angle: float):
+    """A magic cell's ZZ angle 2*J*k*tau must be +-pi/2 within 1e-9."""
     if abs(abs(angle) - math.pi / 2) > MAGIC_ANGLE_TOL:
         raise ConfigError(
             "magic: requires |2*J*k*tau| = pi/2 "
@@ -73,8 +67,6 @@ def rzz_decomposition(theta: float, i: int, j: int) -> Circuit:
     The phase gate must sit on the target: on the control it commutes with
     the CNOTs and the product degenerates to a local phase.
     """
-    if i == j:
-        raise ValueError("ZZ rotation needs two distinct sites")
     n = max(i, j) + 1
     return Circuit(n, (cnot(i, j), pz(j, theta), cnot(i, j)))
 
@@ -86,8 +78,6 @@ def magic_rzz(i: int, j: int, sign: int) -> Circuit:
     CZ is written as H_j CNOT_ij H_j so the CNOT cost per edge is 1 instead
     of the 2 used by :func:`rzz_decomposition`.
     """
-    if i == j:
-        raise ValueError("ZZ rotation needs two distinct sites")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     phase = s_gate if sign > 0 else sdg_gate
@@ -112,9 +102,8 @@ def trotter_step(p: IsingParams, dt: float, magic: bool = False,
     gates += half
     theta = 2.0 * p.J * dt
     if magic:
-        if abs(abs(theta) - math.pi / 2) > MAGIC_ANGLE_TOL and not allow_magic_mismatch:
-            raise ConfigError(
-                f"magic step requires |2*J*dt| = pi/2, got 2*J*dt = {theta:.6g}")
+        if not allow_magic_mismatch:
+            check_magic_constraint(theta)
         sign = 1 if theta >= 0 else -1
         for q in range(n - 1):
             gates += magic_rzz(q, q + 1, sign).gates
@@ -134,8 +123,6 @@ def weave_operators(p: IsingParams, s: WeaveSchedule,
     it.  Raises :class:`ConfigError` when the magic angle constraint fails
     and no override is given.
     """
-    if s.magic and not allow_magic_mismatch:
-        check_magic_constraint(p, s)
     ops = [trotter_step(p, m * s.tau) for m in range(1, s.k)]
     ops.append(trotter_step(p, s.k * s.tau, magic=s.magic,
                             allow_magic_mismatch=allow_magic_mismatch))
@@ -143,13 +130,11 @@ def weave_operators(p: IsingParams, s: WeaveSchedule,
 
 
 def weave_circuit(p: IsingParams, s: WeaveSchedule, ell: int,
-                  cell_first: bool = False,
                   allow_magic_mismatch: bool = False) -> Circuit:
     """Circuit approximating evolution to time ell * tau under the schedule.
 
     The shift U((ell mod k) tau) is applied first and the cell
-    U(k tau) ** ((ell - ell mod k) / k) after it; ``cell_first`` swaps that
-    order (the two differ only by Trotter error).  ell = 0 is the empty
+    U(k tau) ** ((ell - ell mod k) / k) after it.  ell = 0 is the empty
     circuit, and ell mod k = 0 uses no shift at all.
     """
     if not 0 <= ell <= s.ell_max:
@@ -157,6 +142,4 @@ def weave_circuit(p: IsingParams, s: WeaveSchedule, ell: int,
     ops = weave_operators(p, s, allow_magic_mismatch)
     n_cells, shift_steps = divmod(ell, s.k)
     shift = ops[shift_steps - 1].gates if shift_steps else ()
-    cells = ops[-1].gates * n_cells
-    gates = cells + shift if cell_first else shift + cells
-    return Circuit(p.n, gates)
+    return Circuit(p.n, shift + ops[-1].gates * n_cells)

@@ -116,6 +116,17 @@ class TestRender:
                      "--variant", "C_nope"]) == 2
         assert "variant" in capsys.readouterr().err
 
+    def test_malformed_surface_exits_2_and_names_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, pipeline="exact")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output-dir", str(out)]) == 0
+        csv_path = out / "surface.csv"
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]  # drop the last field of row 2
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["render", str(csv_path), "--variant", "C_exact"]) == 2
+        assert f"{csv_path}: line 3: expected 10 fields" in capsys.readouterr().err
+
 
 class TestDiff:
     def test_identical_inputs_give_zero_surface(self, tmp_path):

@@ -120,17 +120,6 @@ class TestTmem:
         x, _, _ = TmemSolver(t).solve(p_noisy)
         assert np.sum((t @ x - p_noisy) ** 2) <= np.sum((t @ p_noisy - p_noisy) ** 2) + 1e-15
 
-    def test_global_minimum_from_random_starts(self, rng):
-        t = build_confusion_matrix(NoiseModel.default(4))
-        p_noisy = rng.dirichlet(np.ones(16))
-        solver = TmemSolver(t)
-        reference, _, _ = solver.solve(p_noisy)
-        for _ in range(5):
-            start = project_simplex(rng.normal(size=16))
-            x, _, converged = solver.solve(p_noisy, x0=start)
-            assert converged
-            assert np.max(np.abs(x - reference)) < 1e-7
-
     def test_output_always_a_distribution(self, rng):
         t = build_confusion_matrix(NoiseModel.default(4))
         solver = TmemSolver(t)

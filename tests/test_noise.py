@@ -5,8 +5,7 @@ from spinweave.errors import CapacityError
 from spinweave.ising import preset_params
 from spinweave.noise import (NoiseModel, build_confusion_matrix,
                              depolarizing_kraus, empirical_distribution,
-                             estimate_confusion_matrix, fold_cnots,
-                             sample_counts, simulate_noisy)
+                             fold_cnots, sample_counts, simulate_noisy)
 from spinweave.otoc import fabs_measurement_circuit
 from spinweave.qsim import (BitstringDistribution, Circuit, DensityMatrix,
                             StateVector, apply_channel, apply_circuit,
@@ -29,7 +28,7 @@ class TestNoiseModel:
         assert nm.t0_given_1 == nm.t1_given_0  # symmetric split of epsilon
 
     def test_first_edge_default(self):
-        assert NoiseModel.default(4).edge_error(0) == pytest.approx(7.67e-3)
+        assert NoiseModel.default(4).cnot_error[0] == pytest.approx(7.67e-3)
 
     def test_scalar_broadcast(self):
         nm = NoiseModel(4, 0.01, 0.0, 0.0)
@@ -187,12 +186,3 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_counts(d, 0, 1)
 
-
-class TestConfusionEstimation:
-    def test_estimate_close_to_analytic(self):
-        nm = NoiseModel(2, 0.0, (0.05, 0.02), (0.03, 0.04))
-        analytic = build_confusion_matrix(nm)
-        estimated = estimate_confusion_matrix(nm, shots=200_000, seed=17)
-        sigma = np.sqrt(0.05 * 0.95 / 200_000)
-        assert np.max(np.abs(estimated - analytic)) < 6 * sigma
-        assert np.max(np.abs(estimated.sum(axis=0) - 1.0)) < 1e-12

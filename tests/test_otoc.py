@@ -164,7 +164,8 @@ class TestFabsProtocol:
         u = weave_circuit(CHAOTIC4, WeaveSchedule(0.06, 6, 12), 9)
         # X PZ(phi) X PZ(phi) multiplies the unitary by exp(i phi)
         phi = 0.917
-        shifted = u.extended((x_gate(0), pz(0, phi), x_gate(0), pz(0, phi)))
+        shifted = Circuit(u.n_qubits,
+                          u.gates + (x_gate(0), pz(0, phi), x_gate(0), pz(0, phi)))
         ref = circuit_unitary(u)
         assert np.max(np.abs(circuit_unitary(shifted) - np.exp(1j * phi) * ref)) < 1e-12
         p_ref = measurement_distribution(apply_circuit(
@@ -448,6 +449,23 @@ class TestMitigationCombiner:
         got = combiner_surfaces[True, True, order].grid("C_corr")[j - 1, ell]
         assert got == pytest.approx(expected, abs=1e-12)
 
+
+    @pytest.mark.parametrize("order,folds", [("tmem_then_zne", (1, 3)),
+                                             ("zne_then_tmem", (1, 0))],
+                             ids=["tmem_then_zne", "zne_then_tmem"])
+    def test_unconverged_tmem_warns_naming_point_and_fold(
+            self, monkeypatch, order, folds):
+        from spinweave import mitigation
+        monkeypatch.setattr(mitigation, "TMEM_MAX_ITER", 1)
+        cfg = config_from_dict({**COMBINER_BASE, "ell_max": 1,
+                                "pipeline": "mitigated",
+                                "mitigation": {"order": order}})
+        with pytest.warns(RuntimeWarning) as record:
+            build_surface(cfg)
+        assert {str(w.message) for w in record} == {
+            f"TMEM did not converge at j={j}, ell={ell}, fold={fold} "
+            "after 1 iterations"
+            for j in (1, 2, 3) for ell in (0, 1) for fold in folds}
 
 class TestAlternativeStateSurfaces:
     def test_infinite_temperature_matches_oracle(self, rng):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -175,3 +177,42 @@ class TestTableValidation:
         assert grid.shape == (4, 11)
         row = table.columns["C_exact"][:11]
         assert np.array_equal(grid[0], row)
+
+
+GOOD_HEADER = ",".join(CSV_COLUMNS)
+GOOD_ROW = "1,0,0,,,,,0,1,0"
+
+
+class TestLoadRejectsMalformedFiles:
+    @pytest.mark.parametrize("row,where,message", [
+        ("1,1,0.1,,,,,0.5,0.9", "line 3", "expected 10 fields, got 9"),
+        ("1,1,0.1,,,,,0.5,0.9,0.1,7", "line 3", "expected 10 fields, got 11"),
+        ("1.5,1,0.1,,,,,0.5,0.9,0.1", "line 3, column j", "whole number"),
+        ("0,1,0.1,,,,,0.5,0.9,0.1", "line 3, column j", "whole number >= 1"),
+        ("1,,0.1,,,,,0.5,0.9,0.1", "line 3, column ell", "expected a number"),
+        ("1,-1,0.1,,,,,0.5,0.9,0.1", "line 3, column ell", "whole number >= 0"),
+        ("1,1,,,,,,0.5,0.9,0.1", "line 3, column t", "expected a number"),
+        ("1,1,0.1,,,,,abc,0.9,0.1", "line 3, column C_exact",
+         "expected a number, got 'abc'"),
+        ("1,0,0.1,,,,,0.5,0.9,0.1", "line 3", "repeats the grid point j=1, ell=0"),
+    ], ids=["missing_field", "extra_field", "fractional_j", "j_zero",
+            "empty_ell", "negative_ell", "empty_t", "not_a_number", "repeated_point"])
+    def test_bad_row_names_path_line_and_column(self, tmp_path, row, where,
+                                                 message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{GOOD_HEADER}\n{GOOD_ROW}\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: {where}: ") + ".*"
+                           + re.escape(message)):
+            load_surface(path)
+
+    @pytest.mark.parametrize("text,message", [
+        (GOOD_HEADER + "\n", "no data rows"),
+        ("", "expected columns"),
+        ("j,ell,t\n1,0,0\n", "expected columns"),
+    ], ids=["header_only", "empty_file", "wrong_header"])
+    def test_bad_file_names_path(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_surface(path)

@@ -165,13 +165,6 @@ class TestWeaveCircuit:
         cell = trotter_step(CHAOTIC4, 6 * 0.05).gates
         assert c.gates == shift + cell + cell
 
-    def test_cell_first_flag(self):
-        s = WeaveSchedule(0.05, 6, 20)
-        c = weave_circuit(CHAOTIC4, s, 14, cell_first=True)
-        shift = trotter_step(CHAOTIC4, 2 * 0.05).gates
-        cell = trotter_step(CHAOTIC4, 6 * 0.05).gates
-        assert c.gates == cell + cell + shift
-
     def test_k1_is_standard_trotter_sequence(self):
         s = WeaveSchedule(0.06, 1, 10)
         c = weave_circuit(CHAOTIC4, s, 5)
