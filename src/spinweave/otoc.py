@@ -47,11 +47,11 @@ from .noise import (build_confusion_matrix, empirical_distribution, fold_cnots,
                     sample_counts, simulate_noisy)
 from .qsim import (BitstringDistribution, Circuit, StateVector, apply_circuit,
                    dagger, measurement_distribution, x_gate)
-from .surface_io import SurfaceTable
+from .surface_io import CSV_COLUMNS, SurfaceTable
 from .weave import weave_circuit
 
 # Surface columns in the order of the value tuples that _surface_row builds.
-ROW_COLUMNS = ("C_raw", "C_tmem", "C_zne", "C_corr", "C_exact", "F_abs", "F_phase")
+ROW_COLUMNS = CSV_COLUMNS[3:]
 
 
 def _heisenberg_x(p: IsingParams, i: int, t: float) -> np.ndarray:
@@ -153,11 +153,12 @@ def _point_seed(seed: int, j: int, ell: int, fold: int) -> np.random.SeedSequenc
     return np.random.SeedSequence(seed, spawn_key=(j, ell, fold))
 
 
-def _surface_row(cfg, ell: int) -> list[tuple]:
+def _surface_row(cfg, solver: TmemSolver | None, ell: int) -> list[tuple]:
     """All probe sites at one time index.
 
     Returns one tuple per site holding the values of ``ROW_COLUMNS``, in
-    that order; module-level so rows can be dispatched to worker processes.
+    that order; ``solver`` is None unless TMEM runs.  Module-level so rows
+    can be dispatched to worker processes.
     """
     p = cfg.params
     n = p.n
@@ -172,8 +173,6 @@ def _surface_row(cfg, ell: int) -> list[tuple]:
     u_circ = weave_circuit(p, cfg.schedule, ell,
                            allow_magic_mismatch=cfg.magic_override)
     mit = cfg.mitigation if cfg.pipeline == "mitigated" else None
-    if mit is not None and mit.tmem:
-        solver = TmemSolver(build_confusion_matrix(cfg.noise))
 
     def modulus(dist: BitstringDistribution) -> float:
         return np.sqrt(max(float(dist.probabilities[0]), 0.0))
@@ -230,11 +229,13 @@ def build_surface(cfg, jobs: int = 1) -> SurfaceTable:
     sampled point draws from its own derived seed.
     """
     n, l1 = cfg.params.n, cfg.ell_max + 1
+    solver = (TmemSolver(build_confusion_matrix(cfg.noise))
+              if cfg.pipeline == "mitigated" and cfg.mitigation.tmem else None)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(partial(_surface_row, cfg), range(l1)))
+            rows = list(pool.map(partial(_surface_row, cfg, solver), range(l1)))
     else:
-        rows = [_surface_row(cfg, ell) for ell in range(l1)]
+        rows = [_surface_row(cfg, solver, ell) for ell in range(l1)]
 
     # rows[ell][j - 1] -> one (n * l1, columns) block, j-major
     values = np.array(rows, dtype=float).transpose(1, 0, 2).reshape(n * l1, -1)

@@ -115,6 +115,12 @@ def trotter_step(p: IsingParams, dt: float, magic: bool = False,
     return Circuit(n, tuple(gates))
 
 
+def _step(p: IsingParams, s: WeaveSchedule, m: int, allow: bool) -> Circuit:
+    """U(m tau); only the cell (m = k) takes the magic decomposition."""
+    return trotter_step(p, m * s.tau, magic=s.magic and m == s.k,
+                        allow_magic_mismatch=allow)
+
+
 def weave_operators(p: IsingParams, s: WeaveSchedule,
                     allow_magic_mismatch: bool = False) -> list[Circuit]:
     """The k unitaries {U(tau), ..., U(k tau)}; the last is the cell.
@@ -123,10 +129,7 @@ def weave_operators(p: IsingParams, s: WeaveSchedule,
     it.  Raises :class:`ConfigError` when the magic angle constraint fails
     and no override is given.
     """
-    ops = [trotter_step(p, m * s.tau) for m in range(1, s.k)]
-    ops.append(trotter_step(p, s.k * s.tau, magic=s.magic,
-                            allow_magic_mismatch=allow_magic_mismatch))
-    return ops
+    return [_step(p, s, m, allow_magic_mismatch) for m in range(1, s.k + 1)]
 
 
 def weave_circuit(p: IsingParams, s: WeaveSchedule, ell: int,
@@ -135,11 +138,12 @@ def weave_circuit(p: IsingParams, s: WeaveSchedule, ell: int,
 
     The shift U((ell mod k) tau) is applied first and the cell
     U(k tau) ** ((ell - ell mod k) / k) after it.  ell = 0 is the empty
-    circuit, and ell mod k = 0 uses no shift at all.
+    circuit, and ell mod k = 0 uses no shift at all.  Only the shift and
+    the cell are built (the cell always, so its magic angle is checked).
     """
     if not 0 <= ell <= s.ell_max:
         raise ValueError(f"ell={ell} out of range 0..{s.ell_max}")
-    ops = weave_operators(p, s, allow_magic_mismatch)
+    cell = _step(p, s, s.k, allow_magic_mismatch)
     n_cells, shift_steps = divmod(ell, s.k)
-    shift = ops[shift_steps - 1].gates if shift_steps else ()
-    return Circuit(p.n, shift + ops[-1].gates * n_cells)
+    shift = trotter_step(p, shift_steps * s.tau).gates if shift_steps else ()
+    return Circuit(p.n, shift + cell.gates * n_cells)

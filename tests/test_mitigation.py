@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from spinweave.mitigation import (TmemSolver, ZnePair, project_simplex,
@@ -34,6 +36,33 @@ def dist(vec):
     vec = np.asarray(vec, dtype=float)
     n = int(np.log2(vec.size))
     return BitstringDistribution(n, vec)
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+entries = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def vector_pairs(draw):
+    size = draw(st.integers(1, 16))
+    vec = st.lists(entries, min_size=size, max_size=size).map(np.array)
+    return draw(vec), draw(vec)
+
+
+@st.composite
+def zne_pairs(draw):
+    """p1 and p3 = (1 - lam) p1 + lam q over 2^n outcomes, n = 1..3; small
+    lam keeps the raw extrapolation feasible, large lam leaves [0, 1]."""
+    size = 2 ** draw(st.integers(1, 3))
+    weights = st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size).filter(
+        lambda w: sum(w) > 0).map(lambda w: np.array(w) / sum(w))
+    p1, q, lam = draw(weights), draw(weights), draw(st.floats(0.0, 1.0))
+    return dist(p1), dist((1.0 - lam) * p1 + lam * q)
+
+
+def assert_on_simplex(x):
+    assert np.all(x >= 0.0) and np.all(x <= 1.0)
+    assert abs(x.sum() - 1.0) < 1e-12
 
 
 class TestProjectSimplex:
@@ -87,6 +116,20 @@ class TestProjectSimplex:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             project_simplex(np.array([np.nan, 0.5]))
+
+    @PROPERTY
+    @given(vector_pairs())
+    def test_property_idempotent_onto_simplex(self, pair):
+        once = project_simplex(pair[0])
+        assert_on_simplex(once)
+        assert np.max(np.abs(project_simplex(once) - once)) < 1e-12
+
+    @PROPERTY
+    @given(vector_pairs())
+    def test_property_non_expansive(self, pair):
+        u, v = pair
+        pu, pv = project_simplex(u), project_simplex(v)
+        assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-12
 
 
 class TestTmem:
@@ -172,6 +215,12 @@ class TestZne:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ZnePair(dist([1.0, 0.0]), dist([1.0, 0.0, 0.0, 0.0]))
+
+    @PROPERTY
+    @given(zne_pairs())
+    def test_property_output_on_simplex(self, pair):
+        p1, p3 = pair
+        assert_on_simplex(zne_correct(ZnePair(p1, p3)).probabilities)
 
     def test_sampled_recovery_within_three_sigma_in_linear_regime(self, rng):
         # small CNOT error keeps the decay linear in the fold factor, so the

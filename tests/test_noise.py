@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinweave.errors import CapacityError
 from spinweave.ising import preset_params
@@ -10,7 +12,8 @@ from spinweave.otoc import fabs_measurement_circuit
 from spinweave.qsim import (BitstringDistribution, Circuit, DensityMatrix,
                             StateVector, apply_channel, apply_circuit,
                             apply_circuit_dm, circuit_unitary, cnot,
-                            cnot_count, h_gate, measurement_distribution, rx)
+                            cnot_count, h_gate, measurement_distribution, pz,
+                            rx, rzz, s_gate, sdg_gate, x_gate)
 from spinweave.weave import WeaveSchedule, weave_circuit
 
 
@@ -18,6 +21,40 @@ def chaotic_fabs_circuit(ell=12, j=2):
     p = preset_params("chaotic", 4)
     u = weave_circuit(p, WeaveSchedule(0.06, 6, 24), ell)
     return fabs_measurement_circuit(u, 1, j)
+
+
+def kraus_oracle(c, nm):
+    """Readout distribution by the generic routes only: each gate through
+    apply_circuit_dm, then, after every CNOT, depolarizing_kraus on its pair
+    through apply_channel at the rate of the edge min(pair)."""
+    dm = DensityMatrix.zeros(c.n_qubits)
+    for g in c.gates:
+        dm = apply_circuit_dm(dm, Circuit(c.n_qubits, (g,)))
+        if g.kind == "CNOT":
+            dm = apply_channel(dm, depolarizing_kraus(nm.cnot_error[min(g.qubits)], 2),
+                               g.qubits)
+    return build_confusion_matrix(nm) @ np.diag(dm.entries).real
+
+
+@st.composite
+def noisy_circuits(draw):
+    """A random 2- or 3-qubit circuit over every gate kind, with random
+    per-edge CNOT rates and per-qubit readout errors."""
+    n = draw(st.integers(2, 3))
+    qubit = st.integers(0, n - 1)
+    angle = st.floats(-np.pi, np.pi)
+    gates = []
+    for _ in range(draw(st.integers(1, 12))):
+        q, theta = draw(qubit), draw(angle)
+        other = draw(qubit.filter(lambda r: r != q))
+        gates.append(draw(st.sampled_from((
+            rx(q, theta), pz(q, theta), rzz(q, other, theta), cnot(q, other),
+            s_gate(q), sdg_gate(q), h_gate(q), x_gate(q)))))
+    rate = st.floats(0.0, 1.0)
+    nm = NoiseModel(n, draw(st.lists(rate, min_size=n - 1, max_size=n - 1)),
+                    draw(st.lists(rate, min_size=n, max_size=n)),
+                    draw(st.lists(rate, min_size=n, max_size=n)))
+    return Circuit(n, tuple(gates)), nm
 
 
 class TestNoiseModel:
@@ -78,15 +115,24 @@ class TestDepolarizing:
             total = sum(k.conj().T @ k for k in ops)
             assert np.max(np.abs(total - np.eye(4))) < 1e-12
 
-    def test_closed_form_matches_kraus_channel(self, rng):
-        # the fast in-place update must agree with the generic Kraus route
-        c = Circuit(3, (h_gate(0), cnot(0, 1), rx(2, 0.7), cnot(1, 2)))
-        dm = apply_circuit_dm(DensityMatrix.zeros(3), c)
-        p = 0.23
-        via_kraus = apply_channel(dm, depolarizing_kraus(p, 2), (0, 2))
-        from spinweave.noise import _depolarize_pair
-        t = _depolarize_pair(dm.entries.reshape((2,) * 6), 0, 2, 3, p)
-        assert np.max(np.abs(t.reshape(8, 8) - via_kraus.entries)) < 1e-12
+    def test_superoperator_matches_kraus_channel_after_each_cnot(self):
+        # reversed (2, 0) and non-adjacent (0, 2) pairs take the rate of edge
+        # min(pair); the closing rotations turn coherences into populations
+        c = Circuit(3, (h_gate(0), rx(1, 0.4), cnot(2, 0), rx(2, 0.7), cnot(0, 2),
+                        h_gate(2), cnot(1, 2), rx(0, 1.1), rx(1, -0.8), rx(2, 0.3)))
+        nm = NoiseModel(3, (0.23, 0.11), 0.0, 0.0)
+        oracle = kraus_oracle(c, nm)
+        assert np.max(np.abs(simulate_noisy(c, nm).probabilities - oracle)) < 1e-12
+        # and the rates matter: the same circuit with the edges swapped differs
+        swapped = simulate_noisy(c, NoiseModel(3, (0.11, 0.23), 0.0, 0.0))
+        assert np.max(np.abs(swapped.probabilities - oracle)) > 1e-3
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(noisy_circuits())
+    def test_random_circuits_match_kraus_channel(self, case):
+        c, nm = case
+        oracle = kraus_oracle(c, nm)
+        assert np.max(np.abs(simulate_noisy(c, nm).probabilities - oracle)) < 1e-12
 
 
 class TestSimulateNoisy:

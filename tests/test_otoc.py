@@ -385,6 +385,23 @@ def combiner_surfaces():
 
 
 class TestMitigationCombiner:
+    def test_tmem_solver_built_once_per_surface(self, monkeypatch):
+        from spinweave import otoc
+        built = []
+
+        class CountingSolver(otoc.TmemSolver):
+            def __init__(self, t):
+                built.append(t.shape)
+                super().__init__(t)
+
+        monkeypatch.setattr(otoc, "TmemSolver", CountingSolver)
+        for pipeline, tmem, count in (("mitigated", True, 1),
+                                      ("mitigated", False, 0), ("noisy", True, 0)):
+            built.clear()
+            build_surface(config_from_dict({**COMBINER_BASE, "pipeline": pipeline,
+                                            "mitigation": {"tmem": tmem}}))
+            assert len(built) == count, (pipeline, tmem)
+
     def test_nan_pattern(self, combiner_surfaces):
         noisy = combiner_surfaces["noisy"].columns
         for name in ("C_tmem", "C_zne", "C_corr"):

@@ -176,6 +176,21 @@ class TestWeaveCircuit:
         cell = trotter_step(CHAOTIC4, 6 * 0.05).gates
         assert c.gates == cell + cell
 
+    @pytest.mark.parametrize("ell", [0, 7, 20, 39, 40])
+    def test_builds_only_the_shift_and_the_cell(self, monkeypatch, ell):
+        from spinweave import weave
+        calls = []
+
+        def counting_step(p, dt, *args, **kwargs):
+            calls.append(dt)
+            return trotter_step(p, dt, *args, **kwargs)
+
+        s = WeaveSchedule(0.05, 20, 40)
+        expected = weave_circuit(CHAOTIC4, s, ell)
+        monkeypatch.setattr(weave, "trotter_step", counting_step)
+        assert weave_circuit(CHAOTIC4, s, ell).gates == expected.gates
+        assert len(calls) == (2 if ell % 20 else 1)
+
     def test_ell_out_of_range(self):
         s = WeaveSchedule(0.06, 6, 24)
         with pytest.raises(ValueError):
