@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from numbers import Real
 from pathlib import Path
@@ -151,9 +151,8 @@ def _resolve_regime(value, n: int, errors: list[str]):
 
 def _build_noise(data, n: int, pipeline: str, errors: list[str]):
     if data is None:
-        if pipeline in _NOISY_PIPELINES:
-            return NoiseModel.default(n)
-        return NoiseModel.ideal(n)
+        return (NoiseModel.default(n) if pipeline in _NOISY_PIPELINES
+                else NoiseModel.ideal(n))
     if not isinstance(data, dict):
         errors.append("noise: must be an object")
         return None
@@ -284,8 +283,7 @@ def config_echo(cfg: ExperimentConfig) -> dict:
     """
     return {
         "regime": cfg.regime,
-        "params": {"n": cfg.params.n, "J": cfg.params.J,
-                   "Bx": cfg.params.Bx, "Bz": cfg.params.Bz},
+        "params": asdict(cfg.params),
         "tau": cfg.tau,
         "k": cfg.k,
         "ell_max": cfg.ell_max,
@@ -295,13 +293,9 @@ def config_echo(cfg: ExperimentConfig) -> dict:
         "state": cfg.state,
         "probe": cfg.probe,
         "shots": cfg.shots,
-        "noise": {
-            "cnot_error": list(cfg.noise.cnot_error),
-            "t1_given_0": list(cfg.noise.t1_given_0),
-            "t0_given_1": list(cfg.noise.t0_given_1),
-        },
-        "mitigation": {"tmem": cfg.mitigation.tmem, "zne": cfg.mitigation.zne,
-                       "order": cfg.mitigation.order},
+        "noise": {name: list(getattr(cfg.noise, name))
+                  for name in ("cnot_error", "t1_given_0", "t0_given_1")},
+        "mitigation": asdict(cfg.mitigation),
         "seed": cfg.seed,
         "description": cfg.description,
     }

@@ -61,15 +61,9 @@ def preset_params(name: str, n: int) -> IsingParams:
     return IsingParams(n, j, bx, bz)
 
 
-def _site_bits(n: int) -> np.ndarray:
-    """(2^n, n) array of bits with qubit 0 in column 0 (most significant)."""
-    idx = np.arange(2 ** n)[:, None]
-    return (idx >> np.arange(n - 1, -1, -1)) & 1
-
-
 def classical_energies(p: IsingParams) -> np.ndarray:
     """Diagonal of the classical Hamiltonian over all classical states."""
-    z = 1.0 - 2.0 * _site_bits(p.n)
+    z = 1.0 - 2.0 * ((np.arange(2 ** p.n)[:, None] >> np.arange(p.n - 1, -1, -1)) & 1)
     return p.J * (z[:, :-1] * z[:, 1:]).sum(axis=1) + p.Bz * z.sum(axis=1)
 
 
@@ -96,11 +90,6 @@ def build_classical_hamiltonian(p: IsingParams) -> np.ndarray:
     return np.diag(classical_energies(p))
 
 
-def _require_hermitian(h: np.ndarray, tol: float = 1e-10):
-    if np.max(np.abs(h - h.conj().T)) > tol:
-        raise ValueError("matrix is not Hermitian within tolerance")
-
-
 class ExactEvolution:
     """Exact propagator of a fixed Hermitian matrix, eigendecomposed once.
 
@@ -110,7 +99,8 @@ class ExactEvolution:
     """
 
     def __init__(self, h: np.ndarray):
-        _require_hermitian(h)
+        if np.max(np.abs(h - h.conj().T)) > 1e-10:
+            raise ValueError("matrix is not Hermitian within tolerance")
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(h)
 
     def unitary(self, t: float) -> np.ndarray:

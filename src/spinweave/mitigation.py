@@ -2,10 +2,9 @@
 
 Transition-matrix error mitigation (TMEM) inverts the readout confusion
 matrix T by constrained least squares: it returns the distribution p
-minimizing ||T p - p_noisy||_2^2 over the probability simplex.  The solver
-is plain projected gradient with the Lipschitz step 1 / ||T^T T||_2, which
-at the dimensions used here (2^n for n <= 8) is deterministic, dependency
-free, and converges to the global optimum of the convex problem.
+minimizing ||T p - p_noisy||_2^2 over the probability simplex, exactly and
+in finitely many steps, by a primal active-set method as in Lawson-Hanson
+NNLS (see :meth:`TmemSolver.solve`).
 
 Zero-noise extrapolation (ZNE) takes the readout distributions of the
 original circuit (every CNOT once, m=1) and of the CNOT-tripled variant
@@ -27,7 +26,7 @@ import numpy as np
 from .qsim import BitstringDistribution
 
 TMEM_TOL = 1e-10
-TMEM_MAX_ITER = 100_000
+TMEM_MAX_ITER = 1_000
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -50,12 +49,8 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 class TmemSolver:
-    """Reusable projected-gradient solver for a fixed confusion matrix.
-
-    Precomputes the step size and condition number once so that surface
-    runs can correct hundreds of distributions against the same T.  T must
-    be square and column-stochastic.
-    """
+    """Active-set TMEM solver for one square, column-stochastic T (possibly
+    singular), with its condition number computed once."""
 
     def __init__(self, t: np.ndarray):
         t = np.asarray(t, dtype=float)
@@ -64,25 +59,45 @@ class TmemSolver:
         if np.max(np.abs(t.sum(axis=0) - 1.0)) > 1e-9:
             raise ValueError("T columns must sum to 1")
         self.t = t
-        self.gram = self.t.T @ self.t
-        self.step = 1.0 / np.linalg.norm(self.gram, 2)
         self.condition_number = float(np.linalg.cond(self.t))
 
     def solve(self, b: np.ndarray):
-        """Minimize ||T x - b||_2^2 over the simplex within TMEM_TOL, in at
-        most TMEM_MAX_ITER steps from b projected; returns (x, iters, ok)."""
+        """Minimize ||T x - b||_2^2 over the simplex; returns (x, iterations,
+        converged).  Starting from the support S of project_simplex(b), the
+        KKT system [G_SS 1; 1^T 0] [z; mu] = [(T^T b)_S; 1], G = T^T T, is
+        solved as the least squares min ||T_S z - b|| over z summing to one
+        (cond(T) unsquared; a minimizer also for singular T).  While z leaves
+        the simplex, x steps to the boundary and the entry that hits zero
+        leaves S.  Each iteration ends at x = z: converged if no multiplier
+        g_i - x.g, g = T^T (T x - b), is below -TMEM_TOL, else the most
+        negative one joins S.  ``iterations`` (<= TMEM_MAX_ITER) counts these.
+        """
         b = np.asarray(b, dtype=float)
         if b.shape != self.t.shape[:1]:
             raise ValueError(f"distribution must have {self.t.shape[0]} entries, "
                              f"got shape {b.shape}")
-        tb = self.t.T @ b
         x = project_simplex(b)
+        support = x > 0.0
         for it in range(1, TMEM_MAX_ITER + 1):
-            x_new = project_simplex(x - self.step * (self.gram @ x - tb))
-            delta = np.max(np.abs(x_new - x))
-            x = x_new
-            if delta < TMEM_TOL:
+            while True:  # each step back shrinks S, so this ends
+                idx = np.flatnonzero(support)
+                last = self.t[:, idx[-1]]
+                y = np.linalg.lstsq(self.t[:, idx[:-1]] - last[:, None], b - last,
+                                    rcond=None)[0]
+                z = np.append(y, 1.0 - y.sum())
+                out = z <= 0.0
+                if not out.any():
+                    break
+                ratios = x[idx[out]] / (x[idx[out]] - z[out])
+                x[idx] = np.maximum(x[idx] + ratios.min() * (z - x[idx]), 0.0)
+                x[idx[out][np.argmin(ratios)]] = 0.0
+                support = x > 0.0
+            x[idx] = z  # entries off S are already zero
+            grad = self.t.T @ (self.t @ x - b)
+            multipliers = np.where(support, np.inf, grad - x @ grad)
+            if multipliers.min() >= -TMEM_TOL:
                 return x, it, True
+            support[np.argmin(multipliers)] = True
         return x, TMEM_MAX_ITER, False
 
 

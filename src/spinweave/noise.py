@@ -149,14 +149,16 @@ def simulate_noisy(c: Circuit, nm: NoiseModel) -> BitstringDistribution:
         raise ValueError("noise model and circuit qubit counts differ")
     t = np.zeros((2,) * (2 * n), dtype=complex)
     t[(0,) * (2 * n)] = 1.0
+    supers: dict[Gate, np.ndarray] = {}  # S of each distinct gate, built once
     for g in c.gates:
-        u = gate_matrix(g)
-        s = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(u.size, u.size)
-        if g.kind == "CNOT":
-            p = nm.cnot_error[min(g.qubits)]
+        if g not in supers:
+            u = gate_matrix(g)
+            s = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(u.size, u.size)
+            p = nm.cnot_error[min(g.qubits)] if g.kind == "CNOT" else 0.0
             if p > 0.0:
                 s = (1.0 - p) * s + (p / 4.0) * np.outer(_VEC_I4, _VEC_I4 @ s)
-        t = _contract(t, s, g.qubits + tuple(n + q for q in g.qubits))
+            supers[g] = s
+        t = _contract(t, supers[g], g.qubits + tuple(n + q for q in g.qubits))
     d = 2 ** n
     probs = np.clip(np.diag(t.reshape(d, d)).real, 0.0, None)
     return BitstringDistribution(n, build_confusion_matrix(nm) @ probs)

@@ -164,11 +164,10 @@ def diff_surfaces(a: SurfaceTable, b: SurfaceTable, column: str,
     """Pointwise difference a[column] - b[column_b or column] on congruent
     grids, returned as a surface table with the difference stored under
     ``column`` and every other variant column empty."""
-    if column not in FLOAT_COLUMNS[1:]:
-        raise ValueError(f"unknown column {column!r}; choose from {FLOAT_COLUMNS[1:]}")
     column_b = column_b or column
-    if column_b not in FLOAT_COLUMNS[1:]:
-        raise ValueError(f"unknown column {column_b!r}; choose from {FLOAT_COLUMNS[1:]}")
+    for name in (column, column_b):
+        if name not in FLOAT_COLUMNS[1:]:
+            raise ValueError(f"unknown column {name!r}; choose from {FLOAT_COLUMNS[1:]}")
     same_grid = (len(a) == len(b)
                  and np.array_equal(a.columns["j"], b.columns["j"])
                  and np.array_equal(a.columns["ell"], b.columns["ell"])

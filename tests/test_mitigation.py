@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from spinweave.mitigation import (TmemSolver, ZnePair, project_simplex,
+from oracles import ProjectedGradientTmem
+from spinweave import mitigation
+from spinweave.mitigation import (TMEM_TOL, TmemSolver, ZnePair, project_simplex,
                                   zne_correct, zne_extrapolate)
 from spinweave.noise import NoiseModel, build_confusion_matrix
 from spinweave.qsim import BitstringDistribution
@@ -58,6 +60,28 @@ def zne_pairs(draw):
         lambda w: sum(w) > 0).map(lambda w: np.array(w) / sum(w))
     p1, q, lam = draw(weights), draw(weights), draw(st.floats(0.0, 1.0))
     return dist(p1), dist((1.0 - lam) * p1 + lam * q)
+
+
+@st.composite
+def tensored_readouts(draw):
+    """T = T_0 (x) ... (x) T_{n-1}, n = 1..4, each T_q column-stochastic with
+    both flip rates in [0, 0.5] (0.5 makes T singular), and a distribution b
+    over 2^n outcomes: arbitrary, or T applied to one.  Rates near 0.5 make
+    T ill-conditioned."""
+    rate = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5),
+                     st.floats(0.45, 0.5))
+    t = np.eye(1)
+    for _ in range(draw(st.integers(1, 4))):
+        a, c = draw(rate), draw(rate)
+        t = np.kron(t, np.array([[1.0 - a, c], [a, 1.0 - c]]))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=t.shape[0],
+                            max_size=t.shape[0]).filter(lambda w: sum(w) > 0))
+    b = np.array(weights) / sum(weights)
+    return t, t @ b if draw(st.booleans()) else b
+
+
+def objective(t, x, b):
+    return float(np.sum((t @ x - b) ** 2))
 
 
 def assert_on_simplex(x):
@@ -186,6 +210,54 @@ class TestTmem:
     def test_non_stochastic_matrix_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
             TmemSolver(2 * np.eye(2))
+
+    def test_singular_matrix_returns_minimizer(self):
+        # a 50% readout error on qubit 1 hides that bit entirely
+        t = build_confusion_matrix(NoiseModel(2, 0.0, (0.02, 0.5), (0.03, 0.5)))
+        b = np.array([0.5, 0.2, 0.1, 0.2])
+        x, _, converged = TmemSolver(t).solve(b)
+        assert converged
+        assert_on_simplex(x)
+        # only the marginal of qubit 0 is identifiable; its best fit is exact
+        marginal = np.linalg.solve(t[::2, ::2] + t[1::2, ::2], [0.7, 0.3])
+        assert np.allclose([x[:2].sum(), x[2:].sum()], marginal, atol=1e-12)
+
+    def test_iteration_cap_returns_simplex_point_unconverged(self, monkeypatch):
+        # column 1 fits b = e_0 better than column 0, so the start support
+        # {0} is left in the second iteration
+        t = np.array([[0.6, 0.9], [0.4, 0.1]])
+        b = np.array([1.0, 0.0])
+        x, iterations, converged = TmemSolver(t).solve(b)
+        assert (iterations, converged) == (2, True)
+        assert np.allclose(x, [0.0, 1.0], atol=1e-15)
+        for cap, expected in ((1, [1.0, 0.0]), (0, project_simplex(b))):
+            monkeypatch.setattr(mitigation, "TMEM_MAX_ITER", cap)
+            x, iterations, converged = TmemSolver(t).solve(b)
+            assert (iterations, converged) == (cap, False)
+            assert_on_simplex(x)
+            assert np.array_equal(x, expected)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tensored_readouts())
+    def test_property_kkt_on_the_simplex(self, case):
+        t, b = case
+        x, _, converged = TmemSolver(t).solve(b)
+        assert converged
+        assert_on_simplex(x)
+        # stationary on the support, no descent off it: grad_i - lambda is 0
+        # where x_i > 0 and >= 0 elsewhere, lambda the equality multiplier
+        grad = t.T @ (t @ x - b)
+        multipliers = grad - x @ grad
+        assert multipliers.min() >= -TMEM_TOL
+        assert np.abs(multipliers[x > 0]).max() <= TMEM_TOL
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(tensored_readouts())
+    def test_property_not_worse_than_projected_gradient(self, case):
+        t, b = case
+        x, _, _ = TmemSolver(t).solve(b)
+        reference, _, _ = ProjectedGradientTmem(t).solve(b)
+        assert objective(t, x, b) <= objective(t, reference, b) + 1e-12
 
 
 class TestZne:

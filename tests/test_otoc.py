@@ -467,13 +467,22 @@ class TestMitigationCombiner:
         assert got == pytest.approx(expected, abs=1e-12)
 
 
+    def test_high_readout_error_surface_builds_without_warning(self):
+        # under the suite's error::RuntimeWarning filter an unconverged TMEM
+        # solve fails this test; 45% readout error makes T nearly singular
+        surf = build_surface(config_from_dict(
+            {**COMBINER_BASE, "ell_max": 1, "shots": 8192,
+             "pipeline": "mitigated", "noise": {"spam_epsilon": 0.45}}))
+        assert np.isfinite(surf.columns["C_tmem"]).all()
+        assert np.isfinite(surf.columns["C_corr"]).all()
+
     @pytest.mark.parametrize("order,folds", [("tmem_then_zne", (1, 3)),
                                              ("zne_then_tmem", (1, 0))],
                              ids=["tmem_then_zne", "zne_then_tmem"])
     def test_unconverged_tmem_warns_naming_point_and_fold(
             self, monkeypatch, order, folds):
         from spinweave import mitigation
-        monkeypatch.setattr(mitigation, "TMEM_MAX_ITER", 1)
+        monkeypatch.setattr(mitigation, "TMEM_MAX_ITER", 0)
         cfg = config_from_dict({**COMBINER_BASE, "ell_max": 1,
                                 "pipeline": "mitigated",
                                 "mitigation": {"order": order}})
@@ -481,7 +490,7 @@ class TestMitigationCombiner:
             build_surface(cfg)
         assert {str(w.message) for w in record} == {
             f"TMEM did not converge at j={j}, ell={ell}, fold={fold} "
-            "after 1 iterations"
+            "after 0 iterations"
             for j in (1, 2, 3) for ell in (0, 1) for fold in folds}
 
 class TestAlternativeStateSurfaces:
