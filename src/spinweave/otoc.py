@@ -64,7 +64,11 @@ def _otoc_value(xit: np.ndarray, state: str, probe: str) -> np.ndarray:
     """F_ij = tr[rho A_j A_j], A_j = X_i(t) V_j, for every probe site j = 1..n.
 
     V_j flips the column index of X_i(t) on bit j (times +i or -i by that
-    bit for the Y probe), and each state forms only what rho reads.
+    bit for the Y probe), and each state forms only what rho reads.  F is
+    real by construction for the maximally mixed state (tr ABAB with A, B
+    Hermitian) and for the X probe on the uniform superposition (an X_j
+    eigenstate, so F is the expectation of a Hermitian operator); there the
+    rounding-level imaginary part is dropped, so the phase is exactly 0 or pi.
     """
     if state not in STATES:
         raise ValueError(f"unknown state tag {state!r}; choose from {STATES}")
@@ -86,6 +90,8 @@ def _otoc_value(xit: np.ndarray, state: str, probe: str) -> np.ndarray:
             out[j - 1] = a.sum(axis=0) @ a.sum(axis=1) / d
         else:
             out[j - 1] = np.sum(a * a.T) / d
+    if state == "maximally_mixed" or (state == "plus" and probe == "x"):
+        out.imag = 0.0
     return out
 
 

@@ -8,8 +8,9 @@ Conventions used throughout the package:
 * All values are immutable; every operation returns a new object.
 * The gate set is what the weave and the |F| protocol emit (RX, PZ, S, SDG,
   H, X, CNOT) plus RZZ, the reference ZZ rotation the weave expands.
-* Gates act in O(2^n) time per gate by contracting the gate tensor against
-  the state tensor; the full 2^n x 2^n operator is never formed except in
+* Gates act in O(2^n) time per gate: one cached axis plan per (rank, axes),
+  then one transpose copy and one matrix product of the gate against the
+  state tensor.  The full 2^n x 2^n operator is never formed except in
   :func:`circuit_unitary`, which exists for oracles and diagnostics.
 * Equality of circuits is meaningful only up to a global phase (the ZZ and
   phase-gate decompositions used elsewhere introduce one), so comparisons
@@ -18,6 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -231,13 +233,27 @@ def bitstring(index: int, n_qubits: int) -> str:
 
 # --- gate application ------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _axis_plan(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The permutation that brings ``axes`` to the front, in order, followed
+    by the remaining axes in place, and its inverse.  Unbounded: there are
+    only as many keys as distinct qubit tuples the gates and channels name."""
+    perm = axes + tuple(a for a in range(ndim) if a not in axes)
+    return perm, tuple(perm.index(a) for a in range(ndim))
+
+
 def _contract(tensor: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Apply the |axes|-qubit operator ``u`` to the given tensor axes in place
-    of forming the embedded dense operator."""
-    k = len(axes)
-    uk = u.reshape((2,) * (2 * k))
-    out = np.tensordot(uk, tensor, axes=(tuple(range(k, 2 * k)), axes))
-    return np.moveaxis(out, tuple(range(k)), axes)
+    of forming the embedded dense operator.
+
+    One transpose copy and one matrix product: the gate axes go to the front,
+    ``u`` multiplies the (2^k, rest) matrix, and the inverse permutation puts
+    them back.  Reshaping the product to ``tensor.shape`` is valid because
+    every moved axis, and every axis ahead of one, has length 2.
+    """
+    perm, inv = _axis_plan(tensor.ndim, axes)
+    out = u @ tensor.transpose(perm).reshape(len(u), -1)
+    return out.reshape(tensor.shape).transpose(inv)
 
 
 def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
@@ -245,8 +261,12 @@ def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
     if c.n_qubits != state.n_qubits:
         raise ValueError("circuit and state qubit counts differ")
     psi = state.amplitudes.reshape((2,) * state.n_qubits)
+    mats: dict[Gate, np.ndarray] = {}  # circuits repeat a handful of gates
     for g in c.gates:
-        psi = _contract(psi, gate_matrix(g), g.qubits)
+        u = mats.get(g)
+        if u is None:
+            u = mats[g] = gate_matrix(g)
+        psi = _contract(psi, u, g.qubits)
     return StateVector(state.n_qubits, psi.reshape(-1))
 
 

@@ -1,10 +1,15 @@
-"""Reference TMEM solver: projected gradient on the probability simplex.
+"""Reference implementations that the package has since replaced.
 
-This is the package's former TMEM solver, kept unchanged as an oracle that
-shares no code path with the active-set solver except ``project_simplex``
-(itself checked against brute-force enumeration in test_mitigation.py).
-Plain projected gradient with the Lipschitz step 1 / ||T^T T||_2 converges
-to the global optimum of the convex problem, slowly but surely.
+``ProjectedGradientTmem`` is the package's former TMEM solver, kept
+unchanged as an oracle that shares no code path with the active-set solver
+except ``project_simplex`` (itself checked against brute-force enumeration
+in test_mitigation.py).  Plain projected gradient with the Lipschitz step
+1 / ||T^T T||_2 converges to the global optimum of the convex problem,
+slowly but surely.
+
+``tensordot_contract`` is the former gate kernel of ``qsim``: numpy's
+``tensordot`` against the gate reshaped to a (2,)*2k tensor, then
+``moveaxis`` to put the output axes back in place.
 """
 
 import numpy as np
@@ -37,3 +42,12 @@ class ProjectedGradientTmem:
             if delta < PG_TOL:
                 return x, it, True
         return x, PG_MAX_ITER, False
+
+
+def tensordot_contract(tensor: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Apply the |axes|-qubit operator ``u`` to the given tensor axes in place
+    of forming the embedded dense operator."""
+    k = len(axes)
+    uk = u.reshape((2,) * (2 * k))
+    out = np.tensordot(uk, tensor, axes=(tuple(range(k, 2 * k)), axes))
+    return np.moveaxis(out, tuple(range(k)), axes)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spinweave.config import config_from_dict
+from spinweave.config import config_from_dict, load_preset
 from spinweave.errors import CapacityError
 from spinweave.ising import preset_params
 from spinweave.otoc import (build_surface, commutator_exact,
@@ -524,3 +524,22 @@ class TestAlternativeStateSurfaces:
             for j in range(1, 5):
                 oracle = 2 - 2 * dense_otoc(u, 1, j, 4, "zeros", "y").real
                 assert abs(surf.grid("C_exact")[j - 1, ell] - oracle) < 1e-10
+
+    @pytest.mark.parametrize("state, probe", [
+        ("maximally_mixed", "x"), ("maximally_mixed", "y"), ("plus", "x")])
+    def test_real_by_construction_has_zero_imaginary_part(self, state, probe):
+        for p in (CHAOTIC4, INTEGRABLE4, preset_params("chaotic", 6)):
+            values = [otoc_exact(p, 1, j, 0.05 * ell, state, probe)
+                      for j in range(1, p.n + 1) for ell in range(0, 30, 3)]
+            assert all(f.imag == 0.0 and not np.signbit(f.imag) for f in values)
+
+    @pytest.mark.parametrize("state, probe", [("zeros", "x"), ("zeros", "y"), ("plus", "y")])
+    def test_complex_cases_keep_their_imaginary_part(self, state, probe):
+        values = [otoc_exact(CHAOTIC4, 1, j, 0.05 * ell, state, probe)
+                  for j in range(1, 5) for ell in range(0, 30, 3)]
+        assert max(abs(f.imag) for f in values) > 0.1
+
+    @pytest.mark.parametrize("preset", ["s7", "s8"])
+    def test_real_surfaces_have_phase_zero_or_pi(self, preset):
+        phase = build_surface(load_preset(preset)).columns["F_phase"]
+        assert set(np.unique(phase)) <= {0.0, np.pi}

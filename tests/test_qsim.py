@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from spinweave import qsim
 from spinweave.errors import CapacityError, ChannelError, MalformedGateError
 from spinweave.noise import depolarizing_kraus
 from spinweave.qsim import (BitstringDistribution, Circuit, DensityMatrix,
@@ -12,6 +15,7 @@ from spinweave.qsim import (BitstringDistribution, Circuit, DensityMatrix,
                             rx, rzz, s_gate, sdg_gate, x_gate)
 
 from conftest import embed_dense
+from oracles import tensordot_contract
 
 ALL_GATES = [
     rx(0, 0.37), pz(0, -1.1), s_gate(0), sdg_gate(0), h_gate(0),
@@ -168,6 +172,58 @@ class TestApplyCircuit:
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError):
             apply_circuit(StateVector.zeros(2), Circuit(3))
+
+    def test_gate_matrix_built_once_per_distinct_gate(self, monkeypatch):
+        cell = (h_gate(0), cnot(0, 2), rx(1, 0.3), rzz(2, 1, -0.8), h_gate(0))
+        c = Circuit(3, cell * 4 + tuple(dagger(Circuit(3, cell)).gates))
+        built = []
+
+        def counting(g):
+            built.append(g)
+            return gate_matrix(g)
+
+        monkeypatch.setattr(qsim, "gate_matrix", counting)
+        apply_circuit(StateVector.zeros(3), c)
+        assert len(built) == len(set(built)) and set(built) == set(c.gates)
+
+
+def contraction_case(seed, r, axes):
+    """A random complex (2,)*r tensor and a random complex operator on ``axes``."""
+    rng = np.random.default_rng(seed)
+    tensor = rng.normal(size=(2,) * r) + 1j * rng.normal(size=(2,) * r)
+    dim = 2 ** len(axes)
+    u = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return tensor, u, axes
+
+
+@st.composite
+def contraction_cases(draw):
+    """r = 1..8 and k = 1, 2 or 4 distinct axes in drawn order.  For about
+    half the even ranks the axes are instead the row and column axes of one
+    or two qubits of an (r/2)-qubit density tensor, as the density-matrix
+    engine passes them."""
+    r = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(r)))
+    if r % 2 == 0 and draw(st.booleans()):
+        n = r // 2
+        qubits = tuple(q for q in order if q < n)[:draw(st.integers(1, min(2, n)))]
+        axes = qubits + tuple(n + q for q in qubits)
+    else:
+        axes = tuple(order[:draw(st.sampled_from([k for k in (1, 2, 4) if k <= r]))])
+    return contraction_case(draw(st.integers(0, 2 ** 32 - 1)), r, axes)
+
+
+class TestContract:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(contraction_cases())
+    @example(contraction_case(0, 6, (2, 0)))
+    @example(contraction_case(1, 6, (1, 5)))
+    @example(contraction_case(2, 8, (3, 1, 7, 5)))
+    def test_property_matches_tensordot_oracle(self, case):
+        tensor, u, axes = case
+        got = qsim._contract(tensor, u, axes)
+        assert got.shape == tensor.shape
+        assert np.max(np.abs(got - tensordot_contract(tensor, u, axes))) <= 1e-12
 
 
 class TestDagger:
