@@ -56,6 +56,9 @@ _TOP_KEYS = {"description", "regime", "n", "tau", "k", "ell_max", "magic",
 _NOISE_KEYS = {"cnot_error", "spam_epsilon", "t1_given_0", "t0_given_1"}
 _MITIGATION_KEYS = {"tmem", "zne", "order"}
 
+# numpy's multinomial draws int64 counts
+MAX_SHOTS = 2 ** 63 - 1
+
 PRESET_DIR = Path(__file__).parent / "presets"
 
 
@@ -191,7 +194,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     tau = take("tau", 0.06, float, lambda v: v > 0 and math.isfinite(v), "must be > 0")
     k = take("k", 1, int, lambda v: v >= 1, "must be >= 1")
     ell_max = take("ell_max", 24, int, lambda v: v >= 0, "must be >= 0")
-    shots = take("shots", DEFAULT_SHOTS, int, lambda v: v >= 1, "must be >= 1")
+    shots = take("shots", DEFAULT_SHOTS, int, lambda v: 1 <= v <= MAX_SHOTS,
+                 f"must be in 1..{MAX_SHOTS}")
     seed = take("seed", 0, int, lambda v: v >= 0, "must be >= 0")
     magic = take("magic", False, bool)
     magic_override = take("magic_override", False, bool)
@@ -206,6 +210,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if output_dir is not None and not isinstance(output_dir, str):
         errors.append(f"output_dir: expected string or null (got {output_dir!r})")
         output_dir = None
+
+    try:  # the cell U(k tau) is always built, and the last time is ell_max tau
+        span_finite = math.isfinite(tau * max(k, ell_max))
+    except OverflowError:  # an int too large for a float
+        span_finite = False
+    if not span_finite:
+        errors.append(f"tau: tau * max(k, ell_max) must be finite "
+                      f"(got tau={tau!r}, k={k}, ell_max={ell_max})")
 
     regime_label, params = _resolve_regime(data.get("regime", "integrable"), n, errors)
 

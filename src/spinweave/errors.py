@@ -9,9 +9,5 @@ class CapacityError(ValueError):
     """A dense operation was requested beyond the supported qubit count."""
 
 
-class ChannelError(ValueError):
-    """A Kraus operator set does not describe a trace-preserving channel."""
-
-
 class ConfigError(ValueError):
     """An experiment configuration violates one or more invariants."""

@@ -1,4 +1,4 @@
-"""Ising chain Hamiltonians, exact evolution, and the classical-limit OTOC.
+"""Ising chain Hamiltonian, exact evolution, and the classical-limit OTOC phase.
 
 The model is an open chain of ``n`` spins,
 
@@ -11,10 +11,9 @@ the OTOC surfaces; site ``j`` acts on qubit ``j - 1``.
 For the classical Hamiltonian the OTOC of X operators on the all-zeros
 state has a closed form: flipping spins only shuffles classical energies,
 so the correlator is a pure phase built from the energy differences of the
-single- and double-excitation states.  :func:`classical_otoc` implements
-that phase for the measured row ``i = 1``;
-:func:`classical_otoc_bruteforce` evaluates the same quantity from dense
-diagonal evolution and serves as its oracle.
+single- and double-excitation states.  :func:`classical_otoc_phase` gives
+that phase for the measured row ``i = 1``; the fixed-node reconstruction
+in :mod:`spinweave.otoc` reads it.
 """
 
 from __future__ import annotations
@@ -67,14 +66,11 @@ def classical_energies(p: IsingParams) -> np.ndarray:
     return p.J * (z[:, :-1] * z[:, 1:]).sum(axis=1) + p.Bz * z.sum(axis=1)
 
 
-def _check_dense(n: int):
-    if n > MAX_QUBITS:
-        raise CapacityError(f"dense construction limited to n <= {MAX_QUBITS}, got n={n}")
-
-
 def build_hamiltonian(p: IsingParams) -> np.ndarray:
     """Dense real-symmetric matrix of the full Hamiltonian."""
-    _check_dense(p.n)
+    if p.n > MAX_QUBITS:
+        raise CapacityError(
+            f"dense construction limited to n <= {MAX_QUBITS}, got n={p.n}")
     d = 2 ** p.n
     h = np.diag(classical_energies(p))
     if p.Bx != 0.0:
@@ -82,12 +78,6 @@ def build_hamiltonian(p: IsingParams) -> np.ndarray:
         for q in range(p.n):
             h[rows, rows ^ (1 << (p.n - 1 - q))] += p.Bx
     return h
-
-
-def build_classical_hamiltonian(p: IsingParams) -> np.ndarray:
-    """Dense diagonal matrix of the classical part (Bx forced to 0)."""
-    _check_dense(p.n)
-    return np.diag(classical_energies(p))
 
 
 class ExactEvolution:
@@ -106,11 +96,6 @@ class ExactEvolution:
     def unitary(self, t: float) -> np.ndarray:
         v = self.eigenvectors
         return (v * np.exp(-1j * self.eigenvalues * t)) @ v.conj().T
-
-
-def exact_unitary(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian ``h`` via eigendecomposition."""
-    return ExactEvolution(h).unitary(t)
 
 
 @lru_cache(maxsize=32)
@@ -136,29 +121,3 @@ def classical_otoc_phase(p: IsingParams, j: int, t: float) -> float:
     if j == 2:
         return 4.0 * p.J * t
     return 0.0
-
-
-def classical_otoc(p: IsingParams, j: int, t: float) -> complex:
-    """Classical-limit OTOC for i = 1, constructed in polar form (unit modulus)."""
-    return complex(np.exp(1j * classical_otoc_phase(p, j, t)))
-
-
-def classical_otoc_bruteforce(p: IsingParams, i: int, j: int, t: float) -> complex:
-    """<0..0| X_i(t) X_j X_i(t) X_j |0..0> under the classical Hamiltonian,
-    evaluated with dense diagonal evolution.  Oracle for :func:`classical_otoc`;
-    also covers general (i, j)."""
-    if p.n > MAX_OTOC_QUBITS:
-        raise CapacityError(f"brute-force OTOC limited to n <= {MAX_OTOC_QUBITS}")
-    _check_site(p.n, i, "i")
-    _check_site(p.n, j, "j")
-    d = 2 ** p.n
-    e = classical_energies(p)
-    rows = np.arange(d)
-    xi = np.zeros((d, d))
-    xi[rows ^ (1 << (p.n - i)), rows] = 1.0
-    xj = np.zeros((d, d))
-    xj[rows ^ (1 << (p.n - j)), rows] = 1.0
-    phases = np.exp(-1j * e * t)
-    xit = (xi * phases.conj()[:, None]) * phases[None, :]
-    m = xit @ xj
-    return complex((m @ m)[0, 0])

@@ -8,7 +8,8 @@ The error model mirrors what chain-of-qubits calibration data exposes:
 * state preparation and measurement errors enter as a classical confusion
   matrix T applied to the final readout distribution, T being the tensor
   product of per-qubit 2x2 column-stochastic matrices;
-* finite sampling is a separate, explicitly seeded multinomial draw.
+* finite sampling is a separate, explicitly seeded multinomial draw that
+  returns the count vector over basis indices.
 
 Calibration tables usually report only the averaged per-qubit SPAM error
 eps = (T(0|1) + T(1|0)) / 2; the bundled defaults split it symmetrically,
@@ -16,22 +17,22 @@ T(0|1) = T(1|0) = eps, which callers can override with explicit rates.
 
 Depolarizing strength p means "replace the pair state by I/4 with
 probability p", i.e. the error weight is spread uniformly over the 15
-non-identity two-qubit Paulis.  The simulation folds that channel into
-the CNOT's own superoperator, so the density matrix costs one O(4^n)
-contraction per gate, CNOT or not.
+non-identity two-qubit Paulis.  :func:`simulate_noisy` is the one
+density-matrix engine: it folds that channel into the CNOT's own
+superoperator, so the density matrix costs one O(4^n) contraction per
+gate, CNOT or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from numbers import Real
 
 import numpy as np
 
 from .errors import CapacityError
 from .qsim import (MAX_DM_QUBITS, BitstringDistribution, Circuit, Gate,
-                   bitstring, gate_matrix, _contract)
+                   gate_matrix, _contract)
 
 DEFAULT_CNOT_ERRORS = (7.67e-3, 7.00e-3, 7.68e-3)
 DEFAULT_SPAM_EPSILON = (0.043, 0.015, 0.017, 0.017)
@@ -103,31 +104,6 @@ def build_confusion_matrix(nm: NoiseModel) -> np.ndarray:
     return t
 
 
-_PAULIS_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]]),
-    "Z": np.diag([1.0, -1.0]).astype(complex),
-}
-
-
-def depolarizing_kraus(p: float, n_qubits: int = 2) -> list[np.ndarray]:
-    """Kraus set of the n-qubit depolarizing channel of strength ``p``:
-    identity with weight 1 - p (d^2 - 1) / d^2 and every non-identity Pauli
-    with weight p / d^2, realizing rho -> (1 - p) rho + p I/d."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing strength must be in [0, 1], got {p}")
-    d2 = 4 ** n_qubits
-    ops = []
-    for labels in product("IXYZ", repeat=n_qubits):
-        mat = np.eye(1, dtype=complex)
-        for l in labels:
-            mat = np.kron(mat, _PAULIS_1Q[l])
-        weight = 1.0 - p * (d2 - 1) / d2 if set(labels) == {"I"} else p / d2
-        ops.append(np.sqrt(weight) * mat)
-    return ops
-
-
 # vec(I_4) in the (row, column) order of a pair superoperator's output
 _VEC_I4 = np.eye(4).reshape(16)
 
@@ -164,23 +140,9 @@ def simulate_noisy(c: Circuit, nm: NoiseModel) -> BitstringDistribution:
     return BitstringDistribution(n, build_confusion_matrix(nm) @ probs)
 
 
-@dataclass(frozen=True)
-class ShotResult:
-    """Multinomial counts over bitstrings; counts sum to ``shots``."""
-
-    n_qubits: int
-    shots: int
-    counts: dict
-
-    def vector(self) -> np.ndarray:
-        v = np.zeros(2 ** self.n_qubits)
-        for bits, cnt in self.counts.items():
-            v[int(bits, 2)] = cnt
-        return v
-
-
-def sample_counts(d: BitstringDistribution, shots: int, seed) -> ShotResult:
-    """Deterministic multinomial draw from a distribution.
+def sample_counts(d: BitstringDistribution, shots: int, seed) -> np.ndarray:
+    """Deterministic multinomial draw from a distribution: the int64 count
+    of each basis index, summing to ``shots``.
 
     ``seed`` may be anything ``numpy.random.default_rng`` accepts, including
     a ``SeedSequence`` for derived per-point streams.
@@ -188,15 +150,12 @@ def sample_counts(d: BitstringDistribution, shots: int, seed) -> ShotResult:
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     p = np.clip(d.probabilities, 0.0, None)
-    p = p / p.sum()
-    draws = np.random.default_rng(seed).multinomial(shots, p)
-    counts = {bitstring(x, d.n_qubits): int(cnt)
-              for x, cnt in enumerate(draws) if cnt > 0}
-    return ShotResult(d.n_qubits, shots, counts)
+    return np.random.default_rng(seed).multinomial(shots, p / p.sum())
 
 
-def empirical_distribution(sr: ShotResult) -> BitstringDistribution:
-    return BitstringDistribution(sr.n_qubits, sr.vector() / sr.shots)
+def empirical_distribution(counts: np.ndarray) -> BitstringDistribution:
+    """Shot frequencies: the count vector divided by the shot count."""
+    return BitstringDistribution(counts.size.bit_length() - 1, counts / counts.sum())
 
 
 def fold_cnots(c: Circuit, m: int) -> Circuit:

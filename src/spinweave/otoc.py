@@ -110,18 +110,6 @@ def otoc_exact(p: IsingParams, i: int, j: int, t: float,
     return complex(_otoc_value(_heisenberg_x(p, i, t), state, probe)[j - 1])
 
 
-def commutator_exact(p: IsingParams, i: int, j: int, t: float,
-                     state: str = "zeros") -> float:
-    """Squared commutator 2 - 2 Re F_ij(t), in [0, 4]."""
-    return 2.0 - 2.0 * otoc_exact(p, i, j, t, state).real
-
-
-def commutator_xy_exact(p: IsingParams, i: int, j: int, t: float) -> float:
-    """Squared commutator of X_i(t) against the Y_j probe on the all-zeros
-    state.  Nonzero already at t = 0 when i = j, where it equals 4."""
-    return 2.0 - 2.0 * otoc_exact(p, i, j, t, probe="y").real
-
-
 def fabs_measurement_circuit(u: Circuit, i: int, j: int) -> Circuit:
     """Ancilla-free |F| protocol circuit.
 

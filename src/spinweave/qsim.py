@@ -1,4 +1,4 @@
-"""Dense pure-state and density-matrix simulation of small qubit chains.
+"""Dense pure-state simulation of small qubit chains, and the gate set.
 
 Conventions used throughout the package:
 
@@ -6,15 +6,17 @@ Conventions used throughout the package:
   significant bit of the basis index, so ``|q0 q1 ... q(n-1)>`` lives at
   index ``sum(q_i << (n - 1 - i))``.  ``|10>`` on two qubits is index 2.
 * All values are immutable; every operation returns a new object.
-* The gate set is what the weave and the |F| protocol emit (RX, PZ, S, SDG,
-  H, X, CNOT) plus RZZ, the reference ZZ rotation the weave expands.
+* The gate set is exactly what the weave and the |F| protocol emit: RX, PZ,
+  S, SDG, H, X and CNOT.
 * Gates act in O(2^n) time per gate: one cached axis plan per (rank, axes),
   then one transpose copy and one matrix product of the gate against the
-  state tensor.  The full 2^n x 2^n operator is never formed except in
-  :func:`circuit_unitary`, which exists for oracles and diagnostics.
-* Equality of circuits is meaningful only up to a global phase (the ZZ and
-  phase-gate decompositions used elsewhere introduce one), so comparisons
-  should go through :func:`align_global_phase`.
+  state tensor.  The same kernel, :func:`_contract`, applies the noisy
+  superoperators of :func:`spinweave.noise.simulate_noisy` to the density
+  tensor.  The full 2^n x 2^n operator is never formed except in
+  :func:`circuit_unitary`.
+* The ZZ and phase-gate decompositions the weave uses differ from the
+  exact exponentials by a global phase, which cancels in every quantity
+  the package measures.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ChannelError, MalformedGateError
+from .errors import CapacityError, MalformedGateError
 
 MAX_QUBITS = 14
 MAX_DM_QUBITS = 8
 
 ONE_QUBIT_KINDS = frozenset({"RX", "PZ", "S", "SDG", "H", "X"})
-TWO_QUBIT_KINDS = frozenset({"RZZ", "CNOT"})
-PARAMETRIC_KINDS = frozenset({"RX", "PZ", "RZZ"})
+TWO_QUBIT_KINDS = frozenset({"CNOT"})
+PARAMETRIC_KINDS = frozenset({"RX", "PZ"})
 GATE_KINDS = ONE_QUBIT_KINDS | TWO_QUBIT_KINDS
 
 _SQRT05 = math.sqrt(0.5)
@@ -76,10 +78,6 @@ def rx(q: int, theta: float) -> Gate:
 
 def pz(q: int, phi: float) -> Gate:
     return Gate("PZ", (q,), phi)
-
-
-def rzz(i: int, j: int, theta: float) -> Gate:
-    return Gate("RZZ", (i, j), theta)
 
 
 def cnot(control: int, target: int) -> Gate:
@@ -131,9 +129,6 @@ def gate_matrix(g: Gate) -> np.ndarray:
         return np.array([[c, -1j * s], [-1j * s, c]])
     if kind == "PZ":
         return np.diag([1.0, np.exp(1j * theta)])
-    if kind == "RZZ":
-        half = theta / 2
-        return np.diag(np.exp(-1j * half * np.array([1.0, -1.0, -1.0, 1.0])))
     if kind == "CNOT":
         return np.array(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
@@ -162,10 +157,6 @@ def dagger(c: Circuit) -> Circuit:
     return Circuit(c.n_qubits, tuple(inverse_gate(g) for g in reversed(c.gates)))
 
 
-def cnot_count(c: Circuit) -> int:
-    return sum(1 for g in c.gates if g.kind == "CNOT")
-
-
 # --- state representations -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -190,28 +181,6 @@ class StateVector:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian positive 2^n x 2^n matrix with unit trace."""
-
-    n_qubits: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        d = 2 ** self.n_qubits
-        m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (d, d):
-            raise ValueError(f"expected {d}x{d} matrix, got shape {m.shape}")
-        object.__setattr__(self, "entries", m)
-
-    @classmethod
-    def zeros(cls, n_qubits: int) -> "DensityMatrix":
-        d = 2 ** n_qubits
-        m = np.zeros((d, d), dtype=complex)
-        m[0, 0] = 1.0
-        return cls(n_qubits, m)
-
-
-@dataclass(frozen=True)
 class BitstringDistribution:
     """Probabilities over classical states, indexed by basis index."""
 
@@ -226,18 +195,14 @@ class BitstringDistribution:
         object.__setattr__(self, "probabilities", p)
 
 
-def bitstring(index: int, n_qubits: int) -> str:
-    """Basis index to bitstring, qubit 0 leftmost."""
-    return format(index, f"0{n_qubits}b")
-
-
 # --- gate application ------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
 def _axis_plan(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The permutation that brings ``axes`` to the front, in order, followed
     by the remaining axes in place, and its inverse.  Unbounded: there are
-    only as many keys as distinct qubit tuples the gates and channels name."""
+    only as many keys as distinct axis tuples the gates touch, on state
+    vectors and on density tensors."""
     perm = axes + tuple(a for a in range(ndim) if a not in axes)
     return perm, tuple(perm.index(a) for a in range(ndim))
 
@@ -270,66 +235,16 @@ def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
     return StateVector(state.n_qubits, psi.reshape(-1))
 
 
-def apply_circuit_dm(dm: DensityMatrix, c: Circuit) -> DensityMatrix:
-    """Conjugate a density matrix by a circuit, gate by gate:
-    rho -> U rho U^dag."""
-    if c.n_qubits != dm.n_qubits:
-        raise ValueError("circuit and state qubit counts differ")
-    n = dm.n_qubits
-    t = dm.entries.reshape((2,) * (2 * n))
-    for g in c.gates:
-        u = gate_matrix(g)
-        t = _contract(t, u, g.qubits)
-        t = _contract(t, u.conj(), tuple(n + q for q in g.qubits))
-    return DensityMatrix(n, t.reshape(2 ** n, 2 ** n))
-
-
-def apply_channel(dm: DensityMatrix, kraus, qubits) -> DensityMatrix:
-    """Apply the channel ``rho -> sum_K K rho K^dag`` on the given qubits.
-
-    The Kraus set must satisfy completeness ``sum_K K^dag K = I`` within
-    1e-10, otherwise :class:`ChannelError` is raised.
-    """
-    qubits = tuple(int(q) for q in qubits)
-    if max(qubits) >= dm.n_qubits:
-        raise MalformedGateError(f"channel qubits {qubits} out of range")
-    kraus = [np.asarray(k, dtype=complex) for k in kraus]
-    dim = 2 ** len(qubits)
-    total = sum(k.conj().T @ k for k in kraus)
-    if np.max(np.abs(total - np.eye(dim))) > 1e-10:
-        raise ChannelError("Kraus operators do not satisfy sum K^dag K = I")
-    n = dm.n_qubits
-    t = dm.entries.reshape((2,) * (2 * n))
-    col_axes = tuple(n + q for q in qubits)
-    acc = np.zeros_like(t)
-    for k in kraus:
-        term = _contract(t, k, qubits)
-        acc = acc + _contract(term, k.conj(), col_axes)
-    return DensityMatrix(n, acc.reshape(2 ** n, 2 ** n))
-
-
 def measurement_distribution(state: StateVector) -> BitstringDistribution:
     """Born-rule probabilities |amplitude(x)|^2 over classical states."""
     return BitstringDistribution(state.n_qubits, np.abs(state.amplitudes) ** 2)
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Dense 2^n x 2^n unitary of a circuit (for oracles and diagnostics)."""
+    """Dense 2^n x 2^n unitary of a circuit."""
     n = c.n_qubits
     d = 2 ** n
     t = np.eye(d, dtype=complex).reshape((2,) * n + (d,))
     for g in c.gates:
         t = _contract(t, gate_matrix(g), g.qubits)
     return t.reshape(d, d)
-
-
-def align_global_phase(candidate: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Rescale ``candidate`` by a unit phase so that its largest-magnitude
-    entry has the same argument as the corresponding entry of ``reference``."""
-    idx = np.unravel_index(np.argmax(np.abs(candidate)), candidate.shape)
-    ref = reference[idx]
-    cand = candidate[idx]
-    if abs(ref) == 0 or abs(cand) == 0:
-        return candidate
-    phase = (ref / abs(ref)) * (abs(cand) / cand)
-    return candidate * phase

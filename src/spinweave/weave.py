@@ -4,8 +4,9 @@ A single step U(dt) is the symmetric splitting
 
     [RX half layer] [ZZ layer] [phase layer] [RX half layer]
 
-with per-gate angles RX(Bx*dt), RZZ(2J*dt) on every chain edge, and
-PZ(2Bz*dt) on every site.  The ZZ rotation is expanded into
+with per-gate angles RX(Bx*dt), the ZZ rotation
+RZZ(2J*dt) = exp(-i J dt Z_i Z_{i+1}) on every chain edge, and PZ(2Bz*dt)
+on every site.  The ZZ rotation has no gate of its own; it is expanded into
 CNOT . PZ(theta) . CNOT, so a standard step costs 2(n-1) CNOTs.  That
 expansion, and the phase-gate layer, differ from the exact exponentials by
 global phases, which cancel in every quantity this package measures.
@@ -115,23 +116,6 @@ def trotter_step(p: IsingParams, dt: float, magic: bool = False,
     return Circuit(n, tuple(gates))
 
 
-def _step(p: IsingParams, s: WeaveSchedule, m: int, allow: bool) -> Circuit:
-    """U(m tau); only the cell (m = k) takes the magic decomposition."""
-    return trotter_step(p, m * s.tau, magic=s.magic and m == s.k,
-                        allow_magic_mismatch=allow)
-
-
-def weave_operators(p: IsingParams, s: WeaveSchedule,
-                    allow_magic_mismatch: bool = False) -> list[Circuit]:
-    """The k unitaries {U(tau), ..., U(k tau)}; the last is the cell.
-
-    Only the cell uses the magic decomposition when the schedule asks for
-    it.  Raises :class:`ConfigError` when the magic angle constraint fails
-    and no override is given.
-    """
-    return [_step(p, s, m, allow_magic_mismatch) for m in range(1, s.k + 1)]
-
-
 def weave_circuit(p: IsingParams, s: WeaveSchedule, ell: int,
                   allow_magic_mismatch: bool = False) -> Circuit:
     """Circuit approximating evolution to time ell * tau under the schedule.
@@ -139,11 +123,14 @@ def weave_circuit(p: IsingParams, s: WeaveSchedule, ell: int,
     The shift U((ell mod k) tau) is applied first and the cell
     U(k tau) ** ((ell - ell mod k) / k) after it.  ell = 0 is the empty
     circuit, and ell mod k = 0 uses no shift at all.  Only the shift and
-    the cell are built (the cell always, so its magic angle is checked).
+    the cell are built, and only the cell takes the magic decomposition.
+    The cell is built always, so a magic angle that fails its constraint
+    raises :class:`ConfigError` at every ell unless overridden.
     """
     if not 0 <= ell <= s.ell_max:
         raise ValueError(f"ell={ell} out of range 0..{s.ell_max}")
-    cell = _step(p, s, s.k, allow_magic_mismatch)
+    cell = trotter_step(p, s.k * s.tau, magic=s.magic,
+                        allow_magic_mismatch=allow_magic_mismatch)
     n_cells, shift_steps = divmod(ell, s.k)
     shift = trotter_step(p, shift_steps * s.tau).gates if shift_steps else ()
     return Circuit(p.n, shift + cell.gates * n_cells)

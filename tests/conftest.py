@@ -1,12 +1,16 @@
-"""Shared test helpers: independent dense oracles.
+"""Shared test helpers.
 
-Everything here is deliberately naive (bit loops, explicit kron chains)
-so that the oracles share no code path with the package internals they
-check.
+The dense oracles (``embed_dense``, ``kron_site``, ``dense_hamiltonian``,
+``dense_otoc``, ``rzz_matrix``) are deliberately naive (bit loops, explicit
+kron chains) so that they share no code path with the package internals
+they check.  ``commutator``, ``cnot_count`` and ``align_global_phase`` are
+small conveniences over package values.
 """
 
 import numpy as np
 import pytest
+
+from spinweave.otoc import otoc_exact
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -68,22 +72,30 @@ def dense_otoc(u, i, j, n, state="zeros", probe="x"):
     return complex(np.trace(rho @ m))
 
 
-def partial_trace_pair(rho, q1, q2, n):
-    """Reduced 4x4 state of qubits (q1, q2), by explicit index loops."""
-    keep = [q1, q2]
-    other = [q for q in range(n) if q not in keep]
-    out = np.zeros((4, 4), dtype=complex)
-    d = 2 ** n
-    for a in range(d):
-        abits = [(a >> (n - 1 - q)) & 1 for q in range(n)]
-        ia = (abits[q1] << 1) | abits[q2]
-        for b in range(d):
-            bbits = [(b >> (n - 1 - q)) & 1 for q in range(n)]
-            if any(abits[q] != bbits[q] for q in other):
-                continue
-            ib = (bbits[q1] << 1) | bbits[q2]
-            out[ia, ib] += rho[a, b]
-    return out
+def rzz_matrix(theta):
+    """The ZZ rotation exp(-i theta/2 Z Z) on two qubits."""
+    return np.diag(np.exp(-1j * theta / 2 * np.array([1.0, -1.0, -1.0, 1.0])))
+
+
+def commutator(p, i, j, t, state="zeros", probe="x"):
+    """Squared commutator 2 - 2 Re F_ij(t), in [0, 4]."""
+    return 2.0 - 2.0 * otoc_exact(p, i, j, t, state, probe).real
+
+
+def cnot_count(c):
+    return sum(1 for g in c.gates if g.kind == "CNOT")
+
+
+def align_global_phase(candidate, reference):
+    """Rescale ``candidate`` by a unit phase so that its largest-magnitude
+    entry has the same argument as the corresponding entry of ``reference``."""
+    idx = np.unravel_index(np.argmax(np.abs(candidate)), candidate.shape)
+    ref = reference[idx]
+    cand = candidate[idx]
+    if abs(ref) == 0 or abs(cand) == 0:
+        return candidate
+    phase = (ref / abs(ref)) * (abs(cand) / cand)
+    return candidate * phase
 
 
 @pytest.fixture

@@ -19,19 +19,18 @@ import pytest
 
 from spinweave.cli import main as cli_main
 from spinweave.config import config_from_dict, load_preset, preset_path
-from spinweave.ising import (classical_otoc, classical_otoc_bruteforce,
-                             build_hamiltonian, exact_unitary, preset_params)
+from spinweave.ising import classical_otoc_phase, preset_params
 from spinweave.mitigation import TmemSolver, ZnePair, zne_correct, zne_extrapolate
 from spinweave.noise import NoiseModel, build_confusion_matrix, fold_cnots, simulate_noisy
 from spinweave.otoc import (build_surface, fabs_measurement_circuit,
                             fixed_node_commutator)
-from spinweave.qsim import (BitstringDistribution, StateVector, align_global_phase,
-                            apply_circuit, circuit_unitary, cnot_count,
-                            gate_matrix, measurement_distribution, rzz)
+from spinweave.qsim import (BitstringDistribution, StateVector, apply_circuit,
+                            circuit_unitary, measurement_distribution)
 from spinweave.weave import (WeaveSchedule, magic_rzz, rzz_decomposition,
                              trotter_step, weave_circuit)
 
-from conftest import dense_otoc, dense_hamiltonian
+from conftest import (align_global_phase, cnot_count, commutator, dense_otoc,
+                      dense_hamiltonian, rzz_matrix)
 from scipy.linalg import expm
 
 CHAOTIC4 = preset_params("chaotic", 4)
@@ -41,7 +40,7 @@ def report(tag, ok, detail):
     print(f"ACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-# --- 1: analytic classical OTOC against its brute-force oracle -------------
+# --- 1: analytic classical OTOC against its dense oracle -------------------
 
 def test_criterion_01_classical_otoc_closed_form():
     start = time.perf_counter()
@@ -50,10 +49,11 @@ def test_criterion_01_classical_otoc_closed_form():
     for n in (3, 4, 5, 6):
         for regime in ("integrable", "chaotic"):
             p = preset_params(regime, n)
+            h = dense_hamiltonian(n, p.J, 0.0, p.Bz)
             for j in range(1, n + 1):
                 for t in rng.uniform(-3.0, 3.0, size=50):
-                    dev = abs(classical_otoc(p, j, float(t))
-                              - classical_otoc_bruteforce(p, 1, j, float(t)))
+                    dev = abs(np.exp(1j * classical_otoc_phase(p, j, float(t)))
+                              - dense_otoc(expm(-1j * float(t) * h), 1, j, n))
                     worst = max(worst, dev)
     elapsed = time.perf_counter() - start
     report(1, worst < 1e-10 and elapsed < 10,
@@ -164,9 +164,9 @@ def test_criterion_03_verified_spreading_properties():
 
 def test_criterion_04_weave_refinement_order():
     start = time.perf_counter()
-    h = build_hamiltonian(CHAOTIC4)
+    h = dense_hamiltonian(4, CHAOTIC4.J, CHAOTIC4.Bx, CHAOTIC4.Bz)
     t_phys = 24 * 0.06
-    u_ref = exact_unitary(h, t_phys)
+    u_ref = expm(-1j * t_phys * h)
     errors = []
     for tau in (0.12, 0.06, 0.03):
         ell = round(t_phys / tau)
@@ -189,11 +189,11 @@ def test_criterion_05_decompositions_and_cnot_counts():
     rng = np.random.default_rng(5)
     worst = 0.0
     for theta in rng.uniform(-2 * np.pi, 2 * np.pi, size=20):
-        ref = gate_matrix(rzz(0, 1, float(theta)))
+        ref = rzz_matrix(float(theta))
         u = circuit_unitary(rzz_decomposition(float(theta), 0, 1))
         worst = max(worst, float(np.max(np.abs(align_global_phase(u, ref) - ref))))
     for sign in (+1, -1):
-        ref = gate_matrix(rzz(0, 1, sign * np.pi / 2))
+        ref = rzz_matrix(sign * np.pi / 2)
         u = circuit_unitary(magic_rzz(0, 1, sign))
         worst = max(worst, float(np.max(np.abs(align_global_phase(u, ref) - ref))))
 
@@ -384,8 +384,7 @@ def test_criterion_10_alternative_commutators_match_oracles():
                 oracle = 2 - 2 * dense_otoc(u, 1, j, 4, state, probe).real
                 dev = abs(surf.grid("C_exact")[j - 1, ell] - oracle)
                 worst = max(worst, dev)
-    from spinweave.otoc import commutator_xy_exact
-    xy_t0 = commutator_xy_exact(CHAOTIC4, 2, 2, 0.0)
+    xy_t0 = commutator(CHAOTIC4, 2, 2, 0.0, probe="y")
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and abs(xy_t0 - 4.0) < 1e-10
     report(10, ok, f"max oracle deviation {worst:.2e}, same-site XY at t=0: "

@@ -119,6 +119,24 @@ class TestValidation:
         with pytest.raises(ConfigError, match="seed"):
             config_from_dict({"regime": "chaotic", "seed": -3})
 
+    def test_shots_beyond_int64_rejected(self):
+        # numpy's multinomial draws int64 counts
+        with pytest.raises(ConfigError, match=r"shots: must be in 1\.\.9223372036854775807"):
+            config_from_dict({"pipeline": "sampled", "shots": 1e19, "ell_max": 1})
+        cfg = config_from_dict({"pipeline": "sampled", "shots": 2 ** 63 - 1, "ell_max": 1})
+        assert cfg.shots == 2 ** 63 - 1
+
+    @pytest.mark.parametrize("data", [
+        {"pipeline": "exact", "tau": 1e308, "ell_max": 4},
+        {"pipeline": "trotter_exact", "tau": 1e308, "k": 2, "ell_max": 4},
+        {"pipeline": "trotter_exact", "tau": 1e308, "k": 2, "ell_max": 0},
+        {"pipeline": "exact", "tau": 0.1, "ell_max": 10 ** 400},
+    ])
+    def test_overflowing_time_names_tau(self, data):
+        with pytest.raises(ConfigError, match=re.escape(
+                "tau: tau * max(k, ell_max) must be finite")):
+            config_from_dict({"regime": "chaotic", **data})
+
     @pytest.mark.parametrize("field, data", [
         ("regime.J", {"regime": {"J": float("nan"), "Bx": 0.7, "Bz": 1.5}}),
         ("regime.Bx", {"regime": {"J": -1.0, "Bx": float("inf"), "Bz": 1.5}}),

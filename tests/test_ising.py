@@ -1,14 +1,25 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from spinweave.errors import CapacityError
-from spinweave.ising import (ExactEvolution, IsingParams,
-                             build_classical_hamiltonian, build_hamiltonian,
-                             classical_otoc, classical_otoc_bruteforce,
-                             classical_otoc_phase, exact_unitary,
+from spinweave.ising import (ExactEvolution, IsingParams, build_hamiltonian,
+                             classical_energies, classical_otoc_phase,
                              preset_params)
+from spinweave.otoc import otoc_exact
 
-from conftest import dense_hamiltonian
+from conftest import dense_hamiltonian, dense_otoc
+
+
+def classical_otoc(p, j, t):
+    """The closed-form classical OTOC for i = 1, a pure phase."""
+    return complex(np.exp(1j * classical_otoc_phase(p, j, t)))
+
+
+def classical_params(p):
+    """The same chain with the transverse field off: its exact OTOC is the
+    classical-Hamiltonian OTOC, for any (i, j)."""
+    return IsingParams(p.n, p.J, 0.0, p.Bz)
 
 
 class TestPresets:
@@ -44,7 +55,7 @@ class TestHamiltonian:
 
     def test_single_excitation_energies(self):
         p = preset_params("integrable", 4)
-        hc = build_classical_hamiltonian(p)
+        hc = np.diag(classical_energies(p))
         e0 = (p.n - 1) * p.J + p.n * p.Bz
         # edge flip |1000> (index 8) loses one bond, bulk flip |0100>
         # (index 4) loses two
@@ -54,11 +65,11 @@ class TestHamiltonian:
     def test_classical_equals_full_with_bx_zero(self):
         p = preset_params("chaotic", 5)
         p0 = IsingParams(p.n, p.J, 0.0, p.Bz)
-        assert np.array_equal(build_classical_hamiltonian(p), build_hamiltonian(p0))
+        assert np.array_equal(np.diag(classical_energies(p)), build_hamiltonian(p0))
 
     def test_full_is_classical_plus_transverse(self):
         p = preset_params("chaotic", 4)
-        diff = build_hamiltonian(p) - build_classical_hamiltonian(p)
+        diff = build_hamiltonian(p) - np.diag(classical_energies(p))
         oracle = dense_hamiltonian(4, 0.0, p.Bx, 0.0)
         assert np.max(np.abs(diff - oracle.real)) < 1e-14
 
@@ -78,12 +89,12 @@ class TestHamiltonian:
 
 class TestExactUnitary:
     def test_t0_is_identity(self):
-        h = build_hamiltonian(preset_params("chaotic", 3))
-        assert np.max(np.abs(exact_unitary(h, 0.0) - np.eye(8))) < 1e-12
+        ev = ExactEvolution(build_hamiltonian(preset_params("chaotic", 3)))
+        assert np.max(np.abs(ev.unitary(0.0) - np.eye(8))) < 1e-12
 
     def test_forward_backward_cancel(self):
-        h = build_hamiltonian(preset_params("chaotic", 3))
-        u = exact_unitary(h, 0.83) @ exact_unitary(h, -0.83)
+        ev = ExactEvolution(build_hamiltonian(preset_params("chaotic", 3)))
+        u = ev.unitary(0.83) @ ev.unitary(-0.83)
         assert np.max(np.abs(u - np.eye(8))) < 1e-9
 
     def test_group_property(self):
@@ -96,16 +107,16 @@ class TestExactUnitary:
         h = np.diag([1.0, -1.0, -1.0, 1.0])
         t = 0.47
         expected = np.diag(np.exp(-1j * t * np.array([1, -1, -1, 1])))
-        assert np.max(np.abs(exact_unitary(h, t) - expected)) < 1e-12
+        assert np.max(np.abs(ExactEvolution(h).unitary(t) - expected)) < 1e-12
 
     def test_unitarity(self):
         h = build_hamiltonian(preset_params("chaotic", 4))
-        u = exact_unitary(h, 1.7)
+        u = ExactEvolution(h).unitary(1.7)
         assert np.max(np.abs(u.conj().T @ u - np.eye(16))) < 1e-9
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
-            exact_unitary(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
+            ExactEvolution(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestClassicalOtoc:
@@ -132,10 +143,11 @@ class TestClassicalOtoc:
                 assert abs(abs(classical_otoc(p, j, t)) - 1.0) < 1e-15
 
     def test_phase_accessor_consistent(self):
+        # the phase agrees with the package's own exact OTOC at Bx = 0
         p = preset_params("chaotic", 4)
         for j in range(1, 5):
-            f = classical_otoc(p, j, 0.4)
-            assert np.exp(1j * classical_otoc_phase(p, j, 0.4)) == pytest.approx(f, abs=1e-15)
+            f = otoc_exact(classical_params(p), 1, j, 0.4)
+            assert classical_otoc(p, j, 0.4) == pytest.approx(f, abs=1e-15)
 
     def test_site_out_of_range(self):
         p = preset_params("chaotic", 4)
@@ -146,30 +158,35 @@ class TestClassicalOtoc:
 
 
 class TestBruteforceOracle:
+    """The closed form and the package's exact OTOC at Bx = 0 against the
+    dense oracle: expm of the kron-built classical Hamiltonian."""
+
     def test_t0_is_one(self):
-        p = preset_params("chaotic", 4)
+        p = classical_params(preset_params("chaotic", 4))
         for i in range(1, 5):
             for j in range(1, 5):
-                assert classical_otoc_bruteforce(p, i, j, 0.0) == pytest.approx(1.0, abs=1e-12)
+                assert otoc_exact(p, i, j, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_closed_form(self, rng):
         for n in (3, 4, 5):
             for name in ("integrable", "chaotic"):
                 p = preset_params(name, n)
+                h = dense_hamiltonian(n, p.J, 0.0, p.Bz)
                 for t in rng.uniform(-3, 3, size=10):
+                    u = expm(-1j * float(t) * h)
                     for j in range(1, n + 1):
                         got = classical_otoc(p, j, float(t))
-                        oracle = classical_otoc_bruteforce(p, 1, j, float(t))
+                        oracle = dense_otoc(u, 1, j, n)
                         assert abs(got - oracle) < 1e-10
 
     def test_unit_modulus_under_diagonal_evolution(self, rng):
-        p = preset_params("chaotic", 4)
+        p = classical_params(preset_params("chaotic", 4))
         for t in rng.uniform(-2, 2, size=10):
             for i in range(1, 5):
                 for j in range(1, 5):
-                    f = classical_otoc_bruteforce(p, i, j, float(t))
+                    f = otoc_exact(p, i, j, float(t))
                     assert abs(abs(f) - 1.0) < 1e-10
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            classical_otoc_bruteforce(IsingParams(11, -1, 0, 1), 1, 2, 0.1)
+            otoc_exact(IsingParams(11, -1, 0, 1), 1, 2, 0.1)

@@ -5,15 +5,14 @@ from scipy.linalg import expm
 from spinweave.config import config_from_dict, load_preset
 from spinweave.errors import CapacityError
 from spinweave.ising import preset_params
-from spinweave.otoc import (build_surface, commutator_exact,
-                            commutator_xy_exact, fabs_measurement_circuit,
+from spinweave.otoc import (build_surface, fabs_measurement_circuit,
                             fixed_node_commutator, fixed_node_otoc, otoc_exact)
 from spinweave.qsim import (Circuit, StateVector, apply_circuit,
                             circuit_unitary, measurement_distribution, pz,
                             x_gate)
 from spinweave.weave import WeaveSchedule, weave_circuit
 
-from conftest import dense_hamiltonian, dense_otoc
+from conftest import commutator, dense_hamiltonian, dense_otoc
 
 CHAOTIC4 = preset_params("chaotic", 4)
 INTEGRABLE4 = preset_params("integrable", 4)
@@ -63,7 +62,7 @@ class TestOtocExact:
         # sweep (minimum 0.14 on the grid below), not asserted a priori
         values = [abs(otoc_exact(CHAOTIC4, 1, 1, t)) for t in np.arange(1.5, 4.01, 0.1)]
         assert min(values) < 0.15
-        c_at_min = commutator_exact(CHAOTIC4, 1, 1, float(np.arange(1.5, 4.01, 0.1)[np.argmin(values)]))
+        c_at_min = commutator(CHAOTIC4, 1, 1, float(np.arange(1.5, 4.01, 0.1)[np.argmin(values)]))
         assert 0.0 <= c_at_min <= 4.0
 
     def test_maximally_mixed_value_is_real(self, rng):
@@ -100,39 +99,39 @@ class TestOtocExact:
 
 class TestCommutator:
     def test_t0_is_zero(self):
-        assert commutator_exact(CHAOTIC4, 1, 2, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert commutator(CHAOTIC4, 1, 2, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_integrable_beyond_neighbour_is_zero(self):
         for t in np.linspace(0, 1.44, 25):
             for j in (3, 4):
-                assert abs(commutator_exact(INTEGRABLE4, 1, j, float(t))) < 1e-10
+                assert abs(commutator(INTEGRABLE4, 1, j, float(t))) < 1e-10
 
     def test_integrable_neighbour_closed_form(self):
         # F = exp(4iJt) with J = -1, so C = 2 - 2 cos(4t)
         for t in np.linspace(0, 1.44, 25):
-            got = commutator_exact(INTEGRABLE4, 1, 2, float(t))
+            got = commutator(INTEGRABLE4, 1, 2, float(t))
             assert abs(got - (2 - 2 * np.cos(4 * t))) < 1e-10
 
     def test_bounded_by_four(self, rng):
         for t in rng.uniform(0, 4, size=8):
             for j in range(1, 5):
-                c = commutator_exact(CHAOTIC4, 1, j, float(t))
+                c = commutator(CHAOTIC4, 1, j, float(t))
                 assert -1e-9 <= c <= 4 + 1e-9
 
 
 class TestXYCommutator:
     def test_disjoint_supports_commute_at_t0(self):
-        assert commutator_xy_exact(CHAOTIC4, 1, 3, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert commutator(CHAOTIC4, 1, 3, 0.0, probe="y") == pytest.approx(0.0, abs=1e-12)
 
     def test_same_site_t0_is_four(self):
         # [X, Y] = 2iZ and tr(rho |2iZ|^2) = 4 on any state
-        assert commutator_xy_exact(CHAOTIC4, 1, 1, 0.0) == pytest.approx(4.0, abs=1e-10)
+        assert commutator(CHAOTIC4, 1, 1, 0.0, probe="y") == pytest.approx(4.0, abs=1e-10)
 
     def test_surface_matches_expm_oracle(self, rng):
         for t in rng.uniform(0, 2, size=4):
             u = expm_unitary(CHAOTIC4, float(t))
             for j in range(1, 5):
-                got = commutator_xy_exact(CHAOTIC4, 1, j, float(t))
+                got = commutator(CHAOTIC4, 1, j, float(t), probe="y")
                 oracle = 2 - 2 * dense_otoc(u, 1, j, 4, "zeros", "y").real
                 assert abs(got - oracle) < 1e-10
 
@@ -228,7 +227,7 @@ class TestFixedNode:
         # the far-end commutator stays tiny before the spreading front
         # arrives, and the fixed-node value tracks it there
         tau = 0.03
-        cs = np.array([commutator_exact(CHAOTIC4, 1, 4, ell * tau) for ell in range(73)])
+        cs = np.array([commutator(CHAOTIC4, 1, 4, ell * tau) for ell in range(73)])
         front = int(np.argmax(cs > 0.2))
         assert front > 0
         pre = front // 2

@@ -5,21 +5,22 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from spinweave import qsim
-from spinweave.errors import CapacityError, ChannelError, MalformedGateError
-from spinweave.noise import depolarizing_kraus
-from spinweave.qsim import (BitstringDistribution, Circuit, DensityMatrix,
-                            Gate, StateVector, align_global_phase,
-                            apply_channel, apply_circuit, apply_circuit_dm,
-                            circuit_unitary, cnot, cnot_count, dagger,
+from spinweave.config import load_preset, preset_names
+from spinweave.errors import CapacityError, MalformedGateError
+from spinweave.noise import NoiseModel, simulate_noisy
+from spinweave.otoc import fabs_measurement_circuit
+from spinweave.qsim import (BitstringDistribution, Circuit, Gate, StateVector,
+                            apply_circuit, circuit_unitary, cnot, dagger,
                             gate_matrix, h_gate, measurement_distribution, pz,
-                            rx, rzz, s_gate, sdg_gate, x_gate)
+                            rx, s_gate, sdg_gate, x_gate)
+from spinweave.weave import weave_circuit
 
-from conftest import embed_dense
+from conftest import align_global_phase, cnot_count, embed_dense, rzz_matrix
 from oracles import tensordot_contract
 
 ALL_GATES = [
     rx(0, 0.37), pz(0, -1.1), s_gate(0), sdg_gate(0), h_gate(0),
-    x_gate(0), rzz(0, 1, 0.9), cnot(0, 1), cnot(1, 0),
+    x_gate(0), cnot(0, 1), cnot(1, 0),
 ]
 
 
@@ -47,8 +48,9 @@ def random_circuit(rng, n, depth):
                 q2 = int(rng.integers(0, n))
             if kind == 4:
                 gates.append(cnot(q, q2))
-            else:
-                gates.append(rzz(q, q2, float(rng.uniform(-np.pi, np.pi))))
+            else:  # the ZZ rotation as the weave expands it
+                theta = float(rng.uniform(-np.pi, np.pi))
+                gates += [cnot(q, q2), pz(q2, theta), cnot(q, q2)]
     return Circuit(n, tuple(gates))
 
 
@@ -57,8 +59,10 @@ class TestGateMatrix:
         assert np.allclose(gate_matrix(pz(0, 0.0)), np.eye(2), atol=0)
 
     def test_rzz_quarter_turn_phases(self):
-        expected = np.diag(np.exp(-1j * np.pi / 4 * np.array([1, -1, -1, 1])))
-        assert np.allclose(gate_matrix(rzz(0, 1, np.pi / 2)), expected, atol=1e-15)
+        # CNOT . PZ(theta) . CNOT is the ZZ rotation times exp(i theta / 2)
+        u = circuit_unitary(Circuit(2, (cnot(0, 1), pz(1, np.pi / 2), cnot(0, 1))))
+        expected = np.exp(1j * np.pi / 4) * rzz_matrix(np.pi / 2)
+        assert np.allclose(u, expected, atol=1e-15)
 
     def test_rx_pi_is_minus_i_x(self):
         # oracle: matrix exponential of the generator
@@ -78,7 +82,7 @@ class TestGateMatrix:
 
     @pytest.mark.parametrize("theta", [-2.5, -0.3, 0.0, 0.7, 3.1])
     def test_parametric_gates_unitary(self, theta):
-        for g in (rx(0, theta), pz(0, theta), rzz(0, 1, theta)):
+        for g in (rx(0, theta), pz(0, theta)):
             u = gate_matrix(g)
             assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-12
 
@@ -174,7 +178,7 @@ class TestApplyCircuit:
             apply_circuit(StateVector.zeros(2), Circuit(3))
 
     def test_gate_matrix_built_once_per_distinct_gate(self, monkeypatch):
-        cell = (h_gate(0), cnot(0, 2), rx(1, 0.3), rzz(2, 1, -0.8), h_gate(0))
+        cell = (h_gate(0), cnot(0, 2), rx(1, 0.3), pz(2, -0.8), cnot(2, 1), h_gate(0))
         c = Circuit(3, cell * 4 + tuple(dagger(Circuit(3, cell)).gates))
         built = []
 
@@ -267,38 +271,29 @@ class TestMeasurement:
 
 
 class TestDensityMatrix:
+    """The density-matrix engine, ``noise.simulate_noisy``, on its readout."""
+
     def test_gate_matches_pure_state(self, rng):
         c = random_circuit(rng, 3, 25)
         sv = apply_circuit(StateVector.zeros(3), c)
-        dm = apply_circuit_dm(DensityMatrix.zeros(3), c)
-        assert np.max(np.abs(dm.entries
-                             - np.outer(sv.amplitudes, sv.amplitudes.conj()))) < 1e-10
+        dist = simulate_noisy(c, NoiseModel.ideal(3))
+        assert np.max(np.abs(dist.probabilities - np.abs(sv.amplitudes) ** 2)) < 1e-10
 
-    def test_identity_kraus_unchanged(self, rng):
-        dm = apply_circuit_dm(DensityMatrix.zeros(3), random_circuit(rng, 3, 10))
-        out = apply_channel(dm, [np.eye(4)], (0, 2))
-        assert np.max(np.abs(out.entries - dm.entries)) < 1e-14
+    def test_identity_kraus_unchanged(self):
+        # every CNOT sits on edge 1, whose rate 0 is the identity Kraus set;
+        # the noisy edge 0 is never touched
+        c = Circuit(3, (h_gate(1), cnot(1, 2), rx(2, 0.4), cnot(2, 1), h_gate(2)))
+        dist = simulate_noisy(c, NoiseModel(3, (0.5, 0.0), 0.0, 0.0))
+        ideal = measurement_distribution(apply_circuit(StateVector.zeros(3), c))
+        assert np.max(np.abs(dist.probabilities - ideal.probabilities)) < 1e-14
 
     def test_full_depolarizing_gives_maximally_mixed_pair(self):
-        # product state |+>|0>|1>: after p=1 depolarizing on (0, 2) the
-        # reduced pair state must be I/4
-        from conftest import partial_trace_pair
-        sv = apply_circuit(StateVector.zeros(3), Circuit(3, (h_gate(0), x_gate(2))))
-        dm = DensityMatrix(3, np.outer(sv.amplitudes, sv.amplitudes.conj()))
-        out = apply_channel(dm, depolarizing_kraus(1.0, 2), (0, 2))
-        reduced = partial_trace_pair(out.entries, 0, 2, 3)
-        assert np.max(np.abs(reduced - np.eye(4) / 4)) < 1e-12
-
-    def test_channel_preserves_trace_and_hermiticity(self, rng):
-        dm = apply_circuit_dm(DensityMatrix.zeros(3), random_circuit(rng, 3, 20))
-        out = apply_channel(dm, depolarizing_kraus(0.1, 2), (1, 2))
-        assert abs(np.trace(out.entries) - 1.0) < 1e-12
-        assert np.max(np.abs(out.entries - out.entries.conj().T)) < 1e-12
-
-    def test_incomplete_kraus_rejected(self):
-        dm = DensityMatrix.zeros(2)
-        with pytest.raises(ChannelError):
-            apply_channel(dm, [0.5 * np.eye(2)], (0,))
+        # |+>|0>|1> entangled by CNOT(0, 2), then p=1 depolarizing on the
+        # pair (0, 2): the pair reads uniformly, qubit 1 stays 0
+        c = Circuit(3, (h_gate(0), x_gate(2), cnot(0, 2)))
+        dist = simulate_noisy(c, NoiseModel(3, (1.0, 0.0), 0.0, 0.0))
+        expected = np.array([0.25, 0.25, 0.0, 0.0, 0.25, 0.25, 0.0, 0.0])
+        assert np.max(np.abs(dist.probabilities - expected)) < 1e-12
 
 
 class TestCircuitUnitary:
@@ -323,9 +318,25 @@ class TestCapacity:
             Circuit(15)
 
     def test_cnot_count(self):
-        c = Circuit(3, (cnot(0, 1), h_gate(2), cnot(1, 2), rzz(0, 1, 0.3)))
+        c = Circuit(3, (cnot(0, 1), h_gate(2), cnot(1, 2), pz(0, 0.3)))
         assert cnot_count(c) == 2
 
     def test_distribution_shape_validation(self):
         with pytest.raises(ValueError):
             BitstringDistribution(2, np.array([1.0, 0.0]))
+
+
+class TestGateSet:
+    def test_gate_kinds_are_what_the_circuits_emit(self):
+        # every bundled measured preset at ell = k + 1: one shift step, then
+        # its plain or magic cell, inside the |F| protocol circuit
+        emitted, magic = set(), set()
+        for cfg in map(load_preset, preset_names()):
+            if cfg.pipeline == "exact":
+                continue
+            u = weave_circuit(cfg.params, cfg.schedule, cfg.k + 1,
+                              allow_magic_mismatch=cfg.magic_override)
+            emitted |= {g.kind for g in fabs_measurement_circuit(u, 1, 2).gates}
+            magic.add(cfg.magic)
+        assert magic == {False, True}
+        assert emitted == qsim.GATE_KINDS

@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from spinweave.errors import ConfigError
-from spinweave.ising import build_hamiltonian, exact_unitary, preset_params
-from spinweave.qsim import (StateVector, align_global_phase, apply_circuit,
-                            circuit_unitary, cnot_count, dagger, gate_matrix,
-                            rzz)
+from spinweave.ising import preset_params
+from spinweave.qsim import StateVector, apply_circuit, circuit_unitary, dagger
 from spinweave.weave import (WeaveSchedule, magic_rzz, rzz_decomposition,
-                             trotter_step, weave_circuit, weave_operators)
+                             trotter_step, weave_circuit)
+
+from conftest import (align_global_phase, cnot_count, dense_hamiltonian,
+                      rzz_matrix)
 
 CHAOTIC4 = preset_params("chaotic", 4)
+H_CHAOTIC4 = dense_hamiltonian(4, CHAOTIC4.J, CHAOTIC4.Bx, CHAOTIC4.Bz)
 
 
 def aligned_error(candidate, reference):
@@ -32,11 +35,10 @@ class TestTrotterStep:
         assert cnot_count(trotter_step(preset_params("chaotic", 6), 0.06)) == 10
 
     def test_single_step_local_error_is_third_order(self):
-        h = build_hamiltonian(CHAOTIC4)
         errs = []
         for dt in (0.2, 0.1, 0.05):
             u = circuit_unitary(trotter_step(CHAOTIC4, dt))
-            errs.append(aligned_error(u, exact_unitary(h, dt)))
+            errs.append(aligned_error(u, expm(-1j * dt * H_CHAOTIC4)))
         orders = [math.log2(errs[k] / errs[k + 1]) for k in range(2)]
         assert errs[0] > errs[1] > errs[2]
         assert min(orders) > 2.5
@@ -52,9 +54,8 @@ class TestRzzDecomposition:
         assert aligned_error(u, np.eye(4)) < 1e-15
 
     def test_quarter_turn_matches_gate(self):
-        u = align_global_phase(circuit_unitary(rzz_decomposition(np.pi / 2, 0, 1)),
-                               gate_matrix(rzz(0, 1, np.pi / 2)))
-        ref = gate_matrix(rzz(0, 1, np.pi / 2))
+        ref = rzz_matrix(np.pi / 2)
+        u = align_global_phase(circuit_unitary(rzz_decomposition(np.pi / 2, 0, 1)), ref)
         assert np.max(np.abs(u - ref)) < 1e-12
         # after alignment the |11> entry carries the tabulated quarter phase
         assert u[3, 3] == pytest.approx(np.exp(-1j * np.pi / 4), abs=1e-12)
@@ -63,14 +64,14 @@ class TestRzzDecomposition:
     def test_twenty_random_angles(self, rng):
         for theta in rng.uniform(-2 * np.pi, 2 * np.pi, size=20):
             u = circuit_unitary(rzz_decomposition(float(theta), 0, 1))
-            assert aligned_error(u, gate_matrix(rzz(0, 1, float(theta)))) < 1e-12
+            assert aligned_error(u, rzz_matrix(float(theta))) < 1e-12
 
     def test_global_phase_factor_value(self):
         # decomposition equals exp(i theta / 2) RZZ(theta) exactly
         theta = 0.73
         u = circuit_unitary(rzz_decomposition(theta, 0, 1))
         assert np.max(np.abs(u - np.exp(1j * theta / 2)
-                             * gate_matrix(rzz(0, 1, theta)))) < 1e-12
+                             * rzz_matrix(theta))) < 1e-12
 
     def test_same_site_rejected(self):
         with pytest.raises(ValueError):
@@ -80,7 +81,7 @@ class TestRzzDecomposition:
 class TestMagicRzz:
     def test_positive_sign_matches_quarter_turn(self):
         u = circuit_unitary(magic_rzz(0, 1, +1))
-        assert aligned_error(u, gate_matrix(rzz(0, 1, np.pi / 2))) < 1e-12
+        assert aligned_error(u, rzz_matrix(np.pi / 2)) < 1e-12
 
     def test_negative_sign_is_dagger_of_positive(self):
         plus = circuit_unitary(magic_rzz(0, 1, +1))
@@ -91,7 +92,7 @@ class TestMagicRzz:
 
     def test_negative_sign_matches_negative_quarter_turn(self):
         u = circuit_unitary(magic_rzz(0, 1, -1))
-        assert aligned_error(u, gate_matrix(rzz(0, 1, -np.pi / 2))) < 1e-12
+        assert aligned_error(u, rzz_matrix(-np.pi / 2)) < 1e-12
 
     def test_single_cnot(self):
         assert cnot_count(magic_rzz(0, 1, +1)) == 1
@@ -121,35 +122,34 @@ class TestMagicRzz:
 
 
 class TestWeaveOperators:
+    """The operators {U(tau), ..., U(k tau)} as weave_circuit emits them:
+    U(m tau) for m < k is the shift at ell = m, and U(k tau) is the cell."""
+
     def test_k1_single_step(self):
         s = WeaveSchedule(0.06, 1, 10)
-        ops = weave_operators(CHAOTIC4, s)
-        assert len(ops) == 1
-        assert ops[0].gates == trotter_step(CHAOTIC4, 0.06).gates
+        assert weave_circuit(CHAOTIC4, s, 1).gates == trotter_step(CHAOTIC4, 0.06).gates
 
     def test_k6_cell_evolution_time(self):
         s = WeaveSchedule(0.06, 6, 24)
-        ops = weave_operators(CHAOTIC4, s)
-        assert len(ops) == 6
         # element m evolves for m tau; the cell spans 0.36
         for m in range(1, 7):
-            assert ops[m - 1].gates == trotter_step(CHAOTIC4, m * 0.06).gates
+            expected = trotter_step(CHAOTIC4, m * 0.06).gates
+            assert weave_circuit(CHAOTIC4, s, m).gates == expected
 
     def test_magic_cell_uses_negative_rotation_for_negative_j(self):
         tau = np.pi / 4 / 6  # k tau = pi/4, cell angle 2 J k tau = -pi/2
         s = WeaveSchedule(tau, 6, 12, magic=True)
-        ops = weave_operators(CHAOTIC4, s)
-        cell_kinds = {g.kind for g in ops[-1].gates}
+        cell_kinds = {g.kind for g in weave_circuit(CHAOTIC4, s, 6).gates}
         assert "SDG" in cell_kinds and "S" not in cell_kinds
-        shift_kinds = {g.kind for g in ops[0].gates}
+        shift_kinds = {g.kind for g in weave_circuit(CHAOTIC4, s, 1).gates}
         assert "SDG" not in shift_kinds  # shifts stay standard
 
     def test_magic_constraint_violation(self):
         s = WeaveSchedule(0.06, 6, 12, magic=True)
         with pytest.raises(ConfigError):
-            weave_operators(CHAOTIC4, s)
-        ops = weave_operators(CHAOTIC4, s, allow_magic_mismatch=True)
-        assert cnot_count(ops[-1]) == 3
+            weave_circuit(CHAOTIC4, s, 6)
+        cell = weave_circuit(CHAOTIC4, s, 6, allow_magic_mismatch=True)
+        assert cnot_count(cell) == 3
 
 
 class TestWeaveCircuit:
@@ -199,14 +199,13 @@ class TestWeaveCircuit:
             weave_circuit(CHAOTIC4, s, -1)
 
     def test_unitary_approaches_exact_under_refinement(self):
-        h = build_hamiltonian(CHAOTIC4)
         t = 0.72
         errs = []
         for tau in (0.06, 0.03):
             ell = round(t / tau)
             s = WeaveSchedule(tau, 6, ell)
             u = circuit_unitary(weave_circuit(CHAOTIC4, s, ell))
-            errs.append(aligned_error(u, exact_unitary(h, t)))
+            errs.append(aligned_error(u, expm(-1j * t * H_CHAOTIC4)))
         assert errs[1] < errs[0] / 3  # at least second-order gain
 
     def test_cnot_count_formula(self):
