@@ -37,7 +37,7 @@ from numbers import Real
 from pathlib import Path
 
 from .errors import ConfigError
-from .ising import MAX_OTOC_QUBITS, REGIME_COUPLINGS, IsingParams
+from .ising import MAX_OTOC_QUBITS, REGIME_COUPLINGS, IsingParams, norm_bound
 from .noise import DEFAULT_SHOTS, NoiseModel
 from .qsim import MAX_DM_QUBITS, MAX_QUBITS
 from .weave import WeaveSchedule, check_magic_constraint
@@ -220,6 +220,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                       f"(got tau={tau!r}, k={k}, ell_max={ell_max})")
 
     regime_label, params = _resolve_regime(data.get("regime", "integrable"), n, errors)
+    if span_finite and params is not None:
+        # the fastest phase a run forms: E t of the exact evolution, or the
+        # classical OTOC phase 4(J + Bz) t or 4 J t of the fixed-node readout
+        rate = max(norm_bound(params), 4.0 * abs(params.J + params.Bz),
+                   4.0 * abs(params.J))
+        if not math.isfinite(rate * tau * max(k, ell_max)):
+            errors.append(f"tau: phase rate * tau * max(k, ell_max) must be finite, "
+                          f"with the rate {rate:g} the larger of ||H|| <= (n-1)|J| "
+                          f"+ n(|Bz| + |Bx|) and 4 max(|J + Bz|, |J|) "
+                          f"(got tau={tau!r}, k={k}, ell_max={ell_max})")
 
     if pipeline in _MEASURED_PIPELINES and (state != "zeros" or probe != "x"):
         errors.append("state/probe: measured pipelines support only the "

@@ -60,6 +60,12 @@ def preset_params(name: str, n: int) -> IsingParams:
     return IsingParams(n, j, bx, bz)
 
 
+def norm_bound(p: IsingParams) -> float:
+    """(n - 1)|J| + n(|Bz| + |Bx|), the triangle-inequality bound on ||H||
+    and so on every |E| t that the exact evolution forms, per unit time."""
+    return (p.n - 1) * abs(p.J) + p.n * (abs(p.Bz) + abs(p.Bx))
+
+
 def classical_energies(p: IsingParams) -> np.ndarray:
     """Diagonal of the classical Hamiltonian over all classical states."""
     z = 1.0 - 2.0 * ((np.arange(2 ** p.n)[:, None] >> np.arange(p.n - 1, -1, -1)) & 1)
@@ -81,26 +87,42 @@ def build_hamiltonian(p: IsingParams) -> np.ndarray:
 
 
 class ExactEvolution:
-    """Exact propagator of a fixed Hermitian matrix, eigendecomposed once.
+    """Exact evolution under a fixed real-symmetric matrix H = V E V^T,
+    eigendecomposed once; V is real.
 
-    The decomposition is reused for every requested time, which is what the
-    surface runs need: one O(8^n) factorization, then one dense 2^n x 2^n
-    matrix product, also O(8^n), per time point.
+    The surface runs never form the propagator.  They conjugate a bit-flip
+    operator X in the eigenbasis once, M = V^T X V (:meth:`flip_matrix`),
+    and then X(t) = U^dag X U = V e^{iEt} M e^{-iEt} V^T costs two products
+    of V and M with the few columns of X(t) that a state reads: O(n 4^n)
+    per time after one O(8^n) factorization.  :meth:`unitary` forms U(t)
+    itself for a caller that needs it, at O(8^n) per time.
     """
 
     def __init__(self, h: np.ndarray):
-        if np.max(np.abs(h - h.conj().T)) > 1e-10:
+        if np.iscomplexobj(h):
+            raise ValueError("matrix must be real symmetric")
+        if np.max(np.abs(h - h.T)) > 1e-10:
             raise ValueError("matrix is not Hermitian within tolerance")
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(h)
+        self._flips: dict[int, np.ndarray] = {}
 
     def unitary(self, t: float) -> np.ndarray:
         v = self.eigenvectors
-        return (v * np.exp(-1j * self.eigenvalues * t)) @ v.conj().T
+        return (v * np.exp(-1j * self.eigenvalues * t)) @ v.T
+
+    def flip_matrix(self, mask: int) -> np.ndarray:
+        """M = V^T X V for X the flip of the index bits in ``mask``; X flips
+        the rows of V, so M costs one real product, kept for later calls."""
+        if mask not in self._flips:
+            v = self.eigenvectors
+            self._flips[mask] = v.T @ v[np.arange(len(v)) ^ mask]
+        return self._flips[mask]
 
 
 @lru_cache(maxsize=32)
 def cached_evolution(p: IsingParams) -> ExactEvolution:
-    """Shared propagator for a parameter set; safe because it is immutable."""
+    """Shared eigendecomposition for a parameter set; safe because it is
+    immutable."""
     return ExactEvolution(build_hamiltonian(p))
 
 

@@ -22,12 +22,13 @@ OTOC, which is exact whenever the transverse field vanishes and remains
 accurate outside the spreading lightcone and deep in the scrambled regime.
 
 Exact values come from one kernel, :func:`_otoc_value`, that builds no
-2^n x 2^n probe matrix.  X_i U is U with its rows flipped on bit i, so
-X_i(t) costs one matrix product.  V_j flips the column index of X_i(t),
-times +i or -i per column for Y.  Each state forms only what rho reads of
-A_j A_j, A_j = X_i(t) V_j: row 0 times column 0 (all zeros), the column sums
-times the row sums over d (uniform superposition), or sum(A_j * A_j^T) / d
-(maximally mixed).
+2^n x 2^n propagator or probe matrix.  From the cached eigendecomposition
+H = V E V^T, X_i(t) = V e^{iEt} M e^{-iEt} V^T with the real matrix
+M = V^T X_i V formed once per parameter set and row i, and each state
+applies X_i(t) only to the columns it reads: at most n + 1 of them for
+the all-zeros state and the uniform superposition, which costs O(n 4^n)
+per time, and all 2^n for the maximally mixed state, O(8^n).  V_j flips the
+column index of X_i(t), times +i or -i per column for Y.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import numpy as np
 
 from .config import PROBES, STATES
 from .errors import CapacityError
-from .ising import (IsingParams, MAX_OTOC_QUBITS, _check_site,
-                    cached_evolution, classical_otoc_phase)
+from .ising import (ExactEvolution, IsingParams, MAX_OTOC_QUBITS, _check_site,
+                    cached_evolution, classical_otoc_phase, norm_bound)
 from .mitigation import TmemSolver, ZnePair, zne_correct
 from .noise import (build_confusion_matrix, empirical_distribution, fold_cnots,
                     sample_counts, simulate_noisy)
@@ -54,43 +55,70 @@ from .weave import weave_circuit
 ROW_COLUMNS = CSV_COLUMNS[3:]
 
 
-def _heisenberg_x(p: IsingParams, i: int, t: float) -> np.ndarray:
-    """X_i(t) = U^dag X_i U; X_i U is U with its rows flipped on bit i."""
-    u = cached_evolution(p).unitary(t)
-    return u.conj().T @ u[np.arange(2 ** p.n) ^ (1 << (p.n - i))]
+def _real_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for real ``a`` and complex ``b``: one real product on the
+    interleaved (re, im) columns of b."""
+    return (a @ np.ascontiguousarray(b).view(np.float64)).view(np.complex128)
 
 
-def _otoc_value(xit: np.ndarray, state: str, probe: str) -> np.ndarray:
-    """F_ij = tr[rho A_j A_j], A_j = X_i(t) V_j, for every probe site j = 1..n.
+def _otoc_value(ev: ExactEvolution, i: int, t: float, state: str,
+                probe: str) -> np.ndarray:
+    """F_ij(t) = tr[rho A_j A_j], A_j = X_i(t) V_j, for every probe site j = 1..n.
 
-    V_j flips the column index of X_i(t) on bit j (times +i or -i by that
-    bit for the Y probe), and each state forms only what rho reads.  F is
-    real by construction for the maximally mixed state (tr ABAB with A, B
-    Hermitian) and for the X probe on the uniform superposition (an X_j
-    eigenstate, so F is the expectation of a Hermitian operator); there the
-    rounding-level imaginary part is dropped, so the phase is exactly 0 or pi.
+    X_i(t) = V e^{iEt} M e^{-iEt} V^T with M = V^T X_i V from the cached
+    eigendecomposition, applied only to the columns W that rho reads:
+    columns 0 and 2^(n-j) for the all-zeros state (row 0 is the conjugate
+    of column 0, as X_i(t) is Hermitian), the all-ones vector and, for the
+    Y probe, the n sign vectors of bit j for the uniform superposition, and
+    every column for the maximally mixed state.  V_j flips the column index
+    on bit j (times +i or -i by that bit for the Y probe).
+
+    F is real by construction for the maximally mixed state (tr ABAB with
+    A, B Hermitian) and for the X probe on the uniform superposition (an
+    X_j eigenstate, so F is the expectation of a Hermitian operator); there
+    the rounding-level imaginary part is dropped, so the phase is exactly 0
+    or pi.
     """
     if state not in STATES:
         raise ValueError(f"unknown state tag {state!r}; choose from {STATES}")
     if probe not in PROBES:
         raise ValueError(f"unknown probe {probe!r}; choose from {PROBES}")
-    d = xit.shape[0]
+    v = ev.eigenvectors
+    d = len(v)
     n = d.bit_length() - 1
     index = np.arange(d)
-    out = np.empty(n, dtype=complex)
-    for j in range(1, n + 1):
-        bit = n - j
-        cols = index ^ (1 << bit)
-        scale = np.ones(d) if probe == "x" else 1j * (1 - 2 * ((index >> bit) & 1))
-        if state == "zeros":  # row 0 of A_j times its column 0
-            out[j - 1] = (xit[0, cols] * scale) @ (xit[:, cols[0]] * scale[0])
-            continue
-        a = xit[:, cols] * scale
-        if state == "plus":  # rho = |v><v| with v uniform
-            out[j - 1] = a.sum(axis=0) @ a.sum(axis=1) / d
-        else:
-            out[j - 1] = np.sum(a * a.T) / d
-    if state == "maximally_mixed" or (state == "plus" and probe == "x"):
+    masks = 1 << (n - np.arange(1, n + 1))  # V_j flips bit n - j
+    signs = np.where(index[:, None] & masks, -1.0, 1.0)  # (d, n), by bit j
+    if state == "zeros":
+        vw = v[np.concatenate(([0], masks))].T
+    elif state == "plus":
+        vw = v.T @ (np.ones((d, 1)) if probe == "x" else
+                    np.hstack((np.ones((d, 1)), signs)))
+    else:
+        vw = v.T
+    phase = np.exp(1j * ev.eigenvalues * t)[:, None]
+    m = ev.flip_matrix(1 << (n - i))
+    xw = _real_times(v, phase * _real_times(m, phase.conj() * vw))  # X_i(t) W
+
+    if state == "maximally_mixed":
+        out = np.empty(n)
+        for j in range(1, n + 1):
+            a = xw[:, index ^ masks[j - 1]]
+            if probe == "y":
+                a = a * (1j * signs[:, j - 1])
+            out[j - 1] = np.sum(a * a.T).real / d
+        return out.astype(complex)
+    # F_j = s sum_c conj(w_0[c ^ 2^(n-j)]) (sign_j(c) for Y) (X_i(t) W)[c, col_j],
+    # where col_j = 0 for X on the uniform superposition and j otherwise;
+    # s = 1/d on the uniform superposition, and on all zeros s = 1 for X and
+    # -1 for Y (the +-i of V_j at c and at 0)
+    w0 = xw[:, 0].conj()[index[:, None] ^ masks]
+    cols = xw[:, :1] if state == "plus" and probe == "x" else xw[:, 1:]
+    if probe == "y":
+        cols = cols * signs
+    s = 1.0 / d if state == "plus" else (-1.0 if probe == "y" else 1.0)
+    out = s * np.sum(w0 * cols, axis=0)
+    if state == "plus" and probe == "x":
         out.imag = 0.0
     return out
 
@@ -107,7 +135,10 @@ def otoc_exact(p: IsingParams, i: int, j: int, t: float,
         raise CapacityError(f"exact OTOC limited to n <= {MAX_OTOC_QUBITS}")
     _check_site(p.n, i, "i")
     _check_site(p.n, j, "j")
-    return complex(_otoc_value(_heisenberg_x(p, i, t), state, probe)[j - 1])
+    if not np.isfinite(norm_bound(p) * t):
+        raise ValueError(f"||H|| * t must be finite, with ||H|| <= {norm_bound(p):g} "
+                         f"(got t={t!r})")
+    return complex(_otoc_value(cached_evolution(p), i, t, state, probe)[j - 1])
 
 
 def fabs_measurement_circuit(u: Circuit, i: int, j: int) -> Circuit:
@@ -158,7 +189,7 @@ def _surface_row(cfg, solver: TmemSolver | None, ell: int) -> list[tuple]:
     n = p.n
     t = ell * cfg.tau
     nan = float("nan")
-    f_exact = _otoc_value(_heisenberg_x(p, 1, t), cfg.state, cfg.probe)
+    f_exact = _otoc_value(cached_evolution(p), 1, t, cfg.state, cfg.probe)
     c_exact = 2.0 - 2.0 * f_exact.real
     if cfg.pipeline == "exact":
         return [(nan, nan, nan, nan, c, abs(f), float(np.angle(f)))

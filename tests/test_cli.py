@@ -41,6 +41,13 @@ class TestRun:
         assert main(["run", str(cfg)]) == 2
         assert "tau" in capsys.readouterr().err
 
+    def test_time_overflowing_the_energy_phase_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, pipeline="exact", tau=1e308, k=1, ell_max=1)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output-dir", str(out)]) == 2
+        assert "tau: phase rate * tau" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_magic_violation_reported(self, tmp_path, capsys):
         cfg = write_config(tmp_path, magic=True, k=6)
         assert main(["run", str(cfg)]) == 2

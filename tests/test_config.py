@@ -137,6 +137,26 @@ class TestValidation:
                 "tau: tau * max(k, ell_max) must be finite")):
             config_from_dict({"regime": "chaotic", **data})
 
+    @pytest.mark.parametrize("data", [
+        {"regime": "chaotic", "pipeline": "exact", "tau": 1e308, "ell_max": 1},
+        {"regime": "chaotic", "pipeline": "trotter_exact", "tau": 5e307, "k": 2,
+         "ell_max": 1},
+        {"regime": {"J": 1e300, "Bx": 0.0, "Bz": 0.0}, "tau": 1e10, "ell_max": 1},
+        # ||H|| <= 5 here, but the classical phase turns at 4|J + Bz| = 8
+        {"regime": {"J": -1.0, "Bx": 0.0, "Bz": -1.0}, "n": 3,
+         "pipeline": "trotter_exact", "tau": 3e307, "ell_max": 1},
+    ])
+    def test_time_overflowing_a_phase_names_tau(self, data):
+        # tau * max(k, ell_max) is finite, but the phase rate times it is not
+        with pytest.raises(ConfigError, match=re.escape(
+                "tau: phase rate * tau * max(k, ell_max) must be finite")):
+            config_from_dict(data)
+
+    def test_time_within_the_energy_bound_accepted(self):
+        # ||H|| <= 3 + 4 * 2.2 = 11.8 on the chaotic n=4 chain
+        cfg = config_from_dict({"regime": "chaotic", "tau": 1e306, "ell_max": 10})
+        assert cfg.tau == 1e306
+
     @pytest.mark.parametrize("field, data", [
         ("regime.J", {"regime": {"J": float("nan"), "Bx": 0.7, "Bz": 1.5}}),
         ("regime.Bx", {"regime": {"J": -1.0, "Bx": float("inf"), "Bz": 1.5}}),

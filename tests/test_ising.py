@@ -118,6 +118,18 @@ class TestExactUnitary:
         with pytest.raises(ValueError):
             ExactEvolution(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_complex_matrix_rejected(self):
+        # the eigenbasis kernel relies on real eigenvectors
+        with pytest.raises(ValueError, match="real symmetric"):
+            ExactEvolution(np.array([[0.0, -1j], [1j, 0.0]]))
+
+    def test_flip_matrix_is_the_flip_in_the_eigenbasis(self):
+        ev = ExactEvolution(build_hamiltonian(preset_params("chaotic", 3)))
+        flip = np.eye(8)[np.arange(8) ^ 0b010]
+        v = ev.eigenvectors
+        assert np.max(np.abs(ev.flip_matrix(0b010) - v.T @ flip @ v)) < 1e-12
+        assert ev.flip_matrix(0b010) is ev.flip_matrix(0b010)
+
 
 class TestClassicalOtoc:
     def test_beyond_neighbour_is_one(self):

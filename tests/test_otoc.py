@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from spinweave.config import config_from_dict, load_preset
 from spinweave.errors import CapacityError
-from spinweave.ising import preset_params
-from spinweave.otoc import (build_surface, fabs_measurement_circuit,
+from spinweave.ising import (ExactEvolution, IsingParams, build_hamiltonian,
+                             preset_params)
+from spinweave.otoc import (_otoc_value, build_surface, fabs_measurement_circuit,
                             fixed_node_commutator, fixed_node_otoc, otoc_exact)
 from spinweave.qsim import (Circuit, StateVector, apply_circuit,
                             circuit_unitary, measurement_distribution, pz,
@@ -13,6 +16,7 @@ from spinweave.qsim import (Circuit, StateVector, apply_circuit,
 from spinweave.weave import WeaveSchedule, weave_circuit
 
 from conftest import commutator, dense_hamiltonian, dense_otoc
+from oracles import heisenberg_x, matrix_otoc_value
 
 CHAOTIC4 = preset_params("chaotic", 4)
 INTEGRABLE4 = preset_params("integrable", 4)
@@ -95,6 +99,52 @@ class TestOtocExact:
             otoc_exact(CHAOTIC4, 1, 2, 0.1, "thermal")
         with pytest.raises(ValueError):
             otoc_exact(CHAOTIC4, 0, 2, 0.1)
+
+    def test_time_overflowing_the_phase_rejected(self):
+        with pytest.raises(ValueError, match="t must be finite"):
+            otoc_exact(CHAOTIC4, 1, 2, 1e308)
+        assert np.isfinite(otoc_exact(CHAOTIC4, 1, 2, 1e306))
+
+
+COUPLING = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+class TestEigenbasisKernel:
+    """The eigenbasis kernel against the former dense-propagator kernel."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(3, 7), j_coupling=COUPLING,
+           bx=st.one_of(st.just(0.0), COUPLING), bz=COUPLING,
+           t=st.one_of(st.sampled_from([0.0, 50.0]), st.floats(0.0, 55.0)))
+    @example(n=3, j_coupling=-1.0, bx=0.7, bz=1.5, t=0.0)
+    @example(n=7, j_coupling=-1.0, bx=0.0, bz=1.0, t=50.3)
+    @example(n=5, j_coupling=1.3, bx=-0.4, bz=0.2, t=49.7)
+    def test_matches_matrix_oracle_every_state_probe_and_row(
+            self, n, j_coupling, bx, bz, t):
+        ev = ExactEvolution(build_hamiltonian(IsingParams(n, j_coupling, bx, bz)))
+        for i in range(1, n + 1):
+            xit = heisenberg_x(ev, n, i, t)
+            for state in ("zeros", "plus", "maximally_mixed"):
+                for probe in ("x", "y"):
+                    got = _otoc_value(ev, i, t, state, probe)
+                    oracle = matrix_otoc_value(xit, state, probe)
+                    assert got.shape == (n,)
+                    assert np.max(np.abs(got - oracle)) < 1e-12
+                    if state == "maximally_mixed" or (state, probe) == ("plus", "x"):
+                        assert np.all(got.imag == 0.0)
+
+    @pytest.mark.parametrize("data", [
+        {"pipeline": "exact", "state": state, "probe": probe}
+        for state in ("zeros", "plus", "maximally_mixed") for probe in ("x", "y")
+    ] + [{"pipeline": "sampled", "k": 3, "shots": 64}])
+    def test_no_run_path_builds_the_propagator(self, monkeypatch, data):
+        def refuse(self, t):
+            raise AssertionError("ExactEvolution.unitary called on a run path")
+
+        monkeypatch.setattr(ExactEvolution, "unitary", refuse)
+        cfg = config_from_dict({"regime": "chaotic", "n": 4, "ell_max": 6, **data})
+        surface = build_surface(cfg)
+        assert np.all(np.isfinite(surface.columns["C_exact"]))
 
 
 class TestCommutator:
