@@ -25,68 +25,111 @@ Full example::
       "seed": 7,
       "output_dir": null
     }
+
+Pipelines (:data:`PIPELINES`), each of which also records C_exact::
+
+    pipeline        readout engine   shots  mitigation  n <=
+    exact           none             no     no          10
+    trotter_exact   statevector      no     no          10
+    sampled         statevector      yes    no          10
+    noisy           density matrix   yes    no           8
+    mitigated       density matrix   yes    yes          8
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from functools import partial
+from collections import namedtuple
+from dataclasses import asdict, dataclass
 from numbers import Real
 from pathlib import Path
 
 from .errors import ConfigError
-from .ising import MAX_OTOC_QUBITS, REGIME_COUPLINGS, IsingParams, norm_bound
+from .ising import (MAX_OTOC_QUBITS, REGIME_COUPLINGS, IsingParams, phase_rate,
+                    preset_params)
 from .noise import DEFAULT_SHOTS, NoiseModel
-from .qsim import MAX_DM_QUBITS, MAX_QUBITS
+from .qsim import MAX_DM_QUBITS
 from .weave import WeaveSchedule, check_magic_constraint
 
-PIPELINES = ("exact", "trotter_exact", "sampled", "noisy", "mitigated")
+# A pipeline's readout engine (None, "statevector" or "density"), whether it
+# draws shots, whether it mitigates, and the largest n that it accepts.
+Pipeline = namedtuple("Pipeline", "engine shots mitigates max_n")
+PIPELINES = {
+    "exact": Pipeline(None, False, False, MAX_OTOC_QUBITS),
+    "trotter_exact": Pipeline("statevector", False, False, MAX_OTOC_QUBITS),
+    "sampled": Pipeline("statevector", True, False, MAX_OTOC_QUBITS),
+    "noisy": Pipeline("density", True, False, MAX_DM_QUBITS),
+    "mitigated": Pipeline("density", True, True, MAX_DM_QUBITS),
+}
 STATES = ("zeros", "plus", "maximally_mixed")
 PROBES = ("x", "y")
 MITIGATION_ORDERS = ("tmem_then_zne", "zne_then_tmem")
 
-_NOISY_PIPELINES = ("noisy", "mitigated")
-_MEASURED_PIPELINES = ("trotter_exact", "sampled", "noisy", "mitigated")
-
-_TOP_KEYS = {"description", "regime", "n", "tau", "k", "ell_max", "magic",
-             "magic_override", "pipeline", "state", "probe", "shots", "noise",
-             "mitigation", "seed", "output_dir"}
 _NOISE_KEYS = {"cnot_error", "spam_epsilon", "t1_given_0", "t0_given_1"}
-_MITIGATION_KEYS = {"tmem", "zne", "order"}
 
 # numpy's multinomial draws int64 counts
 MAX_SHOTS = 2 ** 63 - 1
+# n is bounded before any builder sees it, then by its pipeline's cap
+_MAX_N = max(p.max_n for p in PIPELINES.values())
+
+# (name, default, type, check, message) of every field.  A type of None
+# passes the value to its builder in config_from_dict unchecked.
+_FIELDS = (
+    ("n", 4, int, lambda v: 3 <= v <= _MAX_N, f"must be in 3..{_MAX_N}"),
+    ("tau", 0.06, float, lambda v: v > 0 and math.isfinite(v), "must be > 0"),
+    ("k", 1, int, lambda v: v >= 1, "must be >= 1"),
+    ("ell_max", 24, int, lambda v: v >= 0, "must be >= 0"),
+    ("shots", DEFAULT_SHOTS, int, lambda v: 1 <= v <= MAX_SHOTS,
+     f"must be in 1..{MAX_SHOTS}"),
+    ("seed", 0, int, lambda v: v >= 0, "must be >= 0"),
+    ("magic", False, bool),
+    ("magic_override", False, bool),
+    ("pipeline", "exact", str, lambda v: v in PIPELINES,
+     f"must be one of {tuple(PIPELINES)}"),
+    ("state", "zeros", str, lambda v: v in STATES, f"must be one of {STATES}"),
+    ("probe", "x", str, lambda v: v in PROBES, f"must be one of {PROBES}"),
+    ("description", "", str),
+    ("output_dir", None, str),
+    ("regime", "integrable", None),
+    ("mitigation", None, None),
+    ("noise", None, None),
+)
+_MITIGATION_FIELDS = (
+    ("tmem", True, bool),
+    ("zne", True, bool),
+    ("order", "tmem_then_zne", str, lambda v: v in MITIGATION_ORDERS,
+     f"must be one of {MITIGATION_ORDERS}"),
+)
 
 PRESET_DIR = Path(__file__).parent / "presets"
 
 
 @dataclass(frozen=True)
 class MitigationConfig:
-    tmem: bool = True
-    zne: bool = True
-    order: str = "tmem_then_zne"
+    tmem: bool
+    zne: bool
+    order: str
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     params: IsingParams
     regime: str
-    tau: float = 0.06
-    k: int = 1
-    ell_max: int = 24
-    magic: bool = False
-    magic_override: bool = False
-    pipeline: str = "exact"
-    state: str = "zeros"
-    probe: str = "x"
-    shots: int = DEFAULT_SHOTS
-    noise: NoiseModel | None = None
-    mitigation: MitigationConfig = field(default_factory=MitigationConfig)
-    seed: int = 0
-    output_dir: str | None = None
-    description: str = ""
+    tau: float
+    k: int
+    ell_max: int
+    magic: bool
+    magic_override: bool
+    pipeline: str
+    state: str
+    probe: str
+    shots: int
+    noise: NoiseModel
+    mitigation: MitigationConfig
+    seed: int
+    output_dir: str | None
+    description: str
 
     @property
     def schedule(self) -> WeaveSchedule:
@@ -95,35 +138,33 @@ class ExperimentConfig:
 
 def _field(errors: list[str], src: dict, name: str, default, kind, check=None,
            msg: str = "", prefix: str = ""):
-    """``src[name]`` (``default`` when absent), checked to be a ``kind``.
+    """``src[name]`` (``default`` when absent), checked to be a ``kind``; a
+    ``kind`` of None passes it unchecked, and a None default admits null.
 
     A value of the wrong type, or one that fails ``check``, is reported in
     ``errors`` under ``prefix + name`` and replaced by ``default``.  Numbers
-    are never parsed from strings; an int field takes a whole float.
-    """
-    label = prefix + name
+    are never parsed from strings; an int field takes a whole float."""
     value = src.get(name, default)
+    if kind is None or (value is None and default is None):
+        return value
     if kind is bool and not isinstance(value, bool):
-        errors.append(f"{label}: expected true/false (got {value!r})")
-        return default
-    if kind is str and not isinstance(value, str):
-        errors.append(f"{label}: expected a string (got {value!r})")
-        return default
-    if kind in (int, float) and (isinstance(value, bool) or not isinstance(value, Real)):
-        errors.append(f"{label}: expected a number (got {value!r})")
-        return default
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        errors.append(f"{label}: expected a whole number (got {value!r})")
-        return default
-    try:
-        value = kind(value)
-    except OverflowError:  # an int too large for a float field
-        errors.append(f"{label}: expected a finite number (got {value!r})")
-        return default
-    if check is not None and not check(value):
-        errors.append(f"{label}: {msg} (got {value!r})")
-        return default
-    return value
+        problem = "expected true/false"
+    elif kind is str and not isinstance(value, str):
+        problem = "expected a string" if default is not None else "expected string or null"
+    elif kind in (int, float) and (isinstance(value, bool) or not isinstance(value, Real)):
+        problem = "expected a number"
+    elif kind is int and isinstance(value, float) and not value.is_integer():
+        problem = "expected a whole number"
+    else:
+        try:
+            value = kind(value)
+            problem = None if check is None or check(value) else msg
+        except OverflowError:  # an int too large for a float field
+            problem = "expected a finite number"
+    if problem is None:
+        return value
+    errors.append(f"{prefix}{name}: {problem} (got {value!r})")
+    return default
 
 
 def _resolve_regime(value, n: int, errors: list[str]):
@@ -132,8 +173,7 @@ def _resolve_regime(value, n: int, errors: list[str]):
             errors.append(f"regime: unknown name {value!r}, "
                           f"choose from {sorted(REGIME_COUPLINGS)} or give couplings")
             return "invalid", None
-        j, bx, bz = REGIME_COUPLINGS[value]
-        return value, IsingParams(n, j, bx, bz)
+        return value, preset_params(value, n)
     if isinstance(value, dict):
         missing = {"J", "Bx", "Bz"} - set(value)
         extra = set(value) - {"J", "Bx", "Bz"}
@@ -152,9 +192,9 @@ def _resolve_regime(value, n: int, errors: list[str]):
     return "invalid", None
 
 
-def _build_noise(data, n: int, pipeline: str, errors: list[str]):
+def _build_noise(data, n: int, pipeline: Pipeline, errors: list[str]):
     if data is None:
-        return (NoiseModel.default(n) if pipeline in _NOISY_PIPELINES
+        return (NoiseModel.default(n) if pipeline.engine == "density"
                 else NoiseModel.ideal(n))
     if not isinstance(data, dict):
         errors.append("noise: must be an object")
@@ -179,37 +219,29 @@ def _build_noise(data, n: int, pipeline: str, errors: list[str]):
         return None
 
 
+def _build_mitigation(data, errors: list[str]) -> MitigationConfig:
+    if data is not None and not isinstance(data, dict):
+        errors.append("mitigation: must be an object")
+    data = data if isinstance(data, dict) else {}
+    extra = set(data) - {row[0] for row in _MITIGATION_FIELDS}
+    if extra:
+        errors.append(f"mitigation: unknown keys {sorted(extra)}")
+    return MitigationConfig(**{row[0]: _field(errors, data, *row, prefix="mitigation.")
+                               for row in _MITIGATION_FIELDS})
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Validate a parsed config object; every violated invariant is reported
     with its field name in a single :class:`ConfigError`."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     errors: list[str] = []
-    extra = set(data) - _TOP_KEYS
+    extra = set(data) - {row[0] for row in _FIELDS}
     if extra:
         errors.append(f"unknown fields {sorted(extra)}")
-    take = partial(_field, errors, data)
-
-    n = take("n", 4, int, lambda v: 3 <= v <= MAX_QUBITS, f"must be in 3..{MAX_QUBITS}")
-    tau = take("tau", 0.06, float, lambda v: v > 0 and math.isfinite(v), "must be > 0")
-    k = take("k", 1, int, lambda v: v >= 1, "must be >= 1")
-    ell_max = take("ell_max", 24, int, lambda v: v >= 0, "must be >= 0")
-    shots = take("shots", DEFAULT_SHOTS, int, lambda v: 1 <= v <= MAX_SHOTS,
-                 f"must be in 1..{MAX_SHOTS}")
-    seed = take("seed", 0, int, lambda v: v >= 0, "must be >= 0")
-    magic = take("magic", False, bool)
-    magic_override = take("magic_override", False, bool)
-    pipeline = take("pipeline", "exact", str, lambda v: v in PIPELINES,
-                    f"must be one of {PIPELINES}")
-    state = take("state", "zeros", str, lambda v: v in STATES,
-                 f"must be one of {STATES}")
-    probe = take("probe", "x", str, lambda v: v in PROBES,
-                 f"must be one of {PROBES}")
-    description = take("description", "", str)
-    output_dir = data.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        errors.append(f"output_dir: expected string or null (got {output_dir!r})")
-        output_dir = None
+    values = {row[0]: _field(errors, data, *row) for row in _FIELDS}
+    n, tau, k, ell_max = values.pop("n"), values["tau"], values["k"], values["ell_max"]
+    pipeline = PIPELINES[values["pipeline"]]
 
     try:  # the cell U(k tau) is always built, and the last time is ell_max tau
         span_finite = math.isfinite(tau * max(k, ell_max))
@@ -219,72 +251,42 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         errors.append(f"tau: tau * max(k, ell_max) must be finite "
                       f"(got tau={tau!r}, k={k}, ell_max={ell_max})")
 
-    regime_label, params = _resolve_regime(data.get("regime", "integrable"), n, errors)
+    values["regime"], params = _resolve_regime(values["regime"], n, errors)
     if span_finite and params is not None:
-        # the fastest phase a run forms: E t of the exact evolution, or the
-        # classical OTOC phase 4(J + Bz) t or 4 J t of the fixed-node readout
-        rate = max(norm_bound(params), 4.0 * abs(params.J + params.Bz),
-                   4.0 * abs(params.J))
+        rate = phase_rate(params)
         if not math.isfinite(rate * tau * max(k, ell_max)):
             errors.append(f"tau: phase rate * tau * max(k, ell_max) must be finite, "
                           f"with the rate {rate:g} the larger of ||H|| <= (n-1)|J| "
                           f"+ n(|Bz| + |Bx|) and 4 max(|J + Bz|, |J|) "
                           f"(got tau={tau!r}, k={k}, ell_max={ell_max})")
 
-    if pipeline in _MEASURED_PIPELINES and (state != "zeros" or probe != "x"):
+    if pipeline.engine and (values["state"], values["probe"]) != ("zeros", "x"):
         errors.append("state/probe: measured pipelines support only the "
                       "all-zeros state with the X probe; alternative states "
                       "and probes run through the exact pipeline")
-    if pipeline in _NOISY_PIPELINES and n > MAX_DM_QUBITS:
-        errors.append(f"n: pipeline {pipeline!r} is density-matrix based and "
-                      f"limited to n <= {MAX_DM_QUBITS} (got {n})")
-    if pipeline in ("exact", "trotter_exact", "sampled") and n > MAX_OTOC_QUBITS:
-        errors.append(f"n: pipeline {pipeline!r} records dense exact values "
-                      f"and is limited to n <= {MAX_OTOC_QUBITS} (got {n})")
+    if n > pipeline.max_n:
+        errors.append(f"n: must be in 3..{pipeline.max_n} for pipeline "
+                      f"{values['pipeline']!r} (got {n})")
 
-    if params is not None and magic and not magic_override:
+    if params is not None and values["magic"] and not values["magic_override"]:
         try:
             check_magic_constraint(2.0 * params.J * k * tau)
         except ConfigError as exc:
             errors.append(str(exc))
 
-    mit_data = data.get("mitigation")
-    mitigation = MitigationConfig()
-    if mit_data is not None:
-        if not isinstance(mit_data, dict):
-            errors.append("mitigation: must be an object")
-        else:
-            extra = set(mit_data) - _MITIGATION_KEYS
-            if extra:
-                errors.append(f"mitigation: unknown keys {sorted(extra)}")
-            take_mit = partial(_field, errors, mit_data, prefix="mitigation.")
-            mitigation = MitigationConfig(
-                take_mit("tmem", True, bool), take_mit("zne", True, bool),
-                take_mit("order", "tmem_then_zne", str,
-                         lambda v: v in MITIGATION_ORDERS,
-                         f"must be one of {MITIGATION_ORDERS}"))
-
-    noise = _build_noise(data.get("noise"), n, pipeline, errors)
+    values["mitigation"] = _build_mitigation(values["mitigation"], errors)
+    values["noise"] = _build_noise(values["noise"], n, pipeline, errors)
 
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
-
-    return ExperimentConfig(
-        params=params, regime=regime_label, tau=tau, k=k, ell_max=ell_max,
-        magic=magic, magic_override=magic_override, pipeline=pipeline,
-        state=state, probe=probe, shots=shots, noise=noise,
-        mitigation=mitigation, seed=seed, output_dir=output_dir,
-        description=description)
+    return ExperimentConfig(params=params, **values)
 
 
 def validate_config(path, seed: int | None = None) -> ExperimentConfig:
-    """Parse and validate a config file, with line diagnostics on bad JSON.
-
-    A ``seed`` other than None replaces the file's seed before validation.
-    """
-    text = Path(path).read_text(encoding="utf-8")
+    """Parse and validate a config file, with line diagnostics on bad JSON;
+    a ``seed`` other than None replaces the file's seed before validation."""
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
@@ -298,29 +300,13 @@ def validate_config(path, seed: int | None = None) -> ExperimentConfig:
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
-    """Resolved configuration as a JSON-ready dict.
-
-    ``output_dir`` is deliberately omitted so that runs into different
-    directories still produce byte-identical metadata.
-    """
-    return {
-        "regime": cfg.regime,
-        "params": asdict(cfg.params),
-        "tau": cfg.tau,
-        "k": cfg.k,
-        "ell_max": cfg.ell_max,
-        "magic": cfg.magic,
-        "magic_override": cfg.magic_override,
-        "pipeline": cfg.pipeline,
-        "state": cfg.state,
-        "probe": cfg.probe,
-        "shots": cfg.shots,
-        "noise": {name: list(getattr(cfg.noise, name))
-                  for name in ("cnot_error", "t1_given_0", "t0_given_1")},
-        "mitigation": asdict(cfg.mitigation),
-        "seed": cfg.seed,
-        "description": cfg.description,
-    }
+    """Resolved configuration as a JSON-ready dict: every field except
+    ``output_dir``, so that runs into different directories still produce
+    byte-identical metadata, and the noise model's qubit count, which
+    ``params`` already holds."""
+    echo = asdict(cfg)
+    del echo["output_dir"], echo["noise"]["n_qubits"]
+    return echo
 
 
 def preset_names() -> list[str]:

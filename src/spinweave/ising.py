@@ -60,10 +60,12 @@ def preset_params(name: str, n: int) -> IsingParams:
     return IsingParams(n, j, bx, bz)
 
 
-def norm_bound(p: IsingParams) -> float:
-    """(n - 1)|J| + n(|Bz| + |Bx|), the triangle-inequality bound on ||H||
-    and so on every |E| t that the exact evolution forms, per unit time."""
-    return (p.n - 1) * abs(p.J) + p.n * (abs(p.Bz) + abs(p.Bx))
+def phase_rate(p: IsingParams) -> float:
+    """The fastest phase that a run forms, per unit time: the bound
+    (n - 1)|J| + n(|Bz| + |Bx|) on ||H||, so on every |E| t of the exact
+    evolution, or a rate 4|J + Bz| or 4|J| of :func:`classical_otoc_phase`."""
+    return max((p.n - 1) * abs(p.J) + p.n * (abs(p.Bz) + abs(p.Bx)),
+               4.0 * abs(p.J + p.Bz), 4.0 * abs(p.J))
 
 
 def classical_energies(p: IsingParams) -> np.ndarray:

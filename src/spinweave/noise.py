@@ -26,6 +26,7 @@ gate, CNOT or not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Real
 
 import numpy as np
@@ -96,11 +97,14 @@ class NoiseModel:
         return np.array([[1.0 - t10, t01], [t10, 1.0 - t01]])
 
 
+@lru_cache(maxsize=8)
 def build_confusion_matrix(nm: NoiseModel) -> np.ndarray:
-    """Tensor-product confusion matrix over all qubits (qubit 0 outermost)."""
+    """Tensor-product confusion matrix over all qubits (qubit 0 outermost),
+    built once per noise model and returned read-only."""
     t = np.eye(1)
     for q in range(nm.n_qubits):
         t = np.kron(t, nm.qubit_confusion(q))
+    t.flags.writeable = False
     return t
 
 

@@ -21,14 +21,10 @@ fixed-node variant then restores a phase from the classical-Hamiltonian
 OTOC, which is exact whenever the transverse field vanishes and remains
 accurate outside the spreading lightcone and deep in the scrambled regime.
 
-Exact values come from one kernel, :func:`_otoc_value`, that builds no
-2^n x 2^n propagator or probe matrix.  From the cached eigendecomposition
-H = V E V^T, X_i(t) = V e^{iEt} M e^{-iEt} V^T with the real matrix
-M = V^T X_i V formed once per parameter set and row i, and each state
-applies X_i(t) only to the columns it reads: at most n + 1 of them for
-the all-zeros state and the uniform superposition, which costs O(n 4^n)
-per time, and all 2^n for the maximally mixed state, O(8^n).  V_j flips the
-column index of X_i(t), times +i or -i per column for Y.
+Exact values come from one kernel, :func:`_otoc_value`, which applies
+X_i(t) from the cached eigendecomposition (:class:`~spinweave.ising.ExactEvolution`)
+to the columns that each state reads: O(n 4^n) per time for the all-zeros
+state and the uniform superposition, O(8^n) for the maximally mixed state.
 """
 
 from __future__ import annotations
@@ -39,10 +35,10 @@ from functools import partial
 
 import numpy as np
 
-from .config import PROBES, STATES
+from .config import PIPELINES, PROBES, STATES
 from .errors import CapacityError
 from .ising import (ExactEvolution, IsingParams, MAX_OTOC_QUBITS, _check_site,
-                    cached_evolution, classical_otoc_phase, norm_bound)
+                    cached_evolution, classical_otoc_phase, phase_rate)
 from .mitigation import TmemSolver, ZnePair, zne_correct
 from .noise import (build_confusion_matrix, empirical_distribution, fold_cnots,
                     sample_counts, simulate_noisy)
@@ -123,6 +119,12 @@ def _otoc_value(ev: ExactEvolution, i: int, t: float, state: str,
     return out
 
 
+def _check_time(p: IsingParams, t: float):
+    if not np.isfinite(phase_rate(p) * t):
+        raise ValueError(f"phase_rate * t must be finite, with the rate "
+                         f"{phase_rate(p):g} (got t={t!r})")
+
+
 def otoc_exact(p: IsingParams, i: int, j: int, t: float,
                state: str = "zeros", probe: str = "x") -> complex:
     """F_ij(t) under exact evolution of the full Hamiltonian, with the X_j
@@ -135,9 +137,7 @@ def otoc_exact(p: IsingParams, i: int, j: int, t: float,
         raise CapacityError(f"exact OTOC limited to n <= {MAX_OTOC_QUBITS}")
     _check_site(p.n, i, "i")
     _check_site(p.n, j, "j")
-    if not np.isfinite(norm_bound(p) * t):
-        raise ValueError(f"||H|| * t must be finite, with ||H|| <= {norm_bound(p):g} "
-                         f"(got t={t!r})")
+    _check_time(p, t)
     return complex(_otoc_value(cached_evolution(p), i, t, state, probe)[j - 1])
 
 
@@ -162,6 +162,7 @@ def fixed_node_otoc(f_abs: float, p: IsingParams, j: int, t: float) -> complex:
     """Measured modulus combined with the classical-Hamiltonian phase."""
     if not -1e-9 <= f_abs <= 1.0 + 1e-9:
         raise ValueError(f"|F| must lie in [0, 1] (within 1e-9), got {f_abs}")
+    _check_time(p, t)
     return f_abs * np.exp(1j * classical_otoc_phase(p, j, t))
 
 
@@ -191,13 +192,16 @@ def _surface_row(cfg, solver: TmemSolver | None, ell: int) -> list[tuple]:
     nan = float("nan")
     f_exact = _otoc_value(cached_evolution(p), 1, t, cfg.state, cfg.probe)
     c_exact = 2.0 - 2.0 * f_exact.real
-    if cfg.pipeline == "exact":
-        return [(nan, nan, nan, nan, c, abs(f), float(np.angle(f)))
-                for c, f in zip(c_exact, f_exact)]
+    traits = PIPELINES[cfg.pipeline]
+    if traits.engine is None:
+        phase = np.angle(f_exact)
+        phase[phase == -np.pi] = np.pi  # (-pi, pi]: np.angle(-1 - 0j) is -pi
+        return [(nan, nan, nan, nan, c, abs(f), a)
+                for c, f, a in zip(c_exact, f_exact, phase)]
 
     u_circ = weave_circuit(p, cfg.schedule, ell,
                            allow_magic_mismatch=cfg.magic_override)
-    mit = cfg.mitigation if cfg.pipeline == "mitigated" else None
+    mit = cfg.mitigation if traits.mitigates else None
 
     def modulus(dist: BitstringDistribution) -> float:
         return np.sqrt(max(float(dist.probabilities[0]), 0.0))
@@ -207,11 +211,11 @@ def _surface_row(cfg, solver: TmemSolver | None, ell: int) -> list[tuple]:
         meas = fabs_measurement_circuit(u_circ, 1, j)
 
         def readout(fold: int) -> BitstringDistribution:
-            if cfg.pipeline in ("trotter_exact", "sampled"):
+            if traits.engine == "statevector":
                 dist = measurement_distribution(apply_circuit(StateVector.zeros(n), meas))
             else:
                 dist = simulate_noisy(fold_cnots(meas, fold), cfg.noise)
-            if cfg.pipeline == "trotter_exact":
+            if not traits.shots:
                 return dist
             return empirical_distribution(
                 sample_counts(dist, cfg.shots, _point_seed(cfg.seed, j, ell, fold)))
@@ -250,14 +254,15 @@ def build_surface(cfg, jobs: int = 1) -> SurfaceTable:
 
     Rows come out in CSV order: probe site j (1..n), then time index ell.
     Grid points are independent; ``jobs > 1`` dispatches time indices to
-    worker processes.  Results are identical for any ``jobs`` because every
-    sampled point draws from its own derived seed.
+    at most ``ell_max + 1`` worker processes.  Results are identical for any
+    ``jobs`` because every sampled point draws from its own derived seed.
     """
     n, l1 = cfg.params.n, cfg.ell_max + 1
     solver = (TmemSolver(build_confusion_matrix(cfg.noise))
-              if cfg.pipeline == "mitigated" and cfg.mitigation.tmem else None)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+              if PIPELINES[cfg.pipeline].mitigates and cfg.mitigation.tmem else None)
+    workers = min(jobs, l1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(partial(_surface_row, cfg, solver), range(l1)))
     else:
         rows = [_surface_row(cfg, solver, ell) for ell in range(l1)]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -5,9 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from spinweave.config import (ExperimentConfig, config_echo, config_from_dict,
-                              load_preset, preset_names, preset_path,
-                              validate_config)
+from spinweave import config
+from spinweave.config import (PIPELINES, ExperimentConfig, config_echo,
+                              config_from_dict, load_preset, preset_names,
+                              preset_path, validate_config)
 from spinweave.errors import ConfigError
 
 EXPECTED_PRESETS = {"fig1a", "fig1b", "fig2", "fig4", "fig5", "fig5a",
@@ -82,6 +84,29 @@ class TestValidation:
     def test_exact_capacity_limit(self):
         with pytest.raises(ConfigError, match="n"):
             config_from_dict({"regime": "chaotic", "n": 11, "pipeline": "exact"})
+
+    @pytest.mark.parametrize("pipeline, cap", [
+        ("exact", 10), ("trotter_exact", 10), ("sampled", 10), ("noisy", 8),
+        ("mitigated", 8)])
+    def test_each_pipeline_cap_named_in_the_message(self, pipeline, cap):
+        assert PIPELINES[pipeline].max_n == cap
+        config_from_dict({"regime": "chaotic", "n": cap, "pipeline": pipeline,
+                          "ell_max": 0})
+        with pytest.raises(ConfigError, match=re.escape(f"n: must be in 3..{cap}")):
+            config_from_dict({"regime": "chaotic", "n": cap + 1, "pipeline": pipeline})
+
+    def test_huge_n_rejected_before_any_noise_model(self, monkeypatch):
+        # a noise model of 10**9 qubits would build tuples of 10**9 rates
+        built = []
+
+        def build_noise(data, n, pipeline, errors):
+            assert n <= 10, "n reached the noise builder unchecked"
+            built.append(n)
+
+        monkeypatch.setattr(config, "_build_noise", build_noise)
+        with pytest.raises(ConfigError, match=re.escape("n: must be in 3..10 (got 1000000000)")):
+            config_from_dict({"regime": "chaotic", "n": 10 ** 9, "pipeline": "noisy"})
+        assert built == [4]
 
     def test_noise_scalar_and_lists(self):
         cfg = config_from_dict({"regime": "chaotic", "pipeline": "noisy",
@@ -214,6 +239,19 @@ class TestEcho:
         echo = config_echo(cfg)
         assert "output_dir" not in echo
         assert echo["params"]["Bz"] == 1.0
+
+    def test_echo_keys_are_the_config_fields(self):
+        cfg = config_from_dict({"regime": "chaotic", "pipeline": "mitigated"})
+        echo = config_echo(cfg)
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(echo) == fields - {"output_dir"}
+        assert set(echo["noise"]) == {"cnot_error", "t1_given_0", "t0_given_1"}
+
+    def test_module_docstring_example_lists_every_field(self):
+        block = config.__doc__.split("Full example::")[1].split("\n    }")[0] + "}"
+        example = json.loads(re.sub(r"//[^\n]*", "", block))
+        assert set(example) == {row[0] for row in config._FIELDS}
+        assert config_from_dict(example).pipeline == "mitigated"
 
     def test_echo_is_json_serializable(self):
         cfg = config_from_dict({"regime": "chaotic", "pipeline": "mitigated"})

@@ -116,6 +116,13 @@ class TestConfusionMatrix:
         t = build_confusion_matrix(NoiseModel.default(4))
         assert np.max(np.abs(t.sum(axis=0) - 1.0)) < 1e-12
 
+    def test_built_once_per_model_and_read_only(self):
+        t = build_confusion_matrix(NoiseModel.default(4))
+        assert build_confusion_matrix(NoiseModel.default(4)) is t
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0, 0] = 1.0
+
     def test_tensor_structure_against_kron_oracle(self):
         nm = NoiseModel(3, 0.0, (0.04, 0.01, 0.02), (0.03, 0.05, 0.0))
         oracle = np.kron(np.kron(nm.qubit_confusion(0), nm.qubit_confusion(1)),

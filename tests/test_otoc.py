@@ -264,6 +264,12 @@ class TestFixedNode:
         with pytest.raises(ValueError):
             fixed_node_commutator(-0.2, CHAOTIC4, 2, 0.1)
 
+    @pytest.mark.parametrize("fn", [fixed_node_otoc, fixed_node_commutator])
+    @pytest.mark.parametrize("t", [1e308, float("nan")])
+    def test_time_overflowing_the_phase_rejected(self, fn, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            fn(0.5, CHAOTIC4, 1, t)
+
     def test_integrable_fixed_node_equals_exact(self):
         # with Bx = 0 the classical phase is the exact phase
         for t in np.linspace(0, 1.44, 13):
@@ -332,6 +338,33 @@ class TestBuildSurface:
         for name in serial.columns:
             assert np.array_equal(serial.columns[name], parallel.columns[name],
                                   equal_nan=True)
+
+    @pytest.mark.parametrize("jobs, ell_max, workers", [
+        (1, 4, None), (2, 4, 2), (64, 4, 5), (64, 0, None), (3, 1, 2)])
+    def test_workers_capped_by_time_indices(self, monkeypatch, jobs, ell_max,
+                                            workers):
+        from spinweave import otoc
+        started = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(otoc, "ProcessPoolExecutor", InlineExecutor)
+        cfg = config_from_dict({"regime": "chaotic", "ell_max": ell_max})
+        surface = build_surface(cfg, jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        assert np.array_equal(surface.columns["C_exact"],
+                              build_surface(cfg).columns["C_exact"])
 
     def test_mitigated_point_recomputed_by_hand(self):
         # rebuild one grid point outside build_surface, drawing the same
@@ -587,6 +620,17 @@ class TestAlternativeStateSurfaces:
         values = [otoc_exact(CHAOTIC4, 1, j, 0.05 * ell, state, probe)
                   for j in range(1, 5) for ell in range(0, 30, 3)]
         assert max(abs(f.imag) for f in values) > 0.1
+
+    def test_phase_of_a_real_negative_value_is_plus_pi(self, monkeypatch, tmp_path):
+        # np.angle(complex(-1.0, -0.0)) is -pi
+        from spinweave import otoc
+        from spinweave.surface_io import write_surface
+        monkeypatch.setattr(otoc, "_otoc_value", lambda *args: np.full(4, complex(-1.0, -0.0)))
+        cfg = config_from_dict({"regime": "chaotic", "n": 4, "ell_max": 1})
+        csv_path, _ = write_surface(build_surface(cfg), cfg, tmp_path)
+        rows = csv_path.read_text().splitlines()
+        phase = rows[0].split(",").index("F_phase")
+        assert {row.split(",")[phase] for row in rows[1:]} == {"3.14159265359"}
 
     @pytest.mark.parametrize("preset", ["s7", "s8"])
     def test_real_surfaces_have_phase_zero_or_pi(self, preset):
