@@ -28,8 +28,8 @@ import numpy as np
 from .config import preset_names, preset_path, validate_config
 from .heatmap import render_heatmap
 from .otoc import build_surface
-from .surface_io import (CSV_COLUMNS, FLOAT_COLUMNS, diff_surfaces,
-                         load_surface, write_surface, write_table)
+from .surface_io import (VALUE_COLUMNS, diff_surfaces, load_surface,
+                         write_surface, write_table)
 
 ENV_OUTPUT_DIR = "SPINWEAVE_OUTPUT_DIR"
 
@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render = sub.add_parser("render", help="render a surface column as SVG")
     p_render.add_argument("surface", help="surface CSV path")
     p_render.add_argument("--variant", required=True,
-                          help=f"one of {FLOAT_COLUMNS[1:]}")
+                          help=f"one of {VALUE_COLUMNS}")
     p_render.add_argument("--out", default=None)
 
     p_diff = sub.add_parser("diff", help="pointwise difference of two surfaces")
@@ -86,7 +86,7 @@ def _cmd_run(args) -> int:
     print(meta_path)
     # The heatmaps are drawn from the file just written, as `render` would.
     table = load_surface(csv_path)
-    for column in CSV_COLUMNS:
+    for column in VALUE_COLUMNS:
         if not column.startswith("C_") or np.isnan(table.columns[column]).all():
             continue
         svg_path = out_dir / f"heatmap_{column}.svg"

@@ -196,6 +196,9 @@ def _build_noise(data, n: int, pipeline: Pipeline, errors: list[str]):
     if data is None:
         return (NoiseModel.default(n) if pipeline.engine == "density"
                 else NoiseModel.ideal(n))
+    if pipeline.engine != "density":
+        errors.append("noise: only the noisy and mitigated pipelines simulate noise")
+        return None
     if not isinstance(data, dict):
         errors.append("noise: must be an object")
         return None
@@ -252,9 +255,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                       f"(got tau={tau!r}, k={k}, ell_max={ell_max})")
 
     values["regime"], params = _resolve_regime(values["regime"], n, errors)
-    if span_finite and params is not None:
+    if params is not None:
         rate = phase_rate(params)
-        if not math.isfinite(rate * tau * max(k, ell_max)):
+        if not math.isfinite(rate):
+            errors.append(f"regime: the phase rate must be finite (got {rate:g})")
+        elif span_finite and not math.isfinite(rate * tau * max(k, ell_max)):
             errors.append(f"tau: phase rate * tau * max(k, ell_max) must be finite, "
                           f"with the rate {rate:g} the larger of ||H|| <= (n-1)|J| "
                           f"+ n(|Bz| + |Bx|) and 4 max(|J + Bz|, |J|) "

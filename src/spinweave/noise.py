@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .qsim import (MAX_DM_QUBITS, BitstringDistribution, Circuit, Gate,
-                   gate_matrix, _contract)
+                   kind_matrix, _contract)
 
 DEFAULT_CNOT_ERRORS = (7.67e-3, 7.00e-3, 7.68e-3)
 DEFAULT_SPAM_EPSILON = (0.043, 0.015, 0.017, 0.017)
@@ -112,6 +112,18 @@ def build_confusion_matrix(nm: NoiseModel) -> np.ndarray:
 _VEC_I4 = np.eye(4).reshape(16)
 
 
+@lru_cache(maxsize=1024)
+def _superoperator(kind: str, angle: float | None, p: float) -> np.ndarray:
+    """Read-only U (x) conj(U) of a gate kind at an angle, then the pair
+    depolarizing channel of strength ``p``; built once per (kind, angle, p)."""
+    u = kind_matrix(kind, angle)
+    s = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(u.size, u.size)
+    if p > 0.0:
+        s = (1.0 - p) * s + (p / 4.0) * np.outer(_VEC_I4, _VEC_I4 @ s)
+    s.flags.writeable = False
+    return s
+
+
 def simulate_noisy(c: Circuit, nm: NoiseModel) -> BitstringDistribution:
     """Density-matrix run of a circuit under the noise model.
 
@@ -129,16 +141,10 @@ def simulate_noisy(c: Circuit, nm: NoiseModel) -> BitstringDistribution:
         raise ValueError("noise model and circuit qubit counts differ")
     t = np.zeros((2,) * (2 * n), dtype=complex)
     t[(0,) * (2 * n)] = 1.0
-    supers: dict[Gate, np.ndarray] = {}  # S of each distinct gate, built once
     for g in c.gates:
-        if g not in supers:
-            u = gate_matrix(g)
-            s = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(u.size, u.size)
-            p = nm.cnot_error[min(g.qubits)] if g.kind == "CNOT" else 0.0
-            if p > 0.0:
-                s = (1.0 - p) * s + (p / 4.0) * np.outer(_VEC_I4, _VEC_I4 @ s)
-            supers[g] = s
-        t = _contract(t, supers[g], g.qubits + tuple(n + q for q in g.qubits))
+        p = nm.cnot_error[min(g.qubits)] if g.kind == "CNOT" else 0.0
+        t = _contract(t, _superoperator(g.kind, g.angle, p),
+                      g.qubits + tuple(n + q for q in g.qubits))
     d = 2 ** n
     probs = np.clip(np.diag(t.reshape(d, d)).real, 0.0, None)
     return BitstringDistribution(n, build_confusion_matrix(nm) @ probs)

@@ -44,11 +44,8 @@ from .noise import (build_confusion_matrix, empirical_distribution, fold_cnots,
                     sample_counts, simulate_noisy)
 from .qsim import (BitstringDistribution, Circuit, StateVector, apply_circuit,
                    dagger, measurement_distribution, x_gate)
-from .surface_io import CSV_COLUMNS, SurfaceTable
+from .surface_io import VALUE_COLUMNS, SurfaceTable
 from .weave import weave_circuit
-
-# Surface columns in the order of the value tuples that _surface_row builds.
-ROW_COLUMNS = CSV_COLUMNS[3:]
 
 
 def _real_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -182,7 +179,7 @@ def _point_seed(seed: int, j: int, ell: int, fold: int) -> np.random.SeedSequenc
 def _surface_row(cfg, solver: TmemSolver | None, ell: int) -> list[tuple]:
     """All probe sites at one time index.
 
-    Returns one tuple per site holding the values of ``ROW_COLUMNS``, in
+    Returns one tuple per site holding the values of ``VALUE_COLUMNS``, in
     that order; ``solver`` is None unless TMEM runs.  Module-level so rows
     can be dispatched to worker processes.
     """
@@ -269,9 +266,9 @@ def build_surface(cfg, jobs: int = 1) -> SurfaceTable:
 
     # rows[ell][j - 1] -> one (n * l1, columns) block, j-major
     values = np.array(rows, dtype=float).transpose(1, 0, 2).reshape(n * l1, -1)
-    assert values.shape[1] == len(ROW_COLUMNS)
+    assert values.shape[1] == len(VALUE_COLUMNS)
     ell = np.tile(np.arange(l1), n).astype(float)
     columns = {"j": np.repeat(np.arange(1, n + 1), l1).astype(float),
                "ell": ell, "t": ell * cfg.tau}
-    columns.update(zip(ROW_COLUMNS, values.T.copy()))
+    columns.update(zip(VALUE_COLUMNS, values.T.copy()))
     return SurfaceTable(columns)

@@ -7,7 +7,8 @@ Conventions used throughout the package:
   index ``sum(q_i << (n - 1 - i))``.  ``|10>`` on two qubits is index 2.
 * All values are immutable; every operation returns a new object.
 * The gate set is exactly what the weave and the |F| protocol emit: RX, PZ,
-  S, SDG, H, X and CNOT.
+  S, SDG, H, X and CNOT, one row each of the table :data:`GATES`; validation,
+  inverses and both engines read it, building a matrix once per (kind, angle).
 * Gates act in O(2^n) time per gate: one cached axis plan per (rank, axes),
   then one transpose copy and one matrix product of the gate against the
   state tensor.  The same kernel, :func:`_contract`, applies the noisy
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,12 +34,28 @@ from .errors import CapacityError, MalformedGateError
 MAX_QUBITS = 14
 MAX_DM_QUBITS = 8
 
-ONE_QUBIT_KINDS = frozenset({"RX", "PZ", "S", "SDG", "H", "X"})
-TWO_QUBIT_KINDS = frozenset({"CNOT"})
-PARAMETRIC_KINDS = frozenset({"RX", "PZ"})
-GATE_KINDS = ONE_QUBIT_KINDS | TWO_QUBIT_KINDS
-
 _SQRT05 = math.sqrt(0.5)
+
+
+def _rx(theta: float) -> np.ndarray:
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
+# kind -> (qubit count, matrix, inverse kind).  A parametric kind's matrix is
+# the function of the angle that gives it, and its inverse negates the angle.
+GateKind = namedtuple("GateKind", "qubits matrix inverse")
+GATES = {
+    "RX": GateKind(1, _rx, "RX"),
+    "PZ": GateKind(1, lambda phi: np.diag([1.0, np.exp(1j * phi)]), "PZ"),
+    "S": GateKind(1, [[1, 0], [0, 1j]], "SDG"),
+    "SDG": GateKind(1, [[1, 0], [0, -1j]], "S"),
+    "H": GateKind(1, [[_SQRT05, _SQRT05], [_SQRT05, -_SQRT05]], "H"),
+    "X": GateKind(1, [[0, 1], [1, 0]], "X"),
+    "CNOT": GateKind(2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                     "CNOT"),
+}
+GATE_KINDS = frozenset(GATES)
 
 
 @dataclass(frozen=True)
@@ -53,18 +71,18 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        spec = GATES.get(self.kind)
+        if spec is None:
             raise MalformedGateError(f"unknown gate kind {self.kind!r}")
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        expected = 1 if self.kind in ONE_QUBIT_KINDS else 2
-        if len(self.qubits) != expected:
+        if len(self.qubits) != spec.qubits:
             raise MalformedGateError(
-                f"{self.kind} takes {expected} qubit(s), got {self.qubits}")
+                f"{self.kind} takes {spec.qubits} qubit(s), got {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
             raise MalformedGateError(f"{self.kind} qubit indices must be distinct")
         if any(q < 0 for q in self.qubits):
             raise MalformedGateError("qubit indices must be non-negative")
-        if self.kind in PARAMETRIC_KINDS:
+        if callable(spec.matrix):
             if self.angle is None:
                 raise MalformedGateError(f"{self.kind} requires an angle")
             object.__setattr__(self, "angle", float(self.angle))
@@ -121,35 +139,23 @@ class Circuit:
         return len(self.gates)
 
 
+@functools.lru_cache(maxsize=1024)
+def kind_matrix(kind: str, angle: float | None) -> np.ndarray:
+    """The read-only unitary of :data:`GATES` ``[kind]`` at ``angle`` (None
+    for a fixed kind), built once per (kind, angle)."""
+    matrix = GATES[kind].matrix
+    matrix = np.array(matrix if angle is None else matrix(angle), dtype=complex)
+    matrix.flags.writeable = False
+    return matrix
+
+
 def gate_matrix(g: Gate) -> np.ndarray:
-    """Return the 2x2 or 4x4 unitary of a gate in the basis of its qubit list."""
-    kind, theta = g.kind, g.angle
-    if kind == "RX":
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if kind == "PZ":
-        return np.diag([1.0, np.exp(1j * theta)])
-    if kind == "CNOT":
-        return np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    if kind == "S":
-        return np.diag([1.0, 1j])
-    if kind == "SDG":
-        return np.diag([1.0, -1j])
-    if kind == "H":
-        return np.array([[_SQRT05, _SQRT05], [_SQRT05, -_SQRT05]], dtype=complex)
-    if kind == "X":
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    raise MalformedGateError(f"unknown gate kind {kind!r}")  # pragma: no cover
-
-
-_INVERSE_KIND = {"S": "SDG", "SDG": "S"}
+    """The read-only 2x2 or 4x4 unitary of a gate in its qubit list's basis."""
+    return kind_matrix(g.kind, g.angle)
 
 
 def inverse_gate(g: Gate) -> Gate:
-    if g.kind in PARAMETRIC_KINDS:
-        return Gate(g.kind, g.qubits, -g.angle)
-    return Gate(_INVERSE_KIND.get(g.kind, g.kind), g.qubits)
+    return Gate(GATES[g.kind].inverse, g.qubits, None if g.angle is None else -g.angle)
 
 
 def dagger(c: Circuit) -> Circuit:
@@ -226,12 +232,8 @@ def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
     if c.n_qubits != state.n_qubits:
         raise ValueError("circuit and state qubit counts differ")
     psi = state.amplitudes.reshape((2,) * state.n_qubits)
-    mats: dict[Gate, np.ndarray] = {}  # circuits repeat a handful of gates
     for g in c.gates:
-        u = mats.get(g)
-        if u is None:
-            u = mats[g] = gate_matrix(g)
-        psi = _contract(psi, u, g.qubits)
+        psi = _contract(psi, kind_matrix(g.kind, g.angle), g.qubits)
     return StateVector(state.n_qubits, psi.reshape(-1))
 
 
@@ -246,5 +248,5 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     d = 2 ** n
     t = np.eye(d, dtype=complex).reshape((2,) * n + (d,))
     for g in c.gates:
-        t = _contract(t, gate_matrix(g), g.qubits)
+        t = _contract(t, kind_matrix(g.kind, g.angle), g.qubits)
     return t.reshape(d, d)

@@ -31,17 +31,23 @@ import numpy as np
 from ._version import __version__
 from .config import ExperimentConfig, config_echo
 
-CSV_COLUMNS = ("j", "ell", "t", "C_raw", "C_tmem", "C_zne", "C_corr",
-               "C_exact", "F_abs", "F_phase")
-FLOAT_COLUMNS = CSV_COLUMNS[2:]
+# One surface variant each, in the order of otoc._surface_row's value tuples
+VALUE_COLUMNS = ("C_raw", "C_tmem", "C_zne", "C_corr", "C_exact", "F_abs", "F_phase")
+CSV_COLUMNS = ("j", "ell", "t") + VALUE_COLUMNS
 FORMAT_NAME = "spinweave-surface-v1"
+
+
+def check_value_column(column: str) -> str:
+    """``column`` if it names a value column; ValueError otherwise."""
+    if column not in VALUE_COLUMNS:
+        raise ValueError(f"unknown column {column!r}; choose a variant "
+                         f"from {VALUE_COLUMNS}")
+    return column
 
 
 def format_value(x: float) -> str:
     """12-significant-digit float formatting; NaN becomes the empty field."""
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return ""
-    return f"{x:.12g}"
+    return "" if math.isnan(x) else f"{x:.12g}"
 
 
 @dataclass(frozen=True)
@@ -67,14 +73,11 @@ class SurfaceTable:
         return self.columns["j"].size
 
     def grid(self, column: str) -> np.ndarray:
-        """Column values reshaped to (n, ell_max + 1), indexed [j-1, ell]."""
-        if column not in FLOAT_COLUMNS:
-            raise ValueError(
-                f"unknown surface column {column!r}; choose from {FLOAT_COLUMNS}")
+        """Value column reshaped to (n, ell_max + 1), indexed [j-1, ell]."""
         out = np.full((self.n, self.ell_max + 1), np.nan)
         j = self.columns["j"].astype(int)
         ell = self.columns["ell"].astype(int)
-        out[j - 1, ell] = self.columns[column]
+        out[j - 1, ell] = self.columns[check_value_column(column)]
         return out
 
 
@@ -84,20 +87,9 @@ def render_csv(table: SurfaceTable) -> str:
     ell = table.columns["ell"]
     for r in range(len(table)):
         row = [str(int(j[r])), str(int(ell[r]))]
-        row += [format_value(float(table.columns[c][r])) for c in FLOAT_COLUMNS]
+        row += [format_value(float(table.columns[c][r])) for c in CSV_COLUMNS[2:]]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
-
-
-def surface_metadata(cfg: ExperimentConfig, table: SurfaceTable) -> dict:
-    return {
-        "format": FORMAT_NAME,
-        "version": __version__,
-        "columns": list(CSV_COLUMNS),
-        "rows": len(table),
-        "seed": cfg.seed,
-        "config": config_echo(cfg),
-    }
 
 
 def write_table(table: SurfaceTable, out_path, meta: dict):
@@ -114,8 +106,10 @@ def write_table(table: SurfaceTable, out_path, meta: dict):
 def write_surface(table: SurfaceTable, cfg: ExperimentConfig, out_dir):
     """Write ``surface.csv`` and its metadata sidecar into ``out_dir``;
     returns (csv_path, meta_path)."""
-    return write_table(table, Path(out_dir) / "surface.csv",
-                       surface_metadata(cfg, table))
+    meta = {"format": FORMAT_NAME, "version": __version__,
+            "columns": list(CSV_COLUMNS), "rows": len(table), "seed": cfg.seed,
+            "config": config_echo(cfg)}
+    return write_table(table, Path(out_dir) / "surface.csv", meta)
 
 
 def _parse_field(text: str, column: str, where: str) -> float:
@@ -164,10 +158,8 @@ def diff_surfaces(a: SurfaceTable, b: SurfaceTable, column: str,
     """Pointwise difference a[column] - b[column_b or column] on congruent
     grids, returned as a surface table with the difference stored under
     ``column`` and every other variant column empty."""
-    column_b = column_b or column
-    for name in (column, column_b):
-        if name not in FLOAT_COLUMNS[1:]:
-            raise ValueError(f"unknown column {name!r}; choose from {FLOAT_COLUMNS[1:]}")
+    check_value_column(column)
+    column_b = check_value_column(column_b or column)
     same_grid = (len(a) == len(b)
                  and np.array_equal(a.columns["j"], b.columns["j"])
                  and np.array_equal(a.columns["ell"], b.columns["ell"])

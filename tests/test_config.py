@@ -77,6 +77,14 @@ class TestValidation:
             config_from_dict({"regime": "chaotic", "pipeline": "noisy",
                               "state": "plus"})
 
+    @pytest.mark.parametrize("pipeline", ["exact", "trotter_exact", "sampled"])
+    def test_noise_rejected_where_no_noise_is_simulated(self, pipeline):
+        data = {"regime": "chaotic", "pipeline": pipeline}
+        with pytest.raises(ConfigError, match=re.escape(
+                "noise: only the noisy and mitigated pipelines simulate noise")):
+            config_from_dict({**data, "noise": {"spam_epsilon": 0.5, "cnot_error": 0.2}})
+        assert config_from_dict({**data, "noise": None}).noise.cnot_error == (0.0,) * 3
+
     def test_noisy_capacity_limit(self):
         with pytest.raises(ConfigError, match="n"):
             config_from_dict({"regime": "chaotic", "n": 9, "pipeline": "noisy"})
@@ -176,6 +184,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(
                 "tau: phase rate * tau * max(k, ell_max) must be finite")):
             config_from_dict(data)
+
+    def test_overflowing_phase_rate_names_regime(self):
+        # the defaults for tau, k and ell_max are fine: the couplings are not
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"regime": {"J": 1e308, "Bx": 1e308, "Bz": 1e308}})
+        assert "regime: the phase rate must be finite (got inf)" in str(info.value)
+        assert "tau:" not in str(info.value)
 
     def test_time_within_the_energy_bound_accepted(self):
         # ||H|| <= 3 + 4 * 2.2 = 11.8 on the chaotic n=4 chain

@@ -9,10 +9,10 @@ from spinweave.noise import (NoiseModel, build_confusion_matrix,
                              empirical_distribution, fold_cnots, sample_counts,
                              simulate_noisy)
 from spinweave.otoc import fabs_measurement_circuit
-from spinweave.qsim import (GATE_KINDS, ONE_QUBIT_KINDS, PARAMETRIC_KINDS,
-                            BitstringDistribution, Circuit, Gate, StateVector,
-                            apply_circuit, circuit_unitary, cnot, gate_matrix,
-                            h_gate, measurement_distribution, rx)
+from spinweave.qsim import (GATE_KINDS, GATES, BitstringDistribution, Circuit,
+                            Gate, StateVector, apply_circuit, circuit_unitary,
+                            cnot, gate_matrix, h_gate, measurement_distribution,
+                            rx)
 from spinweave.weave import WeaveSchedule, weave_circuit
 
 from conftest import I2, X2, Y2, Z2, cnot_count, embed_dense
@@ -63,8 +63,9 @@ def noisy_circuits(draw):
         q, theta = draw(qubit), draw(angle)
         other = draw(qubit.filter(lambda r: r != q))
         kind = draw(st.sampled_from(sorted(GATE_KINDS)))
-        gates.append(Gate(kind, (q,) if kind in ONE_QUBIT_KINDS else (q, other),
-                          theta if kind in PARAMETRIC_KINDS else None))
+        spec = GATES[kind]
+        gates.append(Gate(kind, (q,) if spec.qubits == 1 else (q, other),
+                          theta if callable(spec.matrix) else None))
     rate = st.floats(0.0, 1.0)
     nm = NoiseModel(n, draw(st.lists(rate, min_size=n - 1, max_size=n - 1)),
                     draw(st.lists(rate, min_size=n, max_size=n)),
@@ -148,6 +149,17 @@ class TestDepolarizing:
         # and the rates matter: the same circuit with the edges swapped differs
         swapped = simulate_noisy(c, NoiseModel(3, (0.11, 0.23), 0.0, 0.0))
         assert np.max(np.abs(swapped.probabilities - oracle)) > 1e-3
+
+    def test_each_cnot_rate_gets_its_own_superoperator(self):
+        # one process, one gate list, two rates: a superoperator cached
+        # without its rate would hand the first rate's channel to the second
+        c = Circuit(2, (h_gate(0), cnot(0, 1), rx(1, 0.9), cnot(1, 0), h_gate(1)))
+        dists = []
+        for p in (0.05, 0.4):
+            nm = NoiseModel(2, p, 0.0, 0.0)
+            dists.append(simulate_noisy(c, nm).probabilities)
+            assert np.max(np.abs(dists[-1] - kraus_oracle(c, nm))) < 1e-12
+        assert np.max(np.abs(dists[0] - dists[1])) > 1e-2
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(noisy_circuits())

@@ -177,18 +177,15 @@ class TestApplyCircuit:
         with pytest.raises(ValueError):
             apply_circuit(StateVector.zeros(2), Circuit(3))
 
-    def test_gate_matrix_built_once_per_distinct_gate(self, monkeypatch):
+    def test_gate_matrix_built_once_per_distinct_gate(self):
+        # every gate reads the (kind, angle) cache, which builds on a miss
         cell = (h_gate(0), cnot(0, 2), rx(1, 0.3), pz(2, -0.8), cnot(2, 1), h_gate(0))
         c = Circuit(3, cell * 4 + tuple(dagger(Circuit(3, cell)).gates))
-        built = []
-
-        def counting(g):
-            built.append(g)
-            return gate_matrix(g)
-
-        monkeypatch.setattr(qsim, "gate_matrix", counting)
+        qsim.kind_matrix.cache_clear()
         apply_circuit(StateVector.zeros(3), c)
-        assert len(built) == len(set(built)) and set(built) == set(c.gates)
+        info = qsim.kind_matrix.cache_info()
+        assert info.misses == len({(g.kind, g.angle) for g in c.gates}) == 6
+        assert info.hits + info.misses == len(c.gates)
 
 
 def contraction_case(seed, r, axes):
@@ -327,6 +324,17 @@ class TestCapacity:
 
 
 class TestGateSet:
+    @pytest.mark.parametrize("kind", sorted(qsim.GATE_KINDS))
+    def test_inverse_times_gate_is_identity(self, kind):
+        spec = qsim.GATES[kind]
+        g = Gate(kind, tuple(range(spec.qubits)), 0.7 if callable(spec.matrix) else None)
+        u = gate_matrix(g)
+        assert np.max(np.abs(gate_matrix(qsim.inverse_gate(g)) @ u
+                             - np.eye(len(u)))) < 1e-12
+        assert not u.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 2.0
+
     def test_gate_kinds_are_what_the_circuits_emit(self):
         # every bundled measured preset at ell = k + 1: one shift step, then
         # its plain or magic cell, inside the |F| protocol circuit

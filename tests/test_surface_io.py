@@ -178,6 +178,13 @@ class TestTableValidation:
         row = table.columns["C_exact"][:11]
         assert np.array_equal(grid[0], row)
 
+    def test_grid_takes_only_value_columns(self, exact_surface):
+        # t is a grid coordinate, not a variant: grid refuses it as
+        # render_heatmap and diff_surfaces do
+        table = exact_surface[0]
+        with pytest.raises(ValueError, match="unknown column 't'"):
+            table.grid("t")
+
 
 GOOD_HEADER = ",".join(CSV_COLUMNS)
 GOOD_ROW = "1,0,0,,,,,0,1,0"
