@@ -50,7 +50,6 @@ from .ising import (MAX_OTOC_QUBITS, REGIME_COUPLINGS, IsingParams, phase_rate,
                     preset_params)
 from .noise import DEFAULT_SHOTS, NoiseModel
 from .qsim import MAX_DM_QUBITS
-from .weave import WeaveSchedule, check_magic_constraint
 
 # A pipeline's readout engine (None, "statevector" or "density"), whether it
 # draws shots, whether it mitigates, and the largest n that it accepts.
@@ -62,12 +61,21 @@ PIPELINES = {
     "noisy": Pipeline("density", True, False, MAX_DM_QUBITS),
     "mitigated": Pipeline("density", True, True, MAX_DM_QUBITS),
 }
+# A field that only some pipelines read: its name, the pipelines that read
+# it, and the message that rejects a non-null value on any other pipeline
+_PIPELINE_FIELDS = (
+    ("noise", lambda t: t.engine == "density",
+     "only the noisy and mitigated pipelines simulate noise"),
+    ("mitigation", lambda t: t.mitigates, "only the mitigated pipeline mitigates"),
+)
 STATES = ("zeros", "plus", "maximally_mixed")
 PROBES = ("x", "y")
 MITIGATION_ORDERS = ("tmem_then_zne", "zne_then_tmem")
 
 _NOISE_KEYS = {"cnot_error", "spam_epsilon", "t1_given_0", "t0_given_1"}
 
+# a magic cell's ZZ angle 2*J*k*tau must be +-pi/2 within this
+MAGIC_ANGLE_TOL = 1e-9
 # numpy's multinomial draws int64 counts
 MAX_SHOTS = 2 ** 63 - 1
 # n is bounded before any builder sees it, then by its pipeline's cap
@@ -131,10 +139,6 @@ class ExperimentConfig:
     output_dir: str | None
     description: str
 
-    @property
-    def schedule(self) -> WeaveSchedule:
-        return WeaveSchedule(self.tau, self.k, self.ell_max, self.magic)
-
 
 def _field(errors: list[str], src: dict, name: str, default, kind, check=None,
            msg: str = "", prefix: str = ""):
@@ -196,9 +200,6 @@ def _build_noise(data, n: int, pipeline: Pipeline, errors: list[str]):
     if data is None:
         return (NoiseModel.default(n) if pipeline.engine == "density"
                 else NoiseModel.ideal(n))
-    if pipeline.engine != "density":
-        errors.append("noise: only the noisy and mitigated pipelines simulate noise")
-        return None
     if not isinstance(data, dict):
         errors.append("noise: must be an object")
         return None
@@ -273,11 +274,19 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         errors.append(f"n: must be in 3..{pipeline.max_n} for pipeline "
                       f"{values['pipeline']!r} (got {n})")
 
-    if params is not None and values["magic"] and not values["magic_override"]:
-        try:
-            check_magic_constraint(2.0 * params.J * k * tau)
-        except ConfigError as exc:
-            errors.append(str(exc))
+    if (params is not None and span_finite and values["magic"]
+            and not values["magic_override"]):
+        angle = 2.0 * params.J * k * tau
+        if abs(abs(angle) - math.pi / 2) > MAGIC_ANGLE_TOL:
+            errors.append("magic: requires |2*J*k*tau| = pi/2 "
+                          f"(got 2*J*k*tau = {angle:.6g}); adjust tau or k, or set "
+                          "magic_override to run with the nominal angle replaced by "
+                          "the nearest +-pi/2 rotation")
+
+    for name, reads, message in _PIPELINE_FIELDS:
+        if values[name] is not None and not reads(pipeline):
+            errors.append(f"{name}: {message}")
+            values[name] = None
 
     values["mitigation"] = _build_mitigation(values["mitigation"], errors)
     values["noise"] = _build_noise(values["noise"], n, pipeline, errors)

@@ -196,8 +196,7 @@ def _surface_row(cfg, solver: TmemSolver | None, ell: int) -> list[tuple]:
         return [(nan, nan, nan, nan, c, abs(f), a)
                 for c, f, a in zip(c_exact, f_exact, phase)]
 
-    u_circ = weave_circuit(p, cfg.schedule, ell,
-                           allow_magic_mismatch=cfg.magic_override)
+    u_circ = weave_circuit(p, cfg.tau, cfg.k, ell, cfg.magic)
     mit = cfg.mitigation if traits.mitigates else None
 
     def modulus(dist: BitstringDistribution) -> float:

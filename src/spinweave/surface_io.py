@@ -130,7 +130,8 @@ def _parse_field(text: str, column: str, where: str) -> float:
 
 def load_surface(path) -> SurfaceTable:
     """Read a surface CSV back into column arrays (empty fields become NaN);
-    a malformed file raises ValueError naming the path, line and column."""
+    a malformed file raises ValueError naming the path, line and column, and
+    one whose rows do not fill the (j, ell) grid names the path."""
     rows, grid = [], set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -150,7 +151,11 @@ def load_surface(path) -> SurfaceTable:
             grid.add(tuple(rows[-1][:2]))
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return SurfaceTable(dict(zip(CSV_COLUMNS, np.array(rows).T.copy())))
+    table = SurfaceTable(dict(zip(CSV_COLUMNS, np.array(rows).T.copy())))
+    if len(table) != table.n * (table.ell_max + 1):  # distinct points: a full grid
+        raise ValueError(f"{path}: {len(table)} rows do not fill the grid "
+                         f"j = 1..{table.n}, ell = 0..{table.ell_max}")
+    return table
 
 
 def diff_surfaces(a: SurfaceTable, b: SurfaceTable, column: str,

@@ -18,47 +18,17 @@ cutting circuit depth k-fold compared to repeating U(tau).
 
 When the cell's ZZ angle 2*J*k*tau equals +-pi/2 the cell is "magic": each
 edge rotation collapses to S_i S_j CZ_ij up to a global phase, and with
-CZ written as H CNOT H the ZZ layer needs only one CNOT per edge.
+CZ written as H CNOT H the ZZ layer needs only one CNOT per edge.  The
+configuration checks that angle; here a magic cell always takes the
++-pi/2 turn whose sign matches 2*J*k*tau.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import ConfigError
 from .ising import IsingParams
 from .qsim import Circuit, Gate, cnot, h_gate, pz, rx, s_gate, sdg_gate
-
-MAGIC_ANGLE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class WeaveSchedule:
-    """Time resolution tau, weave modulus k, maximum time index, magic flag."""
-
-    tau: float
-    k: int
-    ell_max: int
-    magic: bool = False
-
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.ell_max < 0:
-            raise ValueError(f"ell_max must be >= 0, got {self.ell_max}")
-
-
-def check_magic_constraint(angle: float):
-    """A magic cell's ZZ angle 2*J*k*tau must be +-pi/2 within 1e-9."""
-    if abs(abs(angle) - math.pi / 2) > MAGIC_ANGLE_TOL:
-        raise ConfigError(
-            "magic: requires |2*J*k*tau| = pi/2 "
-            f"(got 2*J*k*tau = {angle:.6g}); adjust tau or k, or set "
-            "magic_override to run with the nominal angle replaced by the "
-            "nearest +-pi/2 rotation")
 
 
 def rzz_decomposition(theta: float, i: int, j: int) -> Circuit:
@@ -86,14 +56,12 @@ def magic_rzz(i: int, j: int, sign: int) -> Circuit:
     return Circuit(n, (phase(i), phase(j), h_gate(j), cnot(i, j), h_gate(j)))
 
 
-def trotter_step(p: IsingParams, dt: float, magic: bool = False,
-                 allow_magic_mismatch: bool = False) -> Circuit:
+def trotter_step(p: IsingParams, dt: float, magic: bool = False) -> Circuit:
     """Symmetric Trotter step circuit for evolution time ``dt``.
 
-    With ``magic=True`` the ZZ layer uses :func:`magic_rzz`; the nominal ZZ
-    angle 2*J*dt must then be +-pi/2 unless ``allow_magic_mismatch`` is set,
-    in which case the layer realizes the +-pi/2 rotation whose sign matches
-    the nominal angle (the step is then a deliberate approximation).
+    With ``magic=True`` the ZZ layer uses :func:`magic_rzz` and always
+    realizes the +-pi/2 rotation whose sign matches the nominal angle
+    2*J*dt; it equals the nominal layer only when that angle is +-pi/2.
     """
     if not math.isfinite(dt):
         raise ValueError("dt must be finite")
@@ -102,35 +70,27 @@ def trotter_step(p: IsingParams, dt: float, magic: bool = False,
     half = [rx(q, p.Bx * dt) for q in range(n)]
     gates += half
     theta = 2.0 * p.J * dt
-    if magic:
-        if not allow_magic_mismatch:
-            check_magic_constraint(theta)
-        sign = 1 if theta >= 0 else -1
-        for q in range(n - 1):
-            gates += magic_rzz(q, q + 1, sign).gates
-    else:
-        for q in range(n - 1):
-            gates += rzz_decomposition(theta, q, q + 1).gates
+    sign = 1 if theta >= 0 else -1
+    for q in range(n - 1):
+        edge = magic_rzz(q, q + 1, sign) if magic else rzz_decomposition(theta, q, q + 1)
+        gates += edge.gates
     gates += [pz(q, 2.0 * p.Bz * dt) for q in range(n)]
     gates += half
     return Circuit(n, tuple(gates))
 
 
-def weave_circuit(p: IsingParams, s: WeaveSchedule, ell: int,
-                  allow_magic_mismatch: bool = False) -> Circuit:
-    """Circuit approximating evolution to time ell * tau under the schedule.
+def weave_circuit(p: IsingParams, tau: float, k: int, ell: int,
+                  magic: bool = False) -> Circuit:
+    """Circuit approximating evolution to time ell * tau under the k-weave.
 
     The shift U((ell mod k) tau) is applied first and the cell
     U(k tau) ** ((ell - ell mod k) / k) after it.  ell = 0 is the empty
     circuit, and ell mod k = 0 uses no shift at all.  Only the shift and
     the cell are built, and only the cell takes the magic decomposition.
-    The cell is built always, so a magic angle that fails its constraint
-    raises :class:`ConfigError` at every ell unless overridden.
     """
-    if not 0 <= ell <= s.ell_max:
-        raise ValueError(f"ell={ell} out of range 0..{s.ell_max}")
-    cell = trotter_step(p, s.k * s.tau, magic=s.magic,
-                        allow_magic_mismatch=allow_magic_mismatch)
-    n_cells, shift_steps = divmod(ell, s.k)
-    shift = trotter_step(p, shift_steps * s.tau).gates if shift_steps else ()
+    if ell < 0:
+        raise ValueError(f"ell must be >= 0, got {ell}")
+    cell = trotter_step(p, k * tau, magic=magic)
+    n_cells, shift_steps = divmod(ell, k)
+    shift = trotter_step(p, shift_steps * tau).gates if shift_steps else ()
     return Circuit(p.n, shift + cell.gates * n_cells)

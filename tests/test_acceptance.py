@@ -26,8 +26,7 @@ from spinweave.otoc import (build_surface, fabs_measurement_circuit,
                             fixed_node_commutator)
 from spinweave.qsim import (BitstringDistribution, StateVector, apply_circuit,
                             circuit_unitary, measurement_distribution)
-from spinweave.weave import (WeaveSchedule, magic_rzz, rzz_decomposition,
-                             trotter_step, weave_circuit)
+from spinweave.weave import magic_rzz, rzz_decomposition, trotter_step, weave_circuit
 
 from conftest import (align_global_phase, cnot_count, commutator, dense_otoc,
                       dense_hamiltonian, rzz_matrix)
@@ -170,8 +169,7 @@ def test_criterion_04_weave_refinement_order():
     errors = []
     for tau in (0.12, 0.06, 0.03):
         ell = round(t_phys / tau)
-        s = WeaveSchedule(tau, 6, ell)
-        u = circuit_unitary(weave_circuit(CHAOTIC4, s, ell))
+        u = circuit_unitary(weave_circuit(CHAOTIC4, tau, 6, ell))
         errors.append(float(np.max(np.abs(align_global_phase(u, u_ref) - u_ref))))
     orders = [float(np.log2(errors[i] / errors[i + 1])) for i in range(2)]
     elapsed = time.perf_counter() - start
@@ -200,10 +198,9 @@ def test_criterion_05_decompositions_and_cnot_counts():
     n = CHAOTIC4.n
     step_cnots = cnot_count(trotter_step(CHAOTIC4, 0.06))
     magic_step_cnots = cnot_count(trotter_step(CHAOTIC4, np.pi / 4, magic=True))
-    s = WeaveSchedule(0.06, 6, 24)
     otoc_counts = []
     for ell in (8, 11, 12):  # one shift + one cell, or two cells
-        meas = fabs_measurement_circuit(weave_circuit(CHAOTIC4, s, ell), 1, 2)
+        meas = fabs_measurement_circuit(weave_circuit(CHAOTIC4, 0.06, 6, ell), 1, 2)
         otoc_counts.append(cnot_count(meas))
     ok = (worst < 1e-12 and step_cnots == 2 * (n - 1)
           and magic_step_cnots == n - 1 and otoc_counts == [48, 48, 48])
@@ -221,12 +218,11 @@ def test_criterion_05_decompositions_and_cnot_counts():
 def test_criterion_06_fabs_protocol_matches_dense_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(6)
-    s = WeaveSchedule(0.06, 6, 24)
     worst = 0.0
     for _ in range(20):
         j = int(rng.integers(1, 5))
         ell = int(rng.integers(0, 25))
-        u_circ = weave_circuit(CHAOTIC4, s, ell)
+        u_circ = weave_circuit(CHAOTIC4, 0.06, 6, ell)
         meas = fabs_measurement_circuit(u_circ, 1, j)
         p0 = measurement_distribution(
             apply_circuit(StateVector.zeros(4), meas)).probabilities[0]
@@ -270,11 +266,10 @@ def test_criterion_07_tmem_recovery():
 
 def test_criterion_08_zne_linear_regime():
     nm = NoiseModel(4, 1e-3, 0.0, 0.0)
-    s = WeaveSchedule(0.06, 6, 24)
     wins = total = 0
     for j in (1, 2, 3, 4):
         for ell in range(1, 11):
-            meas = fabs_measurement_circuit(weave_circuit(CHAOTIC4, s, ell), 1, j)
+            meas = fabs_measurement_circuit(weave_circuit(CHAOTIC4, 0.06, 6, ell), 1, j)
             ideal = measurement_distribution(
                 apply_circuit(StateVector.zeros(4), meas)).probabilities[0]
             d1 = simulate_noisy(meas, nm)

@@ -134,6 +134,17 @@ class TestRender:
         assert main(["render", str(csv_path), "--variant", "C_exact"]) == 2
         assert f"{csv_path}: line 3: expected 10 fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["render", "{0}", "--variant", "C_exact"],
+                                         ["diff", "{0}", "{0}", "--column", "C_exact"]],
+                             ids=["render", "diff"])
+    def test_partial_grid_exits_2_and_names_path(self, tmp_path, capsys, command):
+        # one row at ell = 10**12 would otherwise size a grid of 7 TiB
+        csv_path = tmp_path / "sparse.csv"
+        csv_path.write_text("j,ell,t,C_raw,C_tmem,C_zne,C_corr,C_exact,F_abs,F_phase\n"
+                            "1,1000000000000,0,,,,,1.0,,\n", encoding="utf-8")
+        assert main([arg.format(csv_path) for arg in command]) == 2
+        assert f"{csv_path}: 1 rows do not fill the grid" in capsys.readouterr().err
+
 
 class TestDiff:
     def test_identical_inputs_give_zero_surface(self, tmp_path):

@@ -32,6 +32,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="tau"):
             config_from_dict({"regime": "integrable", "tau": -0.1})
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("tau", 0.0, "> 0"), ("k", 0, ">= 1"), ("ell_max", -1, ">= 0")])
+    def test_schedule_bounds_name_their_field(self, field, value, rule):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"\n  {field}: must be {rule} (got {value!r})")):
+            config_from_dict({"regime": "integrable", field: value})
+
     def test_multiple_violations_all_reported(self):
         with pytest.raises(ConfigError) as err:
             config_from_dict({"regime": "integrable", "tau": -0.1,
@@ -84,6 +91,14 @@ class TestValidation:
                 "noise: only the noisy and mitigated pipelines simulate noise")):
             config_from_dict({**data, "noise": {"spam_epsilon": 0.5, "cnot_error": 0.2}})
         assert config_from_dict({**data, "noise": None}).noise.cnot_error == (0.0,) * 3
+
+    @pytest.mark.parametrize("pipeline", ["exact", "trotter_exact", "sampled", "noisy"])
+    def test_mitigation_rejected_where_nothing_is_mitigated(self, pipeline):
+        data = {"regime": "chaotic", "pipeline": pipeline}
+        with pytest.raises(ConfigError, match=re.escape(
+                "mitigation: only the mitigated pipeline mitigates")):
+            config_from_dict({**data, "mitigation": {"tmem": False}})
+        assert config_from_dict({**data, "mitigation": None}).pipeline == pipeline
 
     def test_noisy_capacity_limit(self):
         with pytest.raises(ConfigError, match="n"):
@@ -164,6 +179,7 @@ class TestValidation:
         {"pipeline": "trotter_exact", "tau": 1e308, "k": 2, "ell_max": 4},
         {"pipeline": "trotter_exact", "tau": 1e308, "k": 2, "ell_max": 0},
         {"pipeline": "exact", "tau": 0.1, "ell_max": 10 ** 400},
+        {"pipeline": "trotter_exact", "tau": 0.1, "k": 10 ** 400, "magic": True},
     ])
     def test_overflowing_time_names_tau(self, data):
         with pytest.raises(ConfigError, match=re.escape(

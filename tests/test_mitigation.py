@@ -304,11 +304,11 @@ class TestZne:
         from spinweave.otoc import fabs_measurement_circuit
         from spinweave.qsim import (StateVector, apply_circuit,
                                     measurement_distribution)
-        from spinweave.weave import WeaveSchedule, weave_circuit
+        from spinweave.weave import weave_circuit
 
         p = preset_params("chaotic", 4)
         meas = fabs_measurement_circuit(
-            weave_circuit(p, WeaveSchedule(0.06, 6, 24), 8), 1, 2)
+            weave_circuit(p, 0.06, 6, 8), 1, 2)
         ideal = measurement_distribution(
             apply_circuit(StateVector.zeros(4), meas)).probabilities[0]
         nm = NoiseModel(4, 1e-3, 0.0, 0.0)

@@ -13,14 +13,14 @@ from spinweave.qsim import (GATE_KINDS, GATES, BitstringDistribution, Circuit,
                             Gate, StateVector, apply_circuit, circuit_unitary,
                             cnot, gate_matrix, h_gate, measurement_distribution,
                             rx)
-from spinweave.weave import WeaveSchedule, weave_circuit
+from spinweave.weave import weave_circuit
 
 from conftest import I2, X2, Y2, Z2, cnot_count, embed_dense
 
 
 def chaotic_fabs_circuit(ell=12, j=2):
     p = preset_params("chaotic", 4)
-    u = weave_circuit(p, WeaveSchedule(0.06, 6, 24), ell)
+    u = weave_circuit(p, 0.06, 6, ell)
     return fabs_measurement_circuit(u, 1, j)
 
 

@@ -13,7 +13,7 @@ from spinweave.otoc import (_otoc_value, build_surface, fabs_measurement_circuit
 from spinweave.qsim import (Circuit, StateVector, apply_circuit,
                             circuit_unitary, measurement_distribution, pz,
                             x_gate)
-from spinweave.weave import WeaveSchedule, weave_circuit
+from spinweave.weave import weave_circuit
 
 from conftest import commutator, dense_hamiltonian, dense_otoc
 from oracles import heisenberg_x, matrix_otoc_value
@@ -193,16 +193,15 @@ class TestFabsProtocol:
         assert measurement_distribution(out).probabilities[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_contains_four_copies_of_evolution(self):
-        u = weave_circuit(CHAOTIC4, WeaveSchedule(0.06, 6, 12), 7)
+        u = weave_circuit(CHAOTIC4, 0.06, 6, 7)
         c = fabs_measurement_circuit(u, 1, 2)
         assert len(c) == 4 * len(u) + 4
 
     def test_matches_dense_oracle_with_same_unitary(self, rng):
-        s = WeaveSchedule(0.06, 6, 24)
         for _ in range(6):
             j = int(rng.integers(1, 5))
             ell = int(rng.integers(1, 25))
-            u_circ = weave_circuit(CHAOTIC4, s, ell)
+            u_circ = weave_circuit(CHAOTIC4, 0.06, 6, ell)
             meas = fabs_measurement_circuit(u_circ, 1, j)
             p0 = measurement_distribution(
                 apply_circuit(StateVector.zeros(4), meas)).probabilities[0]
@@ -210,7 +209,7 @@ class TestFabsProtocol:
             assert abs(np.sqrt(p0) - abs(f_oracle)) < 1e-9
 
     def test_global_phase_invariance(self):
-        u = weave_circuit(CHAOTIC4, WeaveSchedule(0.06, 6, 12), 9)
+        u = weave_circuit(CHAOTIC4, 0.06, 6, 9)
         # X PZ(phi) X PZ(phi) multiplies the unitary by exp(i phi)
         phi = 0.917
         shifted = Circuit(u.n_qubits,
@@ -229,7 +228,7 @@ class TestFabsProtocol:
         # measures the conjugate correlator, indistinguishable in |F|.
         # Pinned deliberately to document which ordering is implemented.
         from spinweave.qsim import dagger
-        u = weave_circuit(CHAOTIC4, WeaveSchedule(0.06, 6, 12), 9)
+        u = weave_circuit(CHAOTIC4, 0.06, 6, 9)
         forward = fabs_measurement_circuit(u, 1, 2)
         opposite = dagger(forward)
         amp_fwd = apply_circuit(StateVector.zeros(4), forward).amplitudes[0]
@@ -383,7 +382,7 @@ class TestBuildSurface:
         j, ell = 2, 5
         t = ell * cfg.tau
         meas = fabs_measurement_circuit(
-            weave_circuit(cfg.params, cfg.schedule, ell), 1, j)
+            weave_circuit(cfg.params, cfg.tau, cfg.k, ell), 1, j)
         d1 = simulate_noisy(meas, cfg.noise)
         d3 = simulate_noisy(fold_cnots(meas, 3), cfg.noise)
         p1 = empirical_distribution(sample_counts(
@@ -420,7 +419,7 @@ class TestBuildSurface:
         cfg = config_from_dict({**base, "mitigation": {"order": "zne_then_tmem"}})
         j, ell = 1, 3
         meas = fabs_measurement_circuit(
-            weave_circuit(cfg.params, cfg.schedule, ell), 1, j)
+            weave_circuit(cfg.params, cfg.tau, cfg.k, ell), 1, j)
         p1 = empirical_distribution(sample_counts(
             simulate_noisy(meas, cfg.noise), cfg.shots,
             np.random.SeedSequence(cfg.seed, spawn_key=(j, ell, 1))))
@@ -438,10 +437,9 @@ class TestBuildSurface:
         cfg = config_from_dict({"regime": "chaotic", "n": 4, "tau": 0.06, "k": 6,
                                 "ell_max": 6, "pipeline": "trotter_exact"})
         surf = build_surface(cfg)
-        s = cfg.schedule
         for j in (1, 3):
             for ell in (2, 5):
-                u = circuit_unitary(weave_circuit(CHAOTIC4, s, ell))
+                u = circuit_unitary(weave_circuit(CHAOTIC4, cfg.tau, cfg.k, ell))
                 f = dense_otoc(u, 1, j, 4)
                 expected = fixed_node_commutator(abs(f), CHAOTIC4, j, ell * cfg.tau)
                 assert abs(surf.grid("C_raw")[j - 1, ell] - expected) < 1e-9
@@ -477,12 +475,13 @@ class TestMitigationCombiner:
                 super().__init__(t)
 
         monkeypatch.setattr(otoc, "TmemSolver", CountingSolver)
-        for pipeline, tmem, count in (("mitigated", True, 1),
-                                      ("mitigated", False, 0), ("noisy", True, 0)):
+        for pipeline, mitigation, count in (("mitigated", {"tmem": True}, 1),
+                                            ("mitigated", {"tmem": False}, 0),
+                                            ("noisy", None, 0)):
             built.clear()
             build_surface(config_from_dict({**COMBINER_BASE, "pipeline": pipeline,
-                                            "mitigation": {"tmem": tmem}}))
-            assert len(built) == count, (pipeline, tmem)
+                                            "mitigation": mitigation}))
+            assert len(built) == count, (pipeline, mitigation)
 
     def test_nan_pattern(self, combiner_surfaces):
         noisy = combiner_surfaces["noisy"].columns
@@ -529,7 +528,7 @@ class TestMitigationCombiner:
                                 "mitigation": {"order": order}})
         j, ell = 2, 2
         meas = fabs_measurement_circuit(
-            weave_circuit(cfg.params, cfg.schedule, ell), 1, j)
+            weave_circuit(cfg.params, cfg.tau, cfg.k, ell), 1, j)
         p1, p3 = (empirical_distribution(sample_counts(
             simulate_noisy(fold_cnots(meas, fold), cfg.noise), cfg.shots,
             np.random.SeedSequence(cfg.seed, spawn_key=(j, ell, fold))))

@@ -342,8 +342,7 @@ class TestGateSet:
         for cfg in map(load_preset, preset_names()):
             if cfg.pipeline == "exact":
                 continue
-            u = weave_circuit(cfg.params, cfg.schedule, cfg.k + 1,
-                              allow_magic_mismatch=cfg.magic_override)
+            u = weave_circuit(cfg.params, cfg.tau, cfg.k, cfg.k + 1, cfg.magic)
             emitted |= {g.kind for g in fabs_measurement_circuit(u, 1, 2).gates}
             magic.add(cfg.magic)
         assert magic == {False, True}

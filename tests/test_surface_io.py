@@ -217,7 +217,9 @@ class TestLoadRejectsMalformedFiles:
         (GOOD_HEADER + "\n", "no data rows"),
         ("", "expected columns"),
         ("j,ell,t\n1,0,0\n", "expected columns"),
-    ], ids=["header_only", "empty_file", "wrong_header"])
+        (f"{GOOD_HEADER}\n{GOOD_ROW}\n2,1,0.1,,,,,0,1,0\n",
+         "2 rows do not fill the grid j = 1..2, ell = 0..1"),
+    ], ids=["header_only", "empty_file", "wrong_header", "partial_grid"])
     def test_bad_file_names_path(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text, encoding="utf-8")

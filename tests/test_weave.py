@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spinweave.errors import ConfigError
 from spinweave.ising import preset_params
 from spinweave.qsim import StateVector, apply_circuit, circuit_unitary, dagger
-from spinweave.weave import (WeaveSchedule, magic_rzz, rzz_decomposition,
-                             trotter_step, weave_circuit)
+from spinweave.weave import magic_rzz, rzz_decomposition, trotter_step, weave_circuit
 
 from conftest import (align_global_phase, cnot_count, dense_hamiltonian,
                       rzz_matrix)
@@ -116,63 +114,51 @@ class TestMagicRzz:
         with pytest.raises(ValueError):
             magic_rzz(0, 1, 2)
 
-    def test_magic_angle_enforced(self):
-        with pytest.raises(ConfigError):
-            trotter_step(CHAOTIC4, 0.1, magic=True)
-
 
 class TestWeaveOperators:
     """The operators {U(tau), ..., U(k tau)} as weave_circuit emits them:
     U(m tau) for m < k is the shift at ell = m, and U(k tau) is the cell."""
 
     def test_k1_single_step(self):
-        s = WeaveSchedule(0.06, 1, 10)
-        assert weave_circuit(CHAOTIC4, s, 1).gates == trotter_step(CHAOTIC4, 0.06).gates
+        assert weave_circuit(CHAOTIC4, 0.06, 1, 1).gates == trotter_step(CHAOTIC4, 0.06).gates
 
     def test_k6_cell_evolution_time(self):
-        s = WeaveSchedule(0.06, 6, 24)
         # element m evolves for m tau; the cell spans 0.36
         for m in range(1, 7):
             expected = trotter_step(CHAOTIC4, m * 0.06).gates
-            assert weave_circuit(CHAOTIC4, s, m).gates == expected
+            assert weave_circuit(CHAOTIC4, 0.06, 6, m).gates == expected
 
     def test_magic_cell_uses_negative_rotation_for_negative_j(self):
         tau = np.pi / 4 / 6  # k tau = pi/4, cell angle 2 J k tau = -pi/2
-        s = WeaveSchedule(tau, 6, 12, magic=True)
-        cell_kinds = {g.kind for g in weave_circuit(CHAOTIC4, s, 6).gates}
+        cell_kinds = {g.kind for g in weave_circuit(CHAOTIC4, tau, 6, 6, True).gates}
         assert "SDG" in cell_kinds and "S" not in cell_kinds
-        shift_kinds = {g.kind for g in weave_circuit(CHAOTIC4, s, 1).gates}
+        shift_kinds = {g.kind for g in weave_circuit(CHAOTIC4, tau, 6, 1, True).gates}
         assert "SDG" not in shift_kinds  # shifts stay standard
 
     def test_magic_constraint_violation(self):
-        s = WeaveSchedule(0.06, 6, 12, magic=True)
-        with pytest.raises(ConfigError):
-            weave_circuit(CHAOTIC4, s, 6)
-        cell = weave_circuit(CHAOTIC4, s, 6, allow_magic_mismatch=True)
+        # the angle is config's to check; off the magic angle the cell takes
+        # the sign-matched quarter turn, one CNOT per edge
+        cell = weave_circuit(CHAOTIC4, 0.06, 6, 6, magic=True)
         assert cnot_count(cell) == 3
 
 
 class TestWeaveCircuit:
     def test_ell_zero_is_empty(self):
-        s = WeaveSchedule(0.06, 6, 24)
-        assert len(weave_circuit(CHAOTIC4, s, 0)) == 0
+        assert len(weave_circuit(CHAOTIC4, 0.06, 6, 0)) == 0
 
     def test_k6_ell14_structure(self):
         # 14 mod 6 = 2 shift steps, then the cell twice
-        s = WeaveSchedule(0.05, 6, 20)
-        c = weave_circuit(CHAOTIC4, s, 14)
+        c = weave_circuit(CHAOTIC4, 0.05, 6, 14)
         shift = trotter_step(CHAOTIC4, 2 * 0.05).gates
         cell = trotter_step(CHAOTIC4, 6 * 0.05).gates
         assert c.gates == shift + cell + cell
 
     def test_k1_is_standard_trotter_sequence(self):
-        s = WeaveSchedule(0.06, 1, 10)
-        c = weave_circuit(CHAOTIC4, s, 5)
+        c = weave_circuit(CHAOTIC4, 0.06, 1, 5)
         assert c.gates == trotter_step(CHAOTIC4, 0.06).gates * 5
 
     def test_multiple_of_k_has_no_shift(self):
-        s = WeaveSchedule(0.05, 6, 20)
-        c = weave_circuit(CHAOTIC4, s, 12)
+        c = weave_circuit(CHAOTIC4, 0.05, 6, 12)
         cell = trotter_step(CHAOTIC4, 6 * 0.05).gates
         assert c.gates == cell + cell
 
@@ -185,51 +171,34 @@ class TestWeaveCircuit:
             calls.append(dt)
             return trotter_step(p, dt, *args, **kwargs)
 
-        s = WeaveSchedule(0.05, 20, 40)
-        expected = weave_circuit(CHAOTIC4, s, ell)
+        expected = weave_circuit(CHAOTIC4, 0.05, 20, ell)
         monkeypatch.setattr(weave, "trotter_step", counting_step)
-        assert weave_circuit(CHAOTIC4, s, ell).gates == expected.gates
+        assert weave_circuit(CHAOTIC4, 0.05, 20, ell).gates == expected.gates
         assert len(calls) == (2 if ell % 20 else 1)
 
     def test_ell_out_of_range(self):
-        s = WeaveSchedule(0.06, 6, 24)
         with pytest.raises(ValueError):
-            weave_circuit(CHAOTIC4, s, 25)
-        with pytest.raises(ValueError):
-            weave_circuit(CHAOTIC4, s, -1)
+            weave_circuit(CHAOTIC4, 0.06, 6, -1)
 
     def test_unitary_approaches_exact_under_refinement(self):
         t = 0.72
         errs = []
         for tau in (0.06, 0.03):
             ell = round(t / tau)
-            s = WeaveSchedule(tau, 6, ell)
-            u = circuit_unitary(weave_circuit(CHAOTIC4, s, ell))
+            u = circuit_unitary(weave_circuit(CHAOTIC4, tau, 6, ell))
             errs.append(aligned_error(u, expm(-1j * t * H_CHAOTIC4)))
         assert errs[1] < errs[0] / 3  # at least second-order gain
 
     def test_cnot_count_formula(self):
-        s = WeaveSchedule(0.05, 6, 30)
         per_step = 2 * (CHAOTIC4.n - 1)
         for ell in (0, 3, 6, 11, 14, 24):
-            cells, shift = divmod(ell, s.k)
+            cells, shift = divmod(ell, 6)
             steps = cells + (1 if shift else 0)
-            assert cnot_count(weave_circuit(CHAOTIC4, s, ell)) == per_step * steps
+            assert cnot_count(weave_circuit(CHAOTIC4, 0.05, 6, ell)) == per_step * steps
 
     def test_magic_cell_cnot_count(self):
         tau = np.pi / 4 / 6
-        s = WeaveSchedule(tau, 6, 18, magic=True)
         n = CHAOTIC4.n
         # ell = 14: one standard shift (2(n-1) CNOTs) + two magic cells (n-1 each)
-        c = weave_circuit(CHAOTIC4, s, 14)
+        c = weave_circuit(CHAOTIC4, tau, 6, 14, magic=True)
         assert cnot_count(c) == 2 * (n - 1) + 2 * (n - 1)
-
-
-class TestSchedule:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WeaveSchedule(0.0, 1, 10)
-        with pytest.raises(ValueError):
-            WeaveSchedule(0.1, 0, 10)
-        with pytest.raises(ValueError):
-            WeaveSchedule(0.1, 1, -1)
