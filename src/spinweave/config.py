@@ -62,8 +62,13 @@ PIPELINES = {
     "mitigated": Pipeline("density", True, True, MAX_DM_QUBITS),
 }
 # A field that only some pipelines read: its name, the pipelines that read
-# it, and the message that rejects a non-null value on any other pipeline
+# it, and the message that rejects a non-null value on any other pipeline.
+# The metadata echo leaves such a field out where the run does not read it.
 _PIPELINE_FIELDS = (
+    ("shots", lambda t: t.shots,
+     "only the sampled, noisy and mitigated pipelines draw shots"),
+    ("magic", lambda t: t.engine is not None,
+     "only the trotter_exact, sampled, noisy and mitigated pipelines build circuits"),
     ("noise", lambda t: t.engine == "density",
      "only the noisy and mitigated pipelines simulate noise"),
     ("mitigation", lambda t: t.mitigates, "only the mitigated pipeline mitigates"),
@@ -274,6 +279,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         errors.append(f"n: must be in 3..{pipeline.max_n} for pipeline "
                       f"{values['pipeline']!r} (got {n})")
 
+    for name, reads, message in _PIPELINE_FIELDS:
+        if data.get(name) is not None and not reads(pipeline):
+            errors.append(f"{name}: {message}")
+            values[name] = None
+
     if (params is not None and span_finite and values["magic"]
             and not values["magic_override"]):
         angle = 2.0 * params.J * k * tau
@@ -282,11 +292,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                           f"(got 2*J*k*tau = {angle:.6g}); adjust tau or k, or set "
                           "magic_override to run with the nominal angle replaced by "
                           "the nearest +-pi/2 rotation")
-
-    for name, reads, message in _PIPELINE_FIELDS:
-        if values[name] is not None and not reads(pipeline):
-            errors.append(f"{name}: {message}")
-            values[name] = None
 
     values["mitigation"] = _build_mitigation(values["mitigation"], errors)
     values["noise"] = _build_noise(values["noise"], n, pipeline, errors)
@@ -314,12 +319,15 @@ def validate_config(path, seed: int | None = None) -> ExperimentConfig:
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
-    """Resolved configuration as a JSON-ready dict: every field except
-    ``output_dir``, so that runs into different directories still produce
-    byte-identical metadata, and the noise model's qubit count, which
-    ``params`` already holds."""
+    """Resolved configuration as a JSON-ready dict: every field that the
+    run reads except ``output_dir``, so that runs into different
+    directories still produce byte-identical metadata, and without the
+    noise model's qubit count, which ``params`` already holds."""
     echo = asdict(cfg)
     del echo["output_dir"], echo["noise"]["n_qubits"]
+    for name, reads, _ in _PIPELINE_FIELDS:
+        if not reads(PIPELINES[cfg.pipeline]):
+            del echo[name]
     return echo
 
 

@@ -19,8 +19,9 @@ Depolarizing strength p means "replace the pair state by I/4 with
 probability p", i.e. the error weight is spread uniformly over the 15
 non-identity two-qubit Paulis.  :func:`simulate_noisy` is the one
 density-matrix engine: it folds that channel into the CNOT's own
-superoperator, so the density matrix costs one O(4^n) contraction per
-gate, CNOT or not.
+superoperator and composes each fused block of at most two qubits
+(:func:`~spinweave.qsim.fuse_gates`) into one superoperator, so the
+density matrix costs one O(4^n) contraction per block, not per gate.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from numbers import Real
 import numpy as np
 
 from .errors import CapacityError
-from .qsim import (MAX_DM_QUBITS, BitstringDistribution, Circuit, Gate,
-                   kind_matrix, _contract)
+from .qsim import (BLOCK_CACHE_SIZE, MAX_DM_QUBITS, BitstringDistribution,
+                   Circuit, Gate, _block_axes, _compose, _contract, fuse_gates,
+                   kind_matrix)
 
 DEFAULT_CNOT_ERRORS = (7.67e-3, 7.00e-3, 7.68e-3)
 DEFAULT_SPAM_EPSILON = (0.043, 0.015, 0.017, 0.017)
@@ -124,14 +126,35 @@ def _superoperator(kind: str, angle: float | None, p: float) -> np.ndarray:
     return s
 
 
+@lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def _block_superoperator(qubits: tuple[int, ...], gates: tuple[Gate, ...],
+                         p: float) -> np.ndarray:
+    """Read-only superoperator of a fused block on its qubits' row axes,
+    then their column axes: each gate's :func:`_superoperator`, a CNOT's
+    with the pair depolarizing of strength ``p``, composed in order; built
+    once per (qubits, gates, p)."""
+    k = len(qubits)
+    ops = []
+    for g in gates:
+        rows = _block_axes(qubits, g)
+        ops.append((_superoperator(g.kind, g.angle, p if g.kind == "CNOT" else 0.0),
+                    rows + tuple(k + a for a in rows)))
+    s = _compose(2 * k, ops)
+    s.flags.writeable = False
+    return s
+
+
 def simulate_noisy(c: Circuit, nm: NoiseModel) -> BitstringDistribution:
     """Density-matrix run of a circuit under the noise model.
 
-    Each gate is one superoperator S = U (x) conj(U) on its row and column
-    axes of the (2,)*(2n) density tensor: one O(4^n) contraction per gate.
-    A CNOT's S also carries its pair's depolarizing channel,
-    (1 - p) S + (p/4) vec(I) vec(I)^T S.  The readout distribution is the
-    diagonal multiplied by the confusion matrix.
+    Each fused block (:func:`~spinweave.qsim.fuse_gates`) is one
+    superoperator on its row and column axes of the (2,)*(2n) density
+    tensor: one O(4^n) contraction per block.  A gate's superoperator is
+    S = U (x) conj(U); a CNOT's also carries its pair's depolarizing
+    channel, (1 - p) S + (p/4) vec(I) vec(I)^T S.  A block spans two
+    qubits only through a CNOT, and every CNOT of a block acts on the
+    block's pair, so one rate serves the whole block.  The readout
+    distribution is the diagonal multiplied by the confusion matrix.
     """
     n = c.n_qubits
     if n > MAX_DM_QUBITS:
@@ -141,10 +164,10 @@ def simulate_noisy(c: Circuit, nm: NoiseModel) -> BitstringDistribution:
         raise ValueError("noise model and circuit qubit counts differ")
     t = np.zeros((2,) * (2 * n), dtype=complex)
     t[(0,) * (2 * n)] = 1.0
-    for g in c.gates:
-        p = nm.cnot_error[min(g.qubits)] if g.kind == "CNOT" else 0.0
-        t = _contract(t, _superoperator(g.kind, g.angle, p),
-                      g.qubits + tuple(n + q for q in g.qubits))
+    for qubits, gates in fuse_gates(c.gates):
+        p = nm.cnot_error[min(qubits)] if len(qubits) == 2 else 0.0
+        t = _contract(t, _block_superoperator(qubits, gates, p),
+                      qubits + tuple(n + q for q in qubits))
     d = 2 ** n
     probs = np.clip(np.diag(t.reshape(d, d)).real, 0.0, None)
     return BitstringDistribution(n, build_confusion_matrix(nm) @ probs)

@@ -30,7 +30,6 @@ state and the uniform superposition, O(8^n) for the maximally mixed state.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -258,6 +257,8 @@ def build_surface(cfg, jobs: int = 1) -> SurfaceTable:
               if PIPELINES[cfg.pipeline].mitigates and cfg.mitigation.tmem else None)
     workers = min(jobs, l1)
     if workers > 1:
+        # imported here: the process-pool modules add about 20 ms to every import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(partial(_surface_row, cfg, solver), range(l1)))
     else:

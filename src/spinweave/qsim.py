@@ -9,12 +9,16 @@ Conventions used throughout the package:
 * The gate set is exactly what the weave and the |F| protocol emit: RX, PZ,
   S, SDG, H, X and CNOT, one row each of the table :data:`GATES`; validation,
   inverses and both engines read it, building a matrix once per (kind, angle).
-* Gates act in O(2^n) time per gate: one cached axis plan per (rank, axes),
-  then one transpose copy and one matrix product of the gate against the
-  state tensor.  The same kernel, :func:`_contract`, applies the noisy
-  superoperators of :func:`spinweave.noise.simulate_noisy` to the density
-  tensor.  The full 2^n x 2^n operator is never formed except in
-  :func:`circuit_unitary`.
+* Both engines run a circuit as fused blocks: :func:`fuse_gates` groups
+  the gates, in one pass, into blocks of at most two qubits, and each
+  block costs O(2^n): one cached axis plan per (rank, axes), then one
+  transpose copy and one matrix product of the block's 2x2 or 4x4 unitary
+  against the state tensor.  A block's operator is built once, by running
+  its own gates on an identity tensor, and cached.  The same kernel,
+  :func:`_contract`, applies the noisy block superoperators of
+  :func:`spinweave.noise.simulate_noisy` to the density tensor.  The full
+  2^n x 2^n operator is never formed except in :func:`circuit_unitary`,
+  which runs the circuit gate by gate.
 * The ZZ and phase-gate decompositions the weave uses differ from the
   exact exponentials by a global phase, which cancels in every quantity
   the package measures.
@@ -33,6 +37,11 @@ from .errors import CapacityError, MalformedGateError
 
 MAX_QUBITS = 14
 MAX_DM_QUBITS = 8
+# Operators held by each fused-block cache.  A run needs one per distinct
+# block: at most 1,027 on the bundled presets (fig5b, fig6b) and 473 on the
+# n=8 sampled benchmark workload.  At the bound a cache holds 8 MiB of 16x16
+# superoperators or 0.5 MiB of 4x4 unitaries.
+BLOCK_CACHE_SIZE = 2048
 
 _SQRT05 = math.sqrt(0.5)
 
@@ -56,6 +65,9 @@ GATES = {
                      "CNOT"),
 }
 GATE_KINDS = frozenset(GATES)
+# the widest kind: a fused block spans at most this many qubits
+BLOCK_QUBITS = max(spec.qubits for spec in GATES.values())
+_NO_BLOCK = (-1,) * BLOCK_QUBITS
 
 
 @dataclass(frozen=True)
@@ -154,7 +166,9 @@ def gate_matrix(g: Gate) -> np.ndarray:
     return kind_matrix(g.kind, g.angle)
 
 
+@functools.lru_cache(maxsize=1024)
 def inverse_gate(g: Gate) -> Gate:
+    """The inverse of a gate, built once per distinct gate."""
     return Gate(GATES[g.kind].inverse, g.qubits, None if g.angle is None else -g.angle)
 
 
@@ -227,13 +241,70 @@ def _contract(tensor: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.nd
     return out.reshape(tensor.shape).transpose(inv)
 
 
+def fuse_gates(gates) -> list[tuple[tuple[int, ...], tuple[Gate, ...]]]:
+    """Group a gate sequence into blocks of at most ``BLOCK_QUBITS`` qubits,
+    in one pass; returns (qubits, gates) per block, in application order.
+
+    A gate joins the latest block on any of its qubits when their union
+    spans at most ``BLOCK_QUBITS`` qubits, and otherwise opens a new block.
+    No block after the one a gate joins touches the gate's qubits, so the
+    blocks applied in order, each as the product of its gates, equal the
+    gates applied in order.  A block lists its qubits in order of first use.
+    """
+    qubits: list[tuple[int, ...]] = []
+    members: list[list[Gate]] = []
+    latest: dict[int, int] = {}  # qubit -> index of the latest block on it
+    for g in gates:
+        i = max(map(latest.get, g.qubits, _NO_BLOCK))
+        if i >= 0:
+            new = [q for q in g.qubits if q not in qubits[i]]
+            if len(qubits[i]) + len(new) <= BLOCK_QUBITS:
+                if new:
+                    qubits[i] += tuple(new)
+                    for q in new:
+                        latest[q] = i
+                members[i].append(g)
+                continue
+        i = len(qubits)
+        qubits.append(g.qubits)
+        members.append([g])
+        for q in g.qubits:
+            latest[q] = i
+    return list(zip(qubits, map(tuple, members)))
+
+
+def _block_axes(qubits: tuple[int, ...], g: Gate) -> tuple[int, ...]:
+    """The positions of a gate's qubits in its block's qubit list."""
+    return tuple(qubits.index(q) for q in g.qubits)
+
+
+def _compose(width: int, ops) -> np.ndarray:
+    """The 2^width x 2^width product of ``ops``, (operator, axes) pairs
+    applied in order to an identity tensor."""
+    d = 2 ** width
+    t = np.eye(d, dtype=complex).reshape((2,) * width + (d,))
+    for u, axes in ops:
+        t = _contract(t, u, axes)
+    return t.reshape(d, d)
+
+
+@functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def _block_unitary(qubits: tuple[int, ...], gates: tuple[Gate, ...]) -> np.ndarray:
+    """Read-only unitary of a fused block on its qubits, in their order,
+    built once per (qubits, gates)."""
+    u = _compose(len(qubits), ((kind_matrix(g.kind, g.angle), _block_axes(qubits, g))
+                               for g in gates))
+    u.flags.writeable = False
+    return u
+
+
 def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
-    """Apply all gates of a circuit, in order."""
+    """Apply a circuit, one contraction per fused block, in order."""
     if c.n_qubits != state.n_qubits:
         raise ValueError("circuit and state qubit counts differ")
     psi = state.amplitudes.reshape((2,) * state.n_qubits)
-    for g in c.gates:
-        psi = _contract(psi, kind_matrix(g.kind, g.angle), g.qubits)
+    for qubits, gates in fuse_gates(c.gates):
+        psi = _contract(psi, _block_unitary(qubits, gates), qubits)
     return StateVector(state.n_qubits, psi.reshape(-1))
 
 
@@ -243,10 +314,6 @@ def measurement_distribution(state: StateVector) -> BitstringDistribution:
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Dense 2^n x 2^n unitary of a circuit."""
-    n = c.n_qubits
-    d = 2 ** n
-    t = np.eye(d, dtype=complex).reshape((2,) * n + (d,))
-    for g in c.gates:
-        t = _contract(t, kind_matrix(g.kind, g.angle), g.qubits)
-    return t.reshape(d, d)
+    """Dense 2^n x 2^n unitary of a circuit, built gate by gate."""
+    return _compose(c.n_qubits, ((kind_matrix(g.kind, g.angle), g.qubits)
+                                 for g in c.gates))

@@ -14,11 +14,17 @@ slowly but surely.
 ``heisenberg_x`` and ``matrix_otoc_value`` are the former exact OTOC
 kernel of ``otoc``: the dense propagator U(t), X_i(t) = U^dag (X_i U) as a
 second dense product, and F_ij for every j read off that full matrix.
+
+``gatewise_amplitudes`` and ``gatewise_readout`` are the former gate
+engines of ``qsim.apply_circuit`` and ``noise.simulate_noisy``: one
+contraction per gate, with no fusion into blocks.
 """
 
 import numpy as np
 
 from spinweave.mitigation import project_simplex
+from spinweave.noise import _superoperator, build_confusion_matrix
+from spinweave.qsim import _contract, kind_matrix
 
 PG_TOL = 1e-10
 PG_MAX_ITER = 100_000
@@ -90,3 +96,26 @@ def matrix_otoc_value(xit: np.ndarray, state: str, probe: str) -> np.ndarray:
     if state == "maximally_mixed" or (state == "plus" and probe == "x"):
         out.imag = 0.0
     return out
+
+
+def gatewise_amplitudes(amplitudes: np.ndarray, c) -> np.ndarray:
+    """The state vector after applying the gates of ``c`` one at a time."""
+    psi = np.asarray(amplitudes, dtype=complex).reshape((2,) * c.n_qubits)
+    for g in c.gates:
+        psi = _contract(psi, kind_matrix(g.kind, g.angle), g.qubits)
+    return psi.reshape(-1)
+
+
+def gatewise_readout(c, nm) -> np.ndarray:
+    """The noisy readout distribution of ``c`` from |0...0>, one gate
+    superoperator at a time, each CNOT's with its edge's depolarizing."""
+    n = c.n_qubits
+    t = np.zeros((2,) * (2 * n), dtype=complex)
+    t[(0,) * (2 * n)] = 1.0
+    for g in c.gates:
+        p = nm.cnot_error[min(g.qubits)] if g.kind == "CNOT" else 0.0
+        t = _contract(t, _superoperator(g.kind, g.angle, p),
+                      g.qubits + tuple(n + q for q in g.qubits))
+    d = 2 ** n
+    probs = np.clip(np.diag(t.reshape(d, d)).real, 0.0, None)
+    return build_confusion_matrix(nm) @ probs

@@ -347,6 +347,7 @@ def test_criterion_09_byte_determinism(tmp_path):
     import json
     cfg_data = json.loads(preset_path("fig4").read_text())
     cfg_data["pipeline"] = "trotter_exact"
+    del cfg_data["shots"]  # trotter_exact draws no shots
     cfg_path = tmp_path / "fig4_inset.json"
     cfg_path.write_text(json.dumps(cfg_data))
     a, b = tmp_path / "a", tmp_path / "b"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinweave.cli import main
-from spinweave.config import preset_names, preset_path
+from spinweave.config import PIPELINES, preset_names, preset_path
 from spinweave.surface_io import load_surface
 
 
@@ -13,6 +13,8 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     data = {"regime": "chaotic", "n": 4, "tau": 0.06, "k": 3, "ell_max": 4,
             "pipeline": "mitigated", "shots": 256, "seed": 33}
     data.update(overrides)
+    if not PIPELINES[data["pipeline"]].shots:  # such a pipeline rejects the field
+        del data["shots"]
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
@@ -54,7 +56,7 @@ class TestRun:
         assert "magic" in capsys.readouterr().err
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, pipeline="exact", shots=1,
+        cfg = write_config(tmp_path, pipeline="exact",
                            noise=None, ell_max=2)
         target = tmp_path / "from_env"
         monkeypatch.setenv("SPINWEAVE_OUTPUT_DIR", str(target))

@@ -67,7 +67,8 @@ class TestValidation:
         assert (cfg.params.J, cfg.params.Bx, cfg.params.Bz) == (-0.5, 0.2, 0.9)
 
     def test_magic_constraint_enforced(self):
-        base = {"regime": "chaotic", "n": 4, "k": 6, "tau": 0.06, "magic": True}
+        base = {"regime": "chaotic", "n": 4, "k": 6, "tau": 0.06, "magic": True,
+                "pipeline": "trotter_exact"}
         with pytest.raises(ConfigError, match="magic"):
             config_from_dict(base)
         cfg = config_from_dict({**base, "magic_override": True})
@@ -75,8 +76,8 @@ class TestValidation:
 
     def test_magic_constraint_satisfied(self):
         tau = math.pi / 4 / 6
-        cfg = config_from_dict({"regime": "chaotic", "n": 4, "k": 6,
-                                "tau": tau, "magic": True})
+        cfg = config_from_dict({"regime": "chaotic", "n": 4, "k": 6, "tau": tau,
+                                "magic": True, "pipeline": "trotter_exact"})
         assert cfg.magic
 
     def test_measured_pipelines_reject_alternative_states(self):
@@ -91,6 +92,24 @@ class TestValidation:
                 "noise: only the noisy and mitigated pipelines simulate noise")):
             config_from_dict({**data, "noise": {"spam_epsilon": 0.5, "cnot_error": 0.2}})
         assert config_from_dict({**data, "noise": None}).noise.cnot_error == (0.0,) * 3
+
+    @pytest.mark.parametrize("pipeline", ["exact", "trotter_exact"])
+    def test_shots_rejected_where_nothing_is_sampled(self, pipeline):
+        data = {"regime": "chaotic", "pipeline": pipeline}
+        with pytest.raises(ConfigError, match=re.escape(
+                "shots: only the sampled, noisy and mitigated pipelines draw shots")):
+            config_from_dict({**data, "shots": 1})
+        assert config_from_dict(data).pipeline == pipeline
+
+    def test_magic_rejected_where_no_circuit_is_built(self):
+        # a circuit-free run never checks the magic angle either
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"regime": "chaotic", "k": 6, "magic": True})
+        assert str(info.value).splitlines()[1:] == [
+            "  magic: only the trotter_exact, sampled, noisy and mitigated "
+            "pipelines build circuits"]
+        with pytest.raises(ConfigError, match=re.escape("magic: only the")):
+            config_from_dict({"regime": "chaotic", "magic": False})
 
     @pytest.mark.parametrize("pipeline", ["exact", "trotter_exact", "sampled", "noisy"])
     def test_mitigation_rejected_where_nothing_is_mitigated(self, pipeline):
@@ -277,6 +296,18 @@ class TestEcho:
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert set(echo) == fields - {"output_dir"}
         assert set(echo["noise"]) == {"cnot_error", "t1_given_0", "t0_given_1"}
+
+    @pytest.mark.parametrize("pipeline, unread", [
+        ("exact", {"shots", "magic", "noise", "mitigation"}),
+        ("trotter_exact", {"shots", "noise", "mitigation"}),
+        ("sampled", {"noise", "mitigation"}),
+        ("noisy", {"mitigation"}),
+        ("mitigated", set()),
+    ])
+    def test_echo_holds_only_the_fields_the_run_reads(self, pipeline, unread):
+        echo = config_echo(config_from_dict({"regime": "chaotic", "pipeline": pipeline}))
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(echo) == fields - {"output_dir"} - unread
 
     def test_module_docstring_example_lists_every_field(self):
         block = config.__doc__.split("Full example::")[1].split("\n    }")[0] + "}"

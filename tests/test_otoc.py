@@ -342,7 +342,7 @@ class TestBuildSurface:
         (1, 4, None), (2, 4, 2), (64, 4, 5), (64, 0, None), (3, 1, 2)])
     def test_workers_capped_by_time_indices(self, monkeypatch, jobs, ell_max,
                                             workers):
-        from spinweave import otoc
+        import concurrent.futures
         started = []
 
         class InlineExecutor:
@@ -358,7 +358,8 @@ class TestBuildSurface:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(otoc, "ProcessPoolExecutor", InlineExecutor)
+        # build_surface imports the executor from here when it starts workers
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         cfg = config_from_dict({"regime": "chaotic", "ell_max": ell_max})
         surface = build_surface(cfg, jobs=jobs)
         assert started == ([] if workers is None else [workers])

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from spinweave import qsim
+from spinweave import noise, qsim
 from spinweave.config import load_preset, preset_names
 from spinweave.errors import CapacityError, MalformedGateError
 from spinweave.noise import NoiseModel, simulate_noisy
@@ -13,10 +13,11 @@ from spinweave.qsim import (BitstringDistribution, Circuit, Gate, StateVector,
                             apply_circuit, circuit_unitary, cnot, dagger,
                             gate_matrix, h_gate, measurement_distribution, pz,
                             rx, s_gate, sdg_gate, x_gate)
-from spinweave.weave import weave_circuit
+from spinweave.ising import preset_params
+from spinweave.weave import trotter_step, weave_circuit
 
 from conftest import align_global_phase, cnot_count, embed_dense, rzz_matrix
-from oracles import tensordot_contract
+from oracles import gatewise_amplitudes, gatewise_readout, tensordot_contract
 
 ALL_GATES = [
     rx(0, 0.37), pz(0, -1.1), s_gate(0), sdg_gate(0), h_gate(0),
@@ -178,14 +179,18 @@ class TestApplyCircuit:
             apply_circuit(StateVector.zeros(2), Circuit(3))
 
     def test_gate_matrix_built_once_per_distinct_gate(self):
-        # every gate reads the (kind, angle) cache, which builds on a miss
+        # every block reads the (qubits, gates) cache, which builds on a
+        # miss, and a build reads the (kind, angle) cache once per gate
         cell = (h_gate(0), cnot(0, 2), rx(1, 0.3), pz(2, -0.8), cnot(2, 1), h_gate(0))
         c = Circuit(3, cell * 4 + tuple(dagger(Circuit(3, cell)).gates))
         qsim.kind_matrix.cache_clear()
+        qsim._block_unitary.cache_clear()
         apply_circuit(StateVector.zeros(3), c)
         info = qsim.kind_matrix.cache_info()
         assert info.misses == len({(g.kind, g.angle) for g in c.gates}) == 6
-        assert info.hits + info.misses == len(c.gates)
+        blocks = qsim.fuse_gates(c.gates)
+        built = qsim._block_unitary.cache_info()
+        assert built.misses == len(set(blocks)) < built.hits + built.misses == len(blocks)
 
 
 def contraction_case(seed, r, axes):
@@ -225,6 +230,81 @@ class TestContract:
         got = qsim._contract(tensor, u, axes)
         assert got.shape == tensor.shape
         assert np.max(np.abs(got - tensordot_contract(tensor, u, axes))) <= 1e-12
+
+
+def fusion_case(n, gates, rates=None, seed=0):
+    """A circuit, a noise model with per-edge CNOT rates ``rates`` (zero by
+    default) and no readout error, and a random normalized state."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    nm = NoiseModel(n, (0.0,) * (n - 1) if rates is None else rates, 0.0, 0.0)
+    return Circuit(n, tuple(gates)), nm, amps / np.linalg.norm(amps)
+
+
+@st.composite
+def fusion_cases(draw):
+    """n = 1..6 and up to 40 gates of every kind that fits, each on drawn
+    distinct qubits, so CNOTs land on non-adjacent and reversed pairs."""
+    n = draw(st.integers(1, 6))
+    kinds = sorted(k for k, spec in qsim.GATES.items() if spec.qubits <= n)
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(kinds))
+        spec = qsim.GATES[kind]
+        qubits = draw(st.permutations(range(n)))[:spec.qubits]
+        angle = draw(st.floats(-np.pi, np.pi)) if callable(spec.matrix) else None
+        gates.append(Gate(kind, qubits, angle))
+    rates = draw(st.lists(st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1))
+    return fusion_case(n, gates, tuple(rates), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+class TestFusion:
+    """``fuse_gates`` and the two engines that contract its blocks."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(fusion_cases())
+    @example(fusion_case(3, ()))
+    @example(fusion_case(4, (h_gate(3), cnot(3, 0), pz(0, 0.4), cnot(2, 0), rx(3, 1.1),
+                             cnot(0, 3)), (0.1, 0.2, 0.3)))
+    def test_property_engines_match_gatewise_oracle(self, case):
+        c, nm, amps = case
+        fused = apply_circuit(StateVector(c.n_qubits, amps), c).amplitudes
+        assert np.max(np.abs(fused - gatewise_amplitudes(amps, c))) <= 1e-12
+        noisy = simulate_noisy(c, nm).probabilities
+        assert np.max(np.abs(noisy - gatewise_readout(c, nm))) <= 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(fusion_cases())
+    def test_property_blocks_are_narrow_and_keep_each_qubits_order(self, case):
+        c = case[0]
+        blocks = qsim.fuse_gates(c.gates)
+        for qubits, gates in blocks:
+            assert len(set(qubits)) == len(qubits) <= qsim.BLOCK_QUBITS
+            assert all(set(g.qubits) <= set(qubits) for g in gates)
+        flat = [g for _, gates in blocks for g in gates]
+        assert len(flat) == len(c.gates)
+        for q in range(c.n_qubits):
+            assert [g for g in flat if q in g.qubits] == \
+                [g for g in c.gates if q in g.qubits]
+
+    @pytest.mark.parametrize("magic", [False, True])
+    @pytest.mark.parametrize("n", [3, 4, 6, 8])
+    def test_trotter_steps_fuse_into_one_block_per_edge_and_step(self, n, magic):
+        step = trotter_step(preset_params("chaotic", n), 0.1, magic)
+        for m in range(1, 7):
+            assert len(qsim.fuse_gates(step.gates * m)) <= m * (n - 1) + 1
+        if n == 4:
+            assert len(qsim.fuse_gates(step.gates * 4)) == 13
+
+    def test_block_superoperator_built_once_per_distinct_block(self):
+        u = weave_circuit(preset_params("chaotic", 4), 0.06, 6, 15)
+        c = fabs_measurement_circuit(u, 1, 2)
+        nm = NoiseModel.default(4)
+        noise._block_superoperator.cache_clear()
+        simulate_noisy(c, nm)
+        blocks = qsim.fuse_gates(c.gates)
+        built = noise._block_superoperator.cache_info()
+        assert built.misses == len(set(blocks)) < built.hits + built.misses == len(blocks)
 
 
 class TestDagger:
