@@ -64,11 +64,14 @@ PIPELINES = {
 # A field that only some pipelines read: its name, the pipelines that read
 # it, and the message that rejects a non-null value on any other pipeline.
 # The metadata echo leaves such a field out where the run does not read it.
+_BUILDS_CIRCUITS = (lambda t: t.engine is not None,
+                    "only the trotter_exact, sampled, noisy and mitigated "
+                    "pipelines build circuits")
 _PIPELINE_FIELDS = (
     ("shots", lambda t: t.shots,
      "only the sampled, noisy and mitigated pipelines draw shots"),
-    ("magic", lambda t: t.engine is not None,
-     "only the trotter_exact, sampled, noisy and mitigated pipelines build circuits"),
+    ("magic", *_BUILDS_CIRCUITS),
+    ("magic_override", *_BUILDS_CIRCUITS),
     ("noise", lambda t: t.engine == "density",
      "only the noisy and mitigated pipelines simulate noise"),
     ("mitigation", lambda t: t.mitigates, "only the mitigated pipeline mitigates"),
@@ -252,8 +255,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     n, tau, k, ell_max = values.pop("n"), values["tau"], values["k"], values["ell_max"]
     pipeline = PIPELINES[values["pipeline"]]
 
-    try:  # the cell U(k tau) is always built, and the last time is ell_max tau
-        span_finite = math.isfinite(tau * max(k, ell_max))
+    # the last time is ell_max tau; only a pipeline that builds circuits
+    # also builds the cell U(k tau)
+    steps = max(k, ell_max) if pipeline.engine else ell_max
+    try:
+        span_finite = math.isfinite(tau * steps)
     except OverflowError:  # an int too large for a float
         span_finite = False
     if not span_finite:
@@ -265,7 +271,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         rate = phase_rate(params)
         if not math.isfinite(rate):
             errors.append(f"regime: the phase rate must be finite (got {rate:g})")
-        elif span_finite and not math.isfinite(rate * tau * max(k, ell_max)):
+        elif span_finite and not math.isfinite(rate * tau * steps):
             errors.append(f"tau: phase rate * tau * max(k, ell_max) must be finite, "
                           f"with the rate {rate:g} the larger of ||H|| <= (n-1)|J| "
                           f"+ n(|Bz| + |Bx|) and 4 max(|J + Bz|, |J|) "

@@ -25,6 +25,12 @@ Exact values come from one kernel, :func:`_otoc_value`, which applies
 X_i(t) from the cached eigendecomposition (:class:`~spinweave.ising.ExactEvolution`)
 to the columns that each state reads: O(n 4^n) per time for the all-zeros
 state and the uniform superposition, O(8^n) for the maximally mixed state.
+
+Measured values come from one readout seam, :func:`readout_distributions`,
+which runs the pipeline's engine on every probe site's protocol circuit at
+one time index and returns a (folds, n, 2^n) array.  The surface rows draw
+shots from it and apply TMEM and ZNE per site; they know no engine,
+circuit or fold.
 """
 
 from __future__ import annotations
@@ -170,9 +176,52 @@ def fixed_node_commutator(f_abs: float, p: IsingParams, j: int, t: float) -> flo
 
 # --- spreading surfaces ----------------------------------------------------
 
+# the CNOT folds read out: fold 1, then fold 3 for ZNE
+_FOLDS = (1, 3)
+
+
 def _point_seed(seed: int, j: int, ell: int, fold: int) -> np.random.SeedSequence:
     """Independent, order-insensitive stream per grid point and fold level."""
     return np.random.SeedSequence(seed, spawn_key=(j, ell, fold))
+
+
+def readout_distributions(cfg, ell: int) -> np.ndarray:
+    """Every probe site's |F| protocol readout distribution before shots at
+    time index ``ell``, from the pipeline's engine: a (folds, n, 2^n) array
+    whose fold axis holds fold 1 and, when the pipeline mitigates with ZNE,
+    fold 3 (every CNOT tripled).  The weave and each site's protocol
+    circuit are built once for all folds."""
+    traits = PIPELINES[cfg.pipeline]
+    if traits.engine is None:
+        raise ValueError(f"pipeline {cfg.pipeline!r} reads out no circuit")
+    n = cfg.params.n
+    folds = _FOLDS if traits.mitigates and cfg.mitigation.zne else _FOLDS[:1]
+    u_circ = weave_circuit(cfg.params, cfg.tau, cfg.k, ell, cfg.magic)
+    out = np.empty((len(folds), n, 2 ** n))
+    for j in range(1, n + 1):
+        meas = fabs_measurement_circuit(u_circ, 1, j)
+        for f, fold in enumerate(folds):
+            if traits.engine == "statevector":
+                dist = measurement_distribution(apply_circuit(StateVector.zeros(n), meas))
+            else:
+                dist = simulate_noisy(fold_cnots(meas, fold), cfg.noise)
+            out[f, j - 1] = dist.probabilities
+    return out
+
+
+def _modulus(dist: BitstringDistribution) -> float:
+    return np.sqrt(max(float(dist.probabilities[0]), 0.0))
+
+
+def _tmem(solver: TmemSolver, dist: BitstringDistribution, j: int, ell: int,
+          fold: int) -> BitstringDistribution:
+    """TMEM-corrected ``dist``, with a RuntimeWarning naming the point if
+    the solve did not converge; fold 0 is the ZNE extrapolation."""
+    x, iterations, converged = solver.solve(dist.probabilities)
+    if not converged:
+        warnings.warn(f"TMEM did not converge at j={j}, ell={ell}, fold={fold} "
+                      f"after {iterations} iterations", RuntimeWarning)
+    return BitstringDistribution(dist.n_qubits, x)
 
 
 def _surface_row(cfg, solver: TmemSolver | None, ell: int) -> list[tuple]:
@@ -195,52 +244,32 @@ def _surface_row(cfg, solver: TmemSolver | None, ell: int) -> list[tuple]:
         return [(nan, nan, nan, nan, c, abs(f), a)
                 for c, f, a in zip(c_exact, f_exact, phase)]
 
-    u_circ = weave_circuit(p, cfg.tau, cfg.k, ell, cfg.magic)
+    readouts = readout_distributions(cfg, ell)
     mit = cfg.mitigation if traits.mitigates else None
-
-    def modulus(dist: BitstringDistribution) -> float:
-        return np.sqrt(max(float(dist.probabilities[0]), 0.0))
-
     out = []
     for j in range(1, n + 1):
-        meas = fabs_measurement_circuit(u_circ, 1, j)
-
-        def readout(fold: int) -> BitstringDistribution:
-            if traits.engine == "statevector":
-                dist = measurement_distribution(apply_circuit(StateVector.zeros(n), meas))
-            else:
-                dist = simulate_noisy(fold_cnots(meas, fold), cfg.noise)
-            if not traits.shots:
-                return dist
-            return empirical_distribution(
-                sample_counts(dist, cfg.shots, _point_seed(cfg.seed, j, ell, fold)))
-
-        def tmem(dist: BitstringDistribution, fold: int) -> BitstringDistribution:
-            x, iterations, converged = solver.solve(dist.probabilities)
-            if not converged:  # fold 0 is the ZNE extrapolation
-                warnings.warn(f"TMEM did not converge at j={j}, ell={ell}, fold={fold} "
-                              f"after {iterations} iterations", RuntimeWarning)
-            return BitstringDistribution(n, x)
-
-        def commutator(dist: BitstringDistribution | None) -> float:
-            if dist is None:
-                return nan
-            return fixed_node_commutator(modulus(dist), p, j, t)
-
-        p1 = readout(1)
+        dists = [None] * len(_FOLDS)
+        for f, (fold, probs) in enumerate(zip(_FOLDS, readouts[:, j - 1])):
+            dists[f] = BitstringDistribution(n, probs)
+            if traits.shots:
+                dists[f] = empirical_distribution(sample_counts(
+                    dists[f], cfg.shots, _point_seed(cfg.seed, j, ell, fold)))
+        p1, p3 = dists
         q1 = z = corrected = None
         if mit is not None:
-            p3 = readout(3) if mit.zne else None
-            q1 = tmem(p1, 1) if mit.tmem else None
+            q1 = _tmem(solver, p1, j, ell, 1) if mit.tmem else None
             z = zne_correct(ZnePair(p1, p3)) if mit.zne else None
             if mit.tmem and mit.zne:
-                corrected = (zne_correct(ZnePair(q1, tmem(p3, 3)))
-                             if mit.order == "tmem_then_zne" else tmem(z, 0))
+                corrected = (zne_correct(ZnePair(q1, _tmem(solver, p3, j, ell, 3)))
+                             if mit.order == "tmem_then_zne"
+                             else _tmem(solver, z, j, ell, 0))
             else:  # the one method applied, or the raw readout
                 corrected = q1 or z or p1
-        out.append((commutator(p1), commutator(q1), commutator(z),
-                    commutator(corrected), c_exact[j - 1], modulus(p1),
-                    classical_otoc_phase(p, j, t)))
+        commutators = tuple(
+            nan if d is None else fixed_node_commutator(_modulus(d), p, j, t)
+            for d in (p1, q1, z, corrected))
+        out.append(commutators + (c_exact[j - 1], _modulus(p1),
+                                  classical_otoc_phase(p, j, t)))
     return out
 
 

@@ -111,6 +111,27 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape("magic: only the")):
             config_from_dict({"regime": "chaotic", "magic": False})
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_magic_override_rejected_where_no_circuit_is_built(self, value):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"regime": "chaotic", "magic_override": value})
+        assert str(info.value).splitlines()[1:] == [
+            "  magic_override: only the trotter_exact, sampled, noisy and "
+            "mitigated pipelines build circuits"]
+        cfg = config_from_dict({"regime": "chaotic", "pipeline": "trotter_exact",
+                                "magic_override": value})
+        assert cfg.magic_override is value
+
+    def test_k_alone_cannot_overflow_the_exact_time_span(self):
+        # exact evolution never builds the cell U(k tau); only ell_max tau counts
+        cfg = config_from_dict({"regime": "chaotic", "pipeline": "exact",
+                                "k": 10 ** 400, "tau": 1e300, "ell_max": 1})
+        assert cfg.k == 10 ** 400
+        with pytest.raises(ConfigError, match=re.escape(
+                "tau: tau * max(k, ell_max) must be finite")):
+            config_from_dict({"regime": "chaotic", "pipeline": "trotter_exact",
+                              "k": 10 ** 400, "ell_max": 1})
+
     @pytest.mark.parametrize("pipeline", ["exact", "trotter_exact", "sampled", "noisy"])
     def test_mitigation_rejected_where_nothing_is_mitigated(self, pipeline):
         data = {"regime": "chaotic", "pipeline": pipeline}
@@ -298,7 +319,7 @@ class TestEcho:
         assert set(echo["noise"]) == {"cnot_error", "t1_given_0", "t0_given_1"}
 
     @pytest.mark.parametrize("pipeline, unread", [
-        ("exact", {"shots", "magic", "noise", "mitigation"}),
+        ("exact", {"shots", "magic", "magic_override", "noise", "mitigation"}),
         ("trotter_exact", {"shots", "noise", "mitigation"}),
         ("sampled", {"noise", "mitigation"}),
         ("noisy", {"mitigation"}),

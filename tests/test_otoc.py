@@ -8,15 +8,18 @@ from spinweave.config import config_from_dict, load_preset
 from spinweave.errors import CapacityError
 from spinweave.ising import (ExactEvolution, IsingParams, build_hamiltonian,
                              preset_params)
+from spinweave.noise import fold_cnots
 from spinweave.otoc import (_otoc_value, build_surface, fabs_measurement_circuit,
-                            fixed_node_commutator, fixed_node_otoc, otoc_exact)
+                            fixed_node_commutator, fixed_node_otoc, otoc_exact,
+                            readout_distributions)
 from spinweave.qsim import (Circuit, StateVector, apply_circuit,
                             circuit_unitary, measurement_distribution, pz,
                             x_gate)
 from spinweave.weave import weave_circuit
 
 from conftest import commutator, dense_hamiltonian, dense_otoc
-from oracles import heisenberg_x, matrix_otoc_value
+from oracles import (gatewise_amplitudes, gatewise_readout, heisenberg_x,
+                     matrix_otoc_value)
 
 CHAOTIC4 = preset_params("chaotic", 4)
 INTEGRABLE4 = preset_params("integrable", 4)
@@ -444,6 +447,65 @@ class TestBuildSurface:
                 f = dense_otoc(u, 1, j, 4)
                 expected = fixed_node_commutator(abs(f), CHAOTIC4, j, ell * cfg.tau)
                 assert abs(surf.grid("C_raw")[j - 1, ell] - expected) < 1e-9
+
+
+READOUT_BASE = {"regime": "chaotic", "n": 4, "tau": 0.06, "k": 3, "ell_max": 3,
+                "seed": 5}
+# (pipeline, mitigation, number of CNOT folds read out)
+READOUT_CASES = [("mitigated", None, 2), ("mitigated", {"zne": False}, 1),
+                 ("noisy", None, 1), ("sampled", None, 1),
+                 ("trotter_exact", None, 1)]
+
+
+class TestReadoutDistributions:
+    @pytest.mark.parametrize("pipeline, mitigation, folds", READOUT_CASES)
+    @pytest.mark.parametrize("ell", [0, 3])
+    def test_rows_match_the_gatewise_oracle(self, pipeline, mitigation, folds, ell):
+        cfg = config_from_dict({**READOUT_BASE, "pipeline": pipeline,
+                                "mitigation": mitigation})
+        n = cfg.params.n
+        got = readout_distributions(cfg, ell)
+        assert got.shape == (folds, n, 2 ** n)
+        assert np.max(np.abs(got.sum(axis=2) - 1.0)) < 1e-12
+        zeros = np.zeros(2 ** n, dtype=complex)
+        zeros[0] = 1.0
+        u = weave_circuit(cfg.params, cfg.tau, cfg.k, ell, cfg.magic)
+        for j in range(1, n + 1):
+            meas = fabs_measurement_circuit(u, 1, j)
+            for f, fold in enumerate((1, 3)[:folds]):
+                if pipeline in ("sampled", "trotter_exact"):
+                    expected = np.abs(gatewise_amplitudes(zeros, meas)) ** 2
+                else:
+                    expected = gatewise_readout(fold_cnots(meas, fold), cfg.noise)
+                assert np.max(np.abs(got[f, j - 1] - expected)) < 1e-12, (j, fold)
+
+    def test_exact_pipeline_reads_out_nothing(self):
+        with pytest.raises(ValueError, match="reads out no circuit"):
+            readout_distributions(config_from_dict(READOUT_BASE), 1)
+
+    def test_weave_built_once_per_ell_and_circuit_once_per_site(self, monkeypatch):
+        # fold 3 reuses fold 1's weave and protocol circuits
+        from spinweave import otoc
+        calls = []
+        weave, protocol = otoc.weave_circuit, otoc.fabs_measurement_circuit
+
+        def counting_weave(p, tau, k, ell, magic=False):
+            calls.append(("weave", ell))
+            return weave(p, tau, k, ell, magic)
+
+        def counting_protocol(u, i, j):
+            calls.append(("protocol", j))
+            return protocol(u, i, j)
+
+        monkeypatch.setattr(otoc, "weave_circuit", counting_weave)
+        monkeypatch.setattr(otoc, "fabs_measurement_circuit", counting_protocol)
+        cfg = config_from_dict({**READOUT_BASE, "pipeline": "mitigated"})
+        assert cfg.mitigation.zne
+        build_surface(cfg)
+        n = cfg.params.n
+        assert calls == [call for ell in range(cfg.ell_max + 1)
+                         for call in [("weave", ell)]
+                         + [("protocol", j) for j in range(1, n + 1)]]
 
 
 MITIGATION_FLAGS = [(tmem, zne, order) for tmem in (True, False)
