@@ -46,7 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
     p_run.add_argument("--output-dir", default=None)
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for grid evaluation")
+                       help="worker processes for grid evaluation, at most "
+                            "ell_max + 1 and the usable CPUs")
 
     p_render = sub.add_parser("render", help="render a surface column as SVG")
     p_render.add_argument("surface", help="surface CSV path")

@@ -48,8 +48,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .ising import (MAX_OTOC_QUBITS, REGIME_COUPLINGS, IsingParams, phase_rate,
                     preset_params)
-from .noise import DEFAULT_SHOTS, NoiseModel
-from .qsim import MAX_DM_QUBITS
+from .noise import DEFAULT_SHOTS, MAX_DM_QUBITS, NoiseModel
 
 # A pipeline's readout engine (None, "statevector" or "density"), whether it
 # draws shots, whether it mitigates, and the largest n that it accepts.
@@ -86,6 +85,9 @@ _NOISE_KEYS = {"cnot_error", "spam_epsilon", "t1_given_0", "t0_given_1"}
 MAGIC_ANGLE_TOL = 1e-9
 # numpy's multinomial draws int64 counts
 MAX_SHOTS = 2 ** 63 - 1
+# n * (ell_max + 1) is the surface's row count; the bundled presets need at
+# most 438, and a grid past this bound would only exhaust memory
+MAX_GRID_POINTS = 2 ** 20
 # n is bounded before any builder sees it, then by its pipeline's cap
 _MAX_N = max(p.max_n for p in PIPELINES.values())
 
@@ -265,6 +267,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if not span_finite:
         errors.append(f"tau: tau * max(k, ell_max) must be finite "
                       f"(got tau={tau!r}, k={k}, ell_max={ell_max})")
+    if n * (ell_max + 1) > MAX_GRID_POINTS:
+        errors.append(f"ell_max: n * (ell_max + 1) must be at most "
+                      f"{MAX_GRID_POINTS} grid points (got n={n}, ell_max={ell_max})")
 
     values["regime"], params = _resolve_regime(values["regime"], n, errors)
     if params is not None:

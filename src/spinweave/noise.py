@@ -18,10 +18,11 @@ T(0|1) = T(1|0) = eps, which callers can override with explicit rates.
 Depolarizing strength p means "replace the pair state by I/4 with
 probability p", i.e. the error weight is spread uniformly over the 15
 non-identity two-qubit Paulis.  :func:`simulate_noisy` is the one
-density-matrix engine: it folds that channel into the CNOT's own
-superoperator and composes each fused block of at most two qubits
-(:func:`~spinweave.qsim.fuse_gates`) into one superoperator, so the
-density matrix costs one O(4^n) contraction per block, not per gate.
+density-matrix engine.  It runs each fused block of at most two qubits
+(:func:`~spinweave.qsim.fuse_gates`) as one channel: the block's cached
+unitary U as U (x) conj(U), followed by one depolarizing step for all of
+the block's CNOTs.  The density matrix costs one O(4^n) contraction per
+block, not per gate.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ from numbers import Real
 import numpy as np
 
 from .errors import CapacityError
-from .qsim import (BLOCK_CACHE_SIZE, MAX_DM_QUBITS, BitstringDistribution,
-                   Circuit, Gate, _block_axes, _compose, _contract, fuse_gates,
-                   kind_matrix)
+from .qsim import (BLOCK_CACHE_SIZE, BitstringDistribution, Circuit, Gate,
+                   _block_unitary, _contract, fuse_gates)
 
+# a density tensor holds 4^n amplitudes: 1 MiB at n = 8
+MAX_DM_QUBITS = 8
 DEFAULT_CNOT_ERRORS = (7.67e-3, 7.00e-3, 7.68e-3)
 DEFAULT_SPAM_EPSILON = (0.043, 0.015, 0.017, 0.017)
 DEFAULT_SHOTS = 8192
@@ -114,32 +116,26 @@ def build_confusion_matrix(nm: NoiseModel) -> np.ndarray:
 _VEC_I4 = np.eye(4).reshape(16)
 
 
-@lru_cache(maxsize=1024)
-def _superoperator(kind: str, angle: float | None, p: float) -> np.ndarray:
-    """Read-only U (x) conj(U) of a gate kind at an angle, then the pair
-    depolarizing channel of strength ``p``; built once per (kind, angle, p)."""
-    u = kind_matrix(kind, angle)
-    s = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(u.size, u.size)
-    if p > 0.0:
-        s = (1.0 - p) * s + (p / 4.0) * np.outer(_VEC_I4, _VEC_I4 @ s)
-    s.flags.writeable = False
-    return s
-
-
 @lru_cache(maxsize=BLOCK_CACHE_SIZE)
 def _block_superoperator(qubits: tuple[int, ...], gates: tuple[Gate, ...],
                          p: float) -> np.ndarray:
     """Read-only superoperator of a fused block on its qubits' row axes,
-    then their column axes: each gate's :func:`_superoperator`, a CNOT's
-    with the pair depolarizing of strength ``p``, composed in order; built
-    once per (qubits, gates, p)."""
-    k = len(qubits)
-    ops = []
-    for g in gates:
-        rows = _block_axes(qubits, g)
-        ops.append((_superoperator(g.kind, g.angle, p if g.kind == "CNOT" else 0.0),
-                    rows + tuple(k + a for a in rows)))
-    s = _compose(2 * k, ops)
+    then their column axes, built once per (qubits, gates, p).
+
+    It is S = U (x) conj(U) of the block's unitary, followed by one pair
+    depolarizing step (1 - q) S + (q/4) vec(I) vec(I)^T S with
+    q = 1 - (1 - p)^m for the block's m CNOTs.  One step serves them all
+    because every CNOT of a block acts on the block's pair, and the pair
+    channel commutes with every unitary on that pair: m channels of
+    strength p, wherever they fall among the gates, compose to one of
+    strength q after them.
+    """
+    u = _block_unitary(qubits, gates)
+    s = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(u.size, u.size)
+    m = sum(g.kind == "CNOT" for g in gates)
+    if p > 0.0 and m:
+        q = 1.0 - (1.0 - p) ** m
+        s = (1.0 - q) * s + (q / 4.0) * np.outer(_VEC_I4, _VEC_I4 @ s)
     s.flags.writeable = False
     return s
 
@@ -148,13 +144,11 @@ def simulate_noisy(c: Circuit, nm: NoiseModel) -> BitstringDistribution:
     """Density-matrix run of a circuit under the noise model.
 
     Each fused block (:func:`~spinweave.qsim.fuse_gates`) is one
-    superoperator on its row and column axes of the (2,)*(2n) density
-    tensor: one O(4^n) contraction per block.  A gate's superoperator is
-    S = U (x) conj(U); a CNOT's also carries its pair's depolarizing
-    channel, (1 - p) S + (p/4) vec(I) vec(I)^T S.  A block spans two
-    qubits only through a CNOT, and every CNOT of a block acts on the
-    block's pair, so one rate serves the whole block.  The readout
-    distribution is the diagonal multiplied by the confusion matrix.
+    superoperator (:func:`_block_superoperator`) on its row and column axes
+    of the (2,)*(2n) density tensor: one O(4^n) contraction per block.  A
+    block spans two qubits only through a CNOT, so one edge's rate serves
+    the whole block.  The readout distribution is the diagonal multiplied
+    by the confusion matrix.
     """
     n = c.n_qubits
     if n > MAX_DM_QUBITS:

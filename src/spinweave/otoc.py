@@ -35,6 +35,7 @@ circuit or fold.
 
 from __future__ import annotations
 
+import os
 import warnings
 from functools import partial
 
@@ -273,18 +274,28 @@ def _surface_row(cfg, solver: TmemSolver | None, ell: int) -> list[tuple]:
     return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_surface(cfg, jobs: int = 1) -> SurfaceTable:
     """Evaluate the configured pipeline over the full (j, ell) grid.
 
     Rows come out in CSV order: probe site j (1..n), then time index ell.
     Grid points are independent; ``jobs > 1`` dispatches time indices to
-    at most ``ell_max + 1`` worker processes.  Results are identical for any
-    ``jobs`` because every sampled point draws from its own derived seed.
+    at most ``ell_max + 1`` worker processes, and to no more than the
+    usable CPUs, because the pool starts every worker up front.  Results
+    are identical for any ``jobs`` because every sampled point draws from
+    its own derived seed.
     """
     n, l1 = cfg.params.n, cfg.ell_max + 1
     solver = (TmemSolver(build_confusion_matrix(cfg.noise))
               if PIPELINES[cfg.pipeline].mitigates and cfg.mitigation.tmem else None)
-    workers = min(jobs, l1)
+    workers = min(jobs, l1, _usable_cpus())
     if workers > 1:
         # imported here: the process-pool modules add about 20 ms to every import
         from concurrent.futures import ProcessPoolExecutor

@@ -14,11 +14,11 @@ Conventions used throughout the package:
   block costs O(2^n): one cached axis plan per (rank, axes), then one
   transpose copy and one matrix product of the block's 2x2 or 4x4 unitary
   against the state tensor.  A block's operator is built once, by running
-  its own gates on an identity tensor, and cached.  The same kernel,
-  :func:`_contract`, applies the noisy block superoperators of
-  :func:`spinweave.noise.simulate_noisy` to the density tensor.  The full
-  2^n x 2^n operator is never formed except in :func:`circuit_unitary`,
-  which runs the circuit gate by gate.
+  its own gates on an identity tensor, and cached.
+  :func:`spinweave.noise.simulate_noisy` builds each block's channel from
+  that cached unitary and applies it with the same kernel,
+  :func:`_contract`.  The full 2^n x 2^n operator is never formed except
+  in :func:`circuit_unitary`, which runs the circuit gate by gate.
 * The ZZ and phase-gate decompositions the weave uses differ from the
   exact exponentials by a global phase, which cancels in every quantity
   the package measures.
@@ -36,7 +36,6 @@ import numpy as np
 from .errors import CapacityError, MalformedGateError
 
 MAX_QUBITS = 14
-MAX_DM_QUBITS = 8
 # Operators held by each fused-block cache.  A run needs one per distinct
 # block: at most 1,027 on the bundled presets (fig5b, fig6b) and 473 on the
 # n=8 sampled benchmark workload.  At the bound a cache holds 8 MiB of 16x16

@@ -17,14 +17,18 @@ second dense product, and F_ij for every j read off that full matrix.
 
 ``gatewise_amplitudes`` and ``gatewise_readout`` are the former gate
 engines of ``qsim.apply_circuit`` and ``noise.simulate_noisy``: one
-contraction per gate, with no fusion into blocks.
+``tensordot_contract`` per gate, with no fusion into blocks.
+``gatewise_readout`` builds each gate's own channel, a CNOT's with its
+depolarizing step right after it, where the engine collects a block's
+CNOT noise into one step after the block's unitary; the two agree only
+because the pair channel commutes with every unitary on its pair.
 """
 
 import numpy as np
 
 from spinweave.mitigation import project_simplex
-from spinweave.noise import _superoperator, build_confusion_matrix
-from spinweave.qsim import _contract, kind_matrix
+from spinweave.noise import build_confusion_matrix
+from spinweave.qsim import kind_matrix
 
 PG_TOL = 1e-10
 PG_MAX_ITER = 100_000
@@ -102,20 +106,31 @@ def gatewise_amplitudes(amplitudes: np.ndarray, c) -> np.ndarray:
     """The state vector after applying the gates of ``c`` one at a time."""
     psi = np.asarray(amplitudes, dtype=complex).reshape((2,) * c.n_qubits)
     for g in c.gates:
-        psi = _contract(psi, kind_matrix(g.kind, g.angle), g.qubits)
+        psi = tensordot_contract(psi, kind_matrix(g.kind, g.angle), g.qubits)
     return psi.reshape(-1)
+
+
+def gate_channel(kind: str, angle, p: float) -> np.ndarray:
+    """U (x) conj(U) of one gate, rows then columns, followed by the pair
+    depolarizing channel of strength ``p``: rho -> (1 - p) rho + p tr(rho) I/4."""
+    u = kind_matrix(kind, angle)
+    s = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(u.size, u.size)
+    if p > 0.0:
+        vec_i4 = np.eye(4).reshape(16)
+        s = (1.0 - p) * s + (p / 4.0) * np.outer(vec_i4, vec_i4 @ s)
+    return s
 
 
 def gatewise_readout(c, nm) -> np.ndarray:
     """The noisy readout distribution of ``c`` from |0...0>, one gate
-    superoperator at a time, each CNOT's with its edge's depolarizing."""
+    channel at a time, each CNOT's with its edge's depolarizing."""
     n = c.n_qubits
     t = np.zeros((2,) * (2 * n), dtype=complex)
     t[(0,) * (2 * n)] = 1.0
     for g in c.gates:
         p = nm.cnot_error[min(g.qubits)] if g.kind == "CNOT" else 0.0
-        t = _contract(t, _superoperator(g.kind, g.angle, p),
-                      g.qubits + tuple(n + q for q in g.qubits))
+        t = tensordot_contract(t, gate_channel(g.kind, g.angle, p),
+                               g.qubits + tuple(n + q for q in g.qubits))
     d = 2 ** n
     probs = np.clip(np.diag(t.reshape(d, d)).real, 0.0, None)
     return build_confusion_matrix(nm) @ probs

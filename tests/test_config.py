@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from spinweave import config
-from spinweave.config import (PIPELINES, ExperimentConfig, config_echo,
-                              config_from_dict, load_preset, preset_names,
-                              preset_path, validate_config)
+from spinweave.config import (MAX_GRID_POINTS, PIPELINES, ExperimentConfig,
+                              config_echo, config_from_dict, load_preset,
+                              preset_names, preset_path, validate_config)
 from spinweave.errors import ConfigError
 
 EXPECTED_PRESETS = {"fig1a", "fig1b", "fig2", "fig4", "fig5", "fig5a",
@@ -225,6 +225,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(
                 "tau: tau * max(k, ell_max) must be finite")):
             config_from_dict({"regime": "chaotic", **data})
+
+    @pytest.mark.parametrize("pipeline", ["exact", "noisy"])
+    def test_grid_larger_than_the_bound_names_ell_max(self, pipeline):
+        # validated only: a grid at the bound would take hours to run
+        n = 4
+        ell_max = MAX_GRID_POINTS // n - 1
+        cfg = config_from_dict({"pipeline": pipeline, "n": n, "ell_max": ell_max})
+        assert n * (cfg.ell_max + 1) == MAX_GRID_POINTS
+        with pytest.raises(ConfigError, match=re.escape(
+                f"ell_max: n * (ell_max + 1) must be at most {MAX_GRID_POINTS} "
+                f"grid points (got n=4, ell_max={ell_max + 1})")):
+            config_from_dict({"pipeline": pipeline, "n": n, "ell_max": ell_max + 1})
 
     @pytest.mark.parametrize("data", [
         {"regime": "chaotic", "pipeline": "exact", "tau": 1e308, "ell_max": 1},

@@ -11,8 +11,8 @@ from spinweave.noise import (NoiseModel, build_confusion_matrix,
 from spinweave.otoc import fabs_measurement_circuit
 from spinweave.qsim import (GATE_KINDS, GATES, BitstringDistribution, Circuit,
                             Gate, StateVector, apply_circuit, circuit_unitary,
-                            cnot, gate_matrix, h_gate, measurement_distribution,
-                            rx)
+                            cnot, fuse_gates, gate_matrix, h_gate,
+                            measurement_distribution, rx)
 from spinweave.weave import weave_circuit
 
 from conftest import I2, X2, Y2, Z2, cnot_count, embed_dense
@@ -160,6 +160,21 @@ class TestDepolarizing:
             dists.append(simulate_noisy(c, nm).probabilities)
             assert np.max(np.abs(dists[-1] - kraus_oracle(c, nm))) < 1e-12
         assert np.max(np.abs(dists[0] - dists[1])) > 1e-2
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_one_block_collects_the_channels_of_its_cnots(self, m):
+        # m CNOTs of one pair fuse into one block, whose single depolarizing
+        # step has strength 1 - (1 - p)^m; the oracle applies one per CNOT
+        p = 0.3
+        c = fold_cnots(Circuit(2, (h_gate(0), cnot(0, 1), rx(1, 0.9), cnot(1, 0),
+                                   h_gate(1))), m)
+        assert len(fuse_gates(c.gates)) == 1
+        nm = NoiseModel(2, p, 0.0, 0.0)
+        assert np.max(np.abs(simulate_noisy(c, nm).probabilities
+                             - kraus_oracle(c, nm))) < 1e-12
+        q = 1.0 - (1.0 - p) ** m
+        lone = simulate_noisy(fold_cnots(Circuit(2, (cnot(0, 1),)), m), nm)
+        assert lone.probabilities[0] == pytest.approx(1 - q + q / 4, abs=1e-12)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(noisy_circuits())

@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from spinweave import otoc
 from spinweave.config import config_from_dict, load_preset
 from spinweave.errors import CapacityError
 from spinweave.ising import (ExactEvolution, IsingParams, build_hamiltonian,
@@ -331,7 +334,9 @@ class TestBuildSurface:
                 sigma = np.sqrt(max(p_true * (1 - p_true), 1e-12) / shots)
                 assert abs(p_hat - p_true) <= 3 * sigma + 3 / shots
 
-    def test_parallel_jobs_match_serial(self):
+    def test_parallel_jobs_match_serial(self, monkeypatch):
+        # two usable CPUs, so that real workers start on a one-CPU host too
+        monkeypatch.setattr(otoc, "_usable_cpus", lambda: 2)
         cfg = config_from_dict({"regime": "chaotic", "n": 4, "tau": 0.06, "k": 2,
                                 "ell_max": 4, "pipeline": "sampled",
                                 "shots": 512, "seed": 9})
@@ -341,10 +346,10 @@ class TestBuildSurface:
             assert np.array_equal(serial.columns[name], parallel.columns[name],
                                   equal_nan=True)
 
-    @pytest.mark.parametrize("jobs, ell_max, workers", [
-        (1, 4, None), (2, 4, 2), (64, 4, 5), (64, 0, None), (3, 1, 2)])
-    def test_workers_capped_by_time_indices(self, monkeypatch, jobs, ell_max,
-                                            workers):
+    @staticmethod
+    def _workers_started(monkeypatch, jobs, ell_max, cpus):
+        """The max_workers of every pool that build_surface starts with
+        ``cpus`` usable CPUs, each pool replaced by an inline map."""
         import concurrent.futures
         started = []
 
@@ -363,11 +368,33 @@ class TestBuildSurface:
 
         # build_surface imports the executor from here when it starts workers
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(otoc, "_usable_cpus", lambda: cpus)
         cfg = config_from_dict({"regime": "chaotic", "ell_max": ell_max})
         surface = build_surface(cfg, jobs=jobs)
-        assert started == ([] if workers is None else [workers])
         assert np.array_equal(surface.columns["C_exact"],
                               build_surface(cfg).columns["C_exact"])
+        return started
+
+    @pytest.mark.parametrize("jobs, ell_max, workers", [
+        (1, 4, None), (2, 4, 2), (64, 4, 5), (64, 0, None), (3, 1, 2)])
+    def test_workers_capped_by_time_indices(self, monkeypatch, jobs, ell_max,
+                                            workers):
+        started = self._workers_started(monkeypatch, jobs, ell_max, cpus=8)
+        assert started == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("jobs, ell_max, cpus, workers", [
+        (64, 4, 3, 3), (500, 499, 2, 2), (4, 4, 1, None), (3, 4, 4, 3)])
+    def test_workers_capped_by_usable_cpus(self, monkeypatch, jobs, ell_max,
+                                           cpus, workers):
+        started = self._workers_started(monkeypatch, jobs, ell_max, cpus)
+        assert started == ([] if workers is None else [workers])
+
+    def test_usable_cpus_without_an_affinity_set(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert otoc._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert otoc._usable_cpus() == 1
 
     def test_mitigated_point_recomputed_by_hand(self):
         # rebuild one grid point outside build_surface, drawing the same
