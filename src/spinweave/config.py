@@ -61,12 +61,15 @@ PIPELINES = {
     "mitigated": Pipeline("density", True, True, MAX_DM_QUBITS),
 }
 # A field that only some pipelines read: its name, the pipelines that read
-# it, and the message that rejects a non-null value on any other pipeline.
-# The metadata echo leaves such a field out where the run does not read it.
+# it, and the message that rejects a non-null value on any other pipeline
+# (None: every pipeline accepts it).  The metadata echo leaves such a field
+# out where the run does not read it.
 _BUILDS_CIRCUITS = (lambda t: t.engine is not None,
                     "only the trotter_exact, sampled, noisy and mitigated "
                     "pipelines build circuits")
 _PIPELINE_FIELDS = (
+    ("k", lambda t: t.engine is not None, None),
+    ("seed", lambda t: t.shots, None),
     ("shots", lambda t: t.shots,
      "only the sampled, noisy and mitigated pipelines draw shots"),
     ("magic", *_BUILDS_CIRCUITS),
@@ -291,7 +294,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                       f"{values['pipeline']!r} (got {n})")
 
     for name, reads, message in _PIPELINE_FIELDS:
-        if data.get(name) is not None and not reads(pipeline):
+        if message and data.get(name) is not None and not reads(pipeline):
             errors.append(f"{name}: {message}")
             values[name] = None
 

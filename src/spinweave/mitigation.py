@@ -6,9 +6,9 @@ minimizing ||T p - p_noisy||_2^2 over the probability simplex, exactly and
 in finitely many steps, by a primal active-set method as in Lawson-Hanson
 NNLS (see :meth:`TmemSolver.solve`).
 
-Zero-noise extrapolation (ZNE) takes the readout distributions of the
-original circuit (every CNOT once, m=1) and of the CNOT-tripled variant
-(m=3), extrapolates each bitstring probability linearly to m=0,
+Zero-noise extrapolation (ZNE) takes the readout distributions at the CNOT
+folds :data:`ZNE_FOLDS`, the circuit (m=1) and its CNOT-tripled channel
+(m=3), and extrapolates each bitstring probability linearly to m=0,
 
     p0(x) = (3 p1(x) - p3(x)) / 2,
 
@@ -27,6 +27,8 @@ from .qsim import BitstringDistribution
 
 TMEM_TOL = 1e-10
 TMEM_MAX_ITER = 1_000
+# the CNOT folds that ZNE reads out, in the order zne_extrapolate takes them
+ZNE_FOLDS = (1, 3)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:

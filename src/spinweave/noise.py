@@ -22,7 +22,8 @@ density-matrix engine.  It runs each fused block of at most two qubits
 (:func:`~spinweave.qsim.fuse_gates`) as one channel: the block's cached
 unitary U as U (x) conj(U), followed by one depolarizing step for all of
 the block's CNOTs.  The density matrix costs one O(4^n) contraction per
-block, not per gate.
+block, not per gate.  A ZNE fold m (CNOT-tripled for m = 3) is run as the
+unfolded circuit with each CNOT's noise applied m times.
 """
 
 from __future__ import annotations
@@ -118,21 +119,23 @@ _VEC_I4 = np.eye(4).reshape(16)
 
 @lru_cache(maxsize=BLOCK_CACHE_SIZE)
 def _block_superoperator(qubits: tuple[int, ...], gates: tuple[Gate, ...],
-                         p: float) -> np.ndarray:
+                         p: float, fold: int) -> np.ndarray:
     """Read-only superoperator of a fused block on its qubits' row axes,
-    then their column axes, built once per (qubits, gates, p).
+    then their column axes, built once per (qubits, gates, p, fold).
 
     It is S = U (x) conj(U) of the block's unitary, followed by one pair
     depolarizing step (1 - q) S + (q/4) vec(I) vec(I)^T S with
-    q = 1 - (1 - p)^m for the block's m CNOTs.  One step serves them all
-    because every CNOT of a block acts on the block's pair, and the pair
-    channel commutes with every unitary on that pair: m channels of
-    strength p, wherever they fall among the gates, compose to one of
-    strength q after them.
+    q = 1 - (1 - p)^(fold m) for the block's m CNOTs.  One step serves them
+    all because every CNOT of a block acts on the block's pair, and the
+    pair channel commutes with every unitary on that pair: channels of
+    strength p, wherever they fall among the gates, compose to one step
+    after them.  With ``fold`` odd this is the channel of the block with
+    every CNOT repeated ``fold`` times, since the repeats compose to one
+    CNOT and only add (fold - 1) m channels.
     """
     u = _block_unitary(qubits, gates)
     s = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(u.size, u.size)
-    m = sum(g.kind == "CNOT" for g in gates)
+    m = fold * sum(g.kind == "CNOT" for g in gates)
     if p > 0.0 and m:
         q = 1.0 - (1.0 - p) ** m
         s = (1.0 - q) * s + (q / 4.0) * np.outer(_VEC_I4, _VEC_I4 @ s)
@@ -140,8 +143,10 @@ def _block_superoperator(qubits: tuple[int, ...], gates: tuple[Gate, ...],
     return s
 
 
-def simulate_noisy(c: Circuit, nm: NoiseModel) -> BitstringDistribution:
-    """Density-matrix run of a circuit under the noise model.
+def simulate_noisy(c: Circuit, nm: NoiseModel, fold: int = 1) -> BitstringDistribution:
+    """Density-matrix run of a circuit under the noise model, with each
+    CNOT's noise applied ``fold`` times (odd and positive): the channel of
+    the circuit with every CNOT repeated ``fold`` times.
 
     Each fused block (:func:`~spinweave.qsim.fuse_gates`) is one
     superoperator (:func:`_block_superoperator`) on its row and column axes
@@ -156,12 +161,15 @@ def simulate_noisy(c: Circuit, nm: NoiseModel) -> BitstringDistribution:
             f"density-matrix simulation limited to n <= {MAX_DM_QUBITS}, got n={n}")
     if nm.n_qubits != n:
         raise ValueError("noise model and circuit qubit counts differ")
+    if not isinstance(fold, int) or fold < 1 or fold % 2 == 0:
+        raise ValueError(f"fold must be odd and positive, got {fold!r}")
     t = np.zeros((2,) * (2 * n), dtype=complex)
     t[(0,) * (2 * n)] = 1.0
     for qubits, gates in fuse_gates(c.gates):
         p = nm.cnot_error[min(qubits)] if len(qubits) == 2 else 0.0
-        t = _contract(t, _block_superoperator(qubits, gates, p),
-                      qubits + tuple(n + q for q in qubits))
+        # without CNOT noise a block has one channel, and one cache entry, at every fold
+        s = _block_superoperator(qubits, gates, p, fold if p > 0.0 else 1)
+        t = _contract(t, s, qubits + tuple(n + q for q in qubits))
     d = 2 ** n
     probs = np.clip(np.diag(t.reshape(d, d)).real, 0.0, None)
     return BitstringDistribution(n, build_confusion_matrix(nm) @ probs)
@@ -183,14 +191,3 @@ def sample_counts(d: BitstringDistribution, shots: int, seed) -> np.ndarray:
 def empirical_distribution(counts: np.ndarray) -> BitstringDistribution:
     """Shot frequencies: the count vector divided by the shot count."""
     return BitstringDistribution(counts.size.bit_length() - 1, counts / counts.sum())
-
-
-def fold_cnots(c: Circuit, m: int) -> Circuit:
-    """Replace every CNOT by ``m`` consecutive copies (m odd, so the
-    noiseless unitary is unchanged while CNOT noise scales by m)."""
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"fold factor must be odd and positive, got {m}")
-    gates: list[Gate] = []
-    for g in c.gates:
-        gates.extend([g] * m if g.kind == "CNOT" else [g])
-    return Circuit(c.n_qubits, tuple(gates))

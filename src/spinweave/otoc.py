@@ -45,9 +45,9 @@ from .config import PIPELINES, PROBES, STATES
 from .errors import CapacityError
 from .ising import (ExactEvolution, IsingParams, MAX_OTOC_QUBITS, _check_site,
                     cached_evolution, classical_otoc_phase, phase_rate)
-from .mitigation import TmemSolver, ZnePair, zne_correct
-from .noise import (build_confusion_matrix, empirical_distribution, fold_cnots,
-                    sample_counts, simulate_noisy)
+from .mitigation import ZNE_FOLDS, TmemSolver, ZnePair, zne_correct
+from .noise import (build_confusion_matrix, empirical_distribution, sample_counts,
+                    simulate_noisy)
 from .qsim import (BitstringDistribution, Circuit, StateVector, apply_circuit,
                    dagger, measurement_distribution, x_gate)
 from .surface_io import VALUE_COLUMNS, SurfaceTable
@@ -177,10 +177,6 @@ def fixed_node_commutator(f_abs: float, p: IsingParams, j: int, t: float) -> flo
 
 # --- spreading surfaces ----------------------------------------------------
 
-# the CNOT folds read out: fold 1, then fold 3 for ZNE
-_FOLDS = (1, 3)
-
-
 def _point_seed(seed: int, j: int, ell: int, fold: int) -> np.random.SeedSequence:
     """Independent, order-insensitive stream per grid point and fold level."""
     return np.random.SeedSequence(seed, spawn_key=(j, ell, fold))
@@ -190,13 +186,14 @@ def readout_distributions(cfg, ell: int) -> np.ndarray:
     """Every probe site's |F| protocol readout distribution before shots at
     time index ``ell``, from the pipeline's engine: a (folds, n, 2^n) array
     whose fold axis holds fold 1 and, when the pipeline mitigates with ZNE,
-    fold 3 (every CNOT tripled).  The weave and each site's protocol
-    circuit are built once for all folds."""
+    fold 3: the channel of the CNOT-tripled circuit, which the density
+    engine runs as each CNOT's noise applied three times.  The weave and
+    each site's protocol circuit are built once for all folds."""
     traits = PIPELINES[cfg.pipeline]
     if traits.engine is None:
         raise ValueError(f"pipeline {cfg.pipeline!r} reads out no circuit")
     n = cfg.params.n
-    folds = _FOLDS if traits.mitigates and cfg.mitigation.zne else _FOLDS[:1]
+    folds = ZNE_FOLDS if traits.mitigates and cfg.mitigation.zne else ZNE_FOLDS[:1]
     u_circ = weave_circuit(cfg.params, cfg.tau, cfg.k, ell, cfg.magic)
     out = np.empty((len(folds), n, 2 ** n))
     for j in range(1, n + 1):
@@ -205,7 +202,7 @@ def readout_distributions(cfg, ell: int) -> np.ndarray:
             if traits.engine == "statevector":
                 dist = measurement_distribution(apply_circuit(StateVector.zeros(n), meas))
             else:
-                dist = simulate_noisy(fold_cnots(meas, fold), cfg.noise)
+                dist = simulate_noisy(meas, cfg.noise, fold)
             out[f, j - 1] = dist.probabilities
     return out
 
@@ -249,8 +246,8 @@ def _surface_row(cfg, solver: TmemSolver | None, ell: int) -> list[tuple]:
     mit = cfg.mitigation if traits.mitigates else None
     out = []
     for j in range(1, n + 1):
-        dists = [None] * len(_FOLDS)
-        for f, (fold, probs) in enumerate(zip(_FOLDS, readouts[:, j - 1])):
+        dists = [None] * len(ZNE_FOLDS)
+        for f, (fold, probs) in enumerate(zip(ZNE_FOLDS, readouts[:, j - 1])):
             dists[f] = BitstringDistribution(n, probs)
             if traits.shots:
                 dists[f] = empirical_distribution(sample_counts(

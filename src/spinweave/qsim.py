@@ -63,7 +63,6 @@ GATES = {
     "CNOT": GateKind(2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                      "CNOT"),
 }
-GATE_KINDS = frozenset(GATES)
 # the widest kind: a fused block spans at most this many qubits
 BLOCK_QUBITS = max(spec.qubits for spec in GATES.values())
 _NO_BLOCK = (-1,) * BLOCK_QUBITS
@@ -158,11 +157,6 @@ def kind_matrix(kind: str, angle: float | None) -> np.ndarray:
     matrix = np.array(matrix if angle is None else matrix(angle), dtype=complex)
     matrix.flags.writeable = False
     return matrix
-
-
-def gate_matrix(g: Gate) -> np.ndarray:
-    """The read-only 2x2 or 4x4 unitary of a gate in its qubit list's basis."""
-    return kind_matrix(g.kind, g.angle)
 
 
 @functools.lru_cache(maxsize=1024)

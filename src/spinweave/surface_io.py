@@ -107,7 +107,7 @@ def write_surface(table: SurfaceTable, cfg: ExperimentConfig, out_dir):
     """Write ``surface.csv`` and its metadata sidecar into ``out_dir``;
     returns (csv_path, meta_path)."""
     meta = {"format": FORMAT_NAME, "version": __version__,
-            "columns": list(CSV_COLUMNS), "rows": len(table), "seed": cfg.seed,
+            "columns": list(CSV_COLUMNS), "rows": len(table),
             "config": config_echo(cfg)}
     return write_table(table, Path(out_dir) / "surface.csv", meta)
 

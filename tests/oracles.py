@@ -22,13 +22,17 @@ engines of ``qsim.apply_circuit`` and ``noise.simulate_noisy``: one
 depolarizing step right after it, where the engine collects a block's
 CNOT noise into one step after the block's unitary; the two agree only
 because the pair channel commutes with every unitary on its pair.
+
+``fold_cnots`` is the former ZNE folding of ``noise``: it builds the
+circuit with every CNOT repeated m times, whose channel
+``simulate_noisy(c, nm, fold=m)`` runs without building it.
 """
 
 import numpy as np
 
 from spinweave.mitigation import project_simplex
 from spinweave.noise import build_confusion_matrix
-from spinweave.qsim import kind_matrix
+from spinweave.qsim import Circuit, kind_matrix
 
 PG_TOL = 1e-10
 PG_MAX_ITER = 100_000
@@ -134,3 +138,14 @@ def gatewise_readout(c, nm) -> np.ndarray:
     d = 2 ** n
     probs = np.clip(np.diag(t.reshape(d, d)).real, 0.0, None)
     return build_confusion_matrix(nm) @ probs
+
+
+def fold_cnots(c, m: int):
+    """Replace every CNOT by ``m`` consecutive copies (m odd, so the
+    noiseless unitary is unchanged while CNOT noise scales by m)."""
+    if m < 1 or m % 2 == 0:
+        raise ValueError(f"fold factor must be odd and positive, got {m}")
+    gates = []
+    for g in c.gates:
+        gates.extend([g] * m if g.kind == "CNOT" else [g])
+    return Circuit(c.n_qubits, tuple(gates))

@@ -21,7 +21,7 @@ from spinweave.cli import main as cli_main
 from spinweave.config import config_from_dict, load_preset, preset_path
 from spinweave.ising import classical_otoc_phase, preset_params
 from spinweave.mitigation import TmemSolver, ZnePair, zne_correct, zne_extrapolate
-from spinweave.noise import NoiseModel, build_confusion_matrix, fold_cnots, simulate_noisy
+from spinweave.noise import NoiseModel, build_confusion_matrix, simulate_noisy
 from spinweave.otoc import (build_surface, fabs_measurement_circuit,
                             fixed_node_commutator)
 from spinweave.qsim import (BitstringDistribution, StateVector, apply_circuit,
@@ -30,6 +30,7 @@ from spinweave.weave import magic_rzz, rzz_decomposition, trotter_step, weave_ci
 
 from conftest import (align_global_phase, cnot_count, commutator, dense_otoc,
                       dense_hamiltonian, rzz_matrix)
+from oracles import fold_cnots
 from scipy.linalg import expm
 
 CHAOTIC4 = preset_params("chaotic", 4)

@@ -331,14 +331,17 @@ class TestEcho:
         assert set(echo["noise"]) == {"cnot_error", "t1_given_0", "t0_given_1"}
 
     @pytest.mark.parametrize("pipeline, unread", [
-        ("exact", {"shots", "magic", "magic_override", "noise", "mitigation"}),
-        ("trotter_exact", {"shots", "noise", "mitigation"}),
+        ("exact", {"k", "seed", "shots", "magic", "magic_override", "noise",
+                   "mitigation"}),
+        ("trotter_exact", {"seed", "shots", "noise", "mitigation"}),
         ("sampled", {"noise", "mitigation"}),
         ("noisy", {"mitigation"}),
         ("mitigated", set()),
     ])
     def test_echo_holds_only_the_fields_the_run_reads(self, pipeline, unread):
-        echo = config_echo(config_from_dict({"regime": "chaotic", "pipeline": pipeline}))
+        # k and seed are accepted on every pipeline, read or not
+        echo = config_echo(config_from_dict({"regime": "chaotic", "pipeline": pipeline,
+                                             "k": 3, "seed": 5}))
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert set(echo) == fields - {"output_dir"} - unread
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from oracles import ProjectedGradientTmem
+from oracles import ProjectedGradientTmem, fold_cnots
 from spinweave import mitigation
 from spinweave.mitigation import (TMEM_TOL, TmemSolver, ZnePair, project_simplex,
                                   zne_correct, zne_extrapolate)
@@ -299,7 +299,7 @@ class TestZne:
         # extrapolated all-zeros probability lands on the noiseless value up
         # to the propagated sampling error of the (3 p1 - p3)/2 estimator
         from spinweave.ising import preset_params
-        from spinweave.noise import (NoiseModel, fold_cnots, sample_counts,
+        from spinweave.noise import (NoiseModel, sample_counts,
                                      empirical_distribution, simulate_noisy)
         from spinweave.otoc import fabs_measurement_circuit
         from spinweave.qsim import (StateVector, apply_circuit,

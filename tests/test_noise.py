@@ -6,16 +6,16 @@ from hypothesis import strategies as st
 from spinweave.errors import CapacityError
 from spinweave.ising import preset_params
 from spinweave.noise import (NoiseModel, build_confusion_matrix,
-                             empirical_distribution, fold_cnots, sample_counts,
-                             simulate_noisy)
+                             empirical_distribution, sample_counts, simulate_noisy)
 from spinweave.otoc import fabs_measurement_circuit
-from spinweave.qsim import (GATE_KINDS, GATES, BitstringDistribution, Circuit,
-                            Gate, StateVector, apply_circuit, circuit_unitary,
-                            cnot, fuse_gates, gate_matrix, h_gate,
+from spinweave.qsim import (GATES, BitstringDistribution, Circuit, Gate,
+                            StateVector, apply_circuit, circuit_unitary, cnot,
+                            fuse_gates, h_gate, kind_matrix,
                             measurement_distribution, rx)
 from spinweave.weave import weave_circuit
 
 from conftest import I2, X2, Y2, Z2, cnot_count, embed_dense
+from oracles import fold_cnots
 
 
 def chaotic_fabs_circuit(ell=12, j=2):
@@ -42,7 +42,7 @@ def kraus_oracle(c, nm):
     rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
     rho[0, 0] = 1.0
     for g in c.gates:
-        e = embed_dense(gate_matrix(g), g.qubits, n)
+        e = embed_dense(kind_matrix(g.kind, g.angle), g.qubits, n)
         rho = e @ rho @ e.conj().T
         if g.kind == "CNOT":
             kraus = [embed_dense(k, g.qubits, n)
@@ -62,7 +62,7 @@ def noisy_circuits(draw):
     for _ in range(draw(st.integers(1, 12))):
         q, theta = draw(qubit), draw(angle)
         other = draw(qubit.filter(lambda r: r != q))
-        kind = draw(st.sampled_from(sorted(GATE_KINDS)))
+        kind = draw(st.sampled_from(sorted(GATES)))
         spec = GATES[kind]
         gates.append(Gate(kind, (q,) if spec.qubits == 1 else (q, other),
                           theta if callable(spec.matrix) else None))
@@ -166,22 +166,26 @@ class TestDepolarizing:
         # m CNOTs of one pair fuse into one block, whose single depolarizing
         # step has strength 1 - (1 - p)^m; the oracle applies one per CNOT
         p = 0.3
-        c = fold_cnots(Circuit(2, (h_gate(0), cnot(0, 1), rx(1, 0.9), cnot(1, 0),
-                                   h_gate(1))), m)
+        base = Circuit(2, (h_gate(0), cnot(0, 1), rx(1, 0.9), cnot(1, 0), h_gate(1)))
+        c = fold_cnots(base, m)
         assert len(fuse_gates(c.gates)) == 1
         nm = NoiseModel(2, p, 0.0, 0.0)
         assert np.max(np.abs(simulate_noisy(c, nm).probabilities
                              - kraus_oracle(c, nm))) < 1e-12
+        # the engine's fold m is the m-folded circuit, bit for bit
+        assert np.array_equal(simulate_noisy(base, nm, fold=m).probabilities,
+                              simulate_noisy(c, nm).probabilities)
         q = 1.0 - (1.0 - p) ** m
         lone = simulate_noisy(fold_cnots(Circuit(2, (cnot(0, 1),)), m), nm)
         assert lone.probabilities[0] == pytest.approx(1 - q + q / 4, abs=1e-12)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(noisy_circuits())
-    def test_random_circuits_match_kraus_channel(self, case):
+    @given(noisy_circuits(), st.sampled_from((1, 3, 5)))
+    def test_random_circuits_match_kraus_channel(self, case, fold):
         c, nm = case
-        oracle = kraus_oracle(c, nm)
-        assert np.max(np.abs(simulate_noisy(c, nm).probabilities - oracle)) < 1e-12
+        oracle = kraus_oracle(fold_cnots(c, fold), nm)
+        assert np.max(np.abs(simulate_noisy(c, nm, fold).probabilities
+                             - oracle)) < 1e-12
 
 
 class TestSimulateNoisy:
@@ -239,15 +243,19 @@ class TestFolding:
         assert np.max(np.abs(circuit_unitary(folded) - circuit_unitary(c))) < 1e-12
 
     def test_even_m_rejected(self):
+        c = Circuit(2, (cnot(0, 1),))
         with pytest.raises(ValueError):
-            fold_cnots(Circuit(2, (cnot(0, 1),)), 2)
+            fold_cnots(c, 2)
+        for fold in (0, 2, -1):
+            with pytest.raises(ValueError, match="fold"):
+                simulate_noisy(c, NoiseModel(2, 0.1, 0.0, 0.0), fold)
 
     def test_folding_lowers_all_zeros_probability(self):
         # more noisy CNOTs push the return probability down
         c = chaotic_fabs_circuit(ell=12)
         nm = NoiseModel.default(4)
         p1 = simulate_noisy(c, nm).probabilities[0]
-        p3 = simulate_noisy(fold_cnots(c, 3), nm).probabilities[0]
+        p3 = simulate_noisy(c, nm, fold=3).probabilities[0]
         assert p3 <= p1
 
 

@@ -11,7 +11,6 @@ from spinweave.config import config_from_dict, load_preset
 from spinweave.errors import CapacityError
 from spinweave.ising import (ExactEvolution, IsingParams, build_hamiltonian,
                              preset_params)
-from spinweave.noise import fold_cnots
 from spinweave.otoc import (_otoc_value, build_surface, fabs_measurement_circuit,
                             fixed_node_commutator, fixed_node_otoc, otoc_exact,
                             readout_distributions)
@@ -21,8 +20,8 @@ from spinweave.qsim import (Circuit, StateVector, apply_circuit,
 from spinweave.weave import weave_circuit
 
 from conftest import commutator, dense_hamiltonian, dense_otoc
-from oracles import (gatewise_amplitudes, gatewise_readout, heisenberg_x,
-                     matrix_otoc_value)
+from oracles import (fold_cnots, gatewise_amplitudes, gatewise_readout,
+                     heisenberg_x, matrix_otoc_value)
 
 CHAOTIC4 = preset_params("chaotic", 4)
 INTEGRABLE4 = preset_params("integrable", 4)
@@ -402,8 +401,8 @@ class TestBuildSurface:
         import numpy as np
         from spinweave.mitigation import TmemSolver, ZnePair, zne_correct
         from spinweave.noise import (build_confusion_matrix,
-                                     empirical_distribution, fold_cnots,
-                                     sample_counts, simulate_noisy)
+                                     empirical_distribution, sample_counts,
+                                     simulate_noisy)
         from spinweave.qsim import BitstringDistribution
 
         cfg = config_from_dict({"regime": "chaotic", "n": 4, "tau": 0.06,
@@ -440,8 +439,8 @@ class TestBuildSurface:
         import numpy as np
         from spinweave.mitigation import TmemSolver, ZnePair, zne_correct
         from spinweave.noise import (build_confusion_matrix,
-                                     empirical_distribution, fold_cnots,
-                                     sample_counts, simulate_noisy)
+                                     empirical_distribution, sample_counts,
+                                     simulate_noisy)
 
         base = {"regime": "chaotic", "n": 4, "tau": 0.06, "k": 3,
                 "ell_max": 3, "pipeline": "mitigated", "shots": 512, "seed": 13}
@@ -610,8 +609,8 @@ class TestMitigationCombiner:
     def test_corrected_point_recomputed_by_hand(self, combiner_surfaces, order):
         from spinweave.mitigation import TmemSolver, ZnePair, zne_correct
         from spinweave.noise import (build_confusion_matrix,
-                                     empirical_distribution, fold_cnots,
-                                     sample_counts, simulate_noisy)
+                                     empirical_distribution, sample_counts,
+                                     simulate_noisy)
         from spinweave.qsim import BitstringDistribution
 
         cfg = config_from_dict({**COMBINER_BASE, "pipeline": "mitigated",

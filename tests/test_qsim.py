@@ -11,7 +11,7 @@ from spinweave.noise import NoiseModel, simulate_noisy
 from spinweave.otoc import fabs_measurement_circuit
 from spinweave.qsim import (BitstringDistribution, Circuit, Gate, StateVector,
                             apply_circuit, circuit_unitary, cnot, dagger,
-                            gate_matrix, h_gate, measurement_distribution, pz,
+                            h_gate, kind_matrix, measurement_distribution, pz,
                             rx, s_gate, sdg_gate, x_gate)
 from spinweave.ising import preset_params
 from spinweave.weave import trotter_step, weave_circuit
@@ -57,7 +57,7 @@ def random_circuit(rng, n, depth):
 
 class TestGateMatrix:
     def test_pz_zero_is_identity(self):
-        assert np.allclose(gate_matrix(pz(0, 0.0)), np.eye(2), atol=0)
+        assert np.allclose(kind_matrix("PZ", 0.0), np.eye(2), atol=0)
 
     def test_rzz_quarter_turn_phases(self):
         # CNOT . PZ(theta) . CNOT is the ZZ rotation times exp(i theta / 2)
@@ -68,23 +68,23 @@ class TestGateMatrix:
     def test_rx_pi_is_minus_i_x(self):
         # oracle: matrix exponential of the generator
         oracle = expm(-1j * np.pi / 2 * np.array([[0, 1], [1, 0]]))
-        got = gate_matrix(rx(0, np.pi))
+        got = kind_matrix("RX", np.pi)
         assert np.max(np.abs(got - oracle)) < 1e-12
         assert np.allclose(got, -1j * np.array([[0, 1], [1, 0]]), atol=1e-12)
 
     def test_s_is_quarter_phase(self):
-        assert np.allclose(gate_matrix(s_gate(0)),
+        assert np.allclose(kind_matrix("S", None),
                            np.diag([1.0, np.exp(1j * np.pi / 2)]), atol=1e-15)
 
     @pytest.mark.parametrize("g", ALL_GATES, ids=lambda g: g.kind + str(g.qubits))
     def test_gate_matrices_unitary(self, g):
-        u = gate_matrix(g)
+        u = kind_matrix(g.kind, g.angle)
         assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-12
 
     @pytest.mark.parametrize("theta", [-2.5, -0.3, 0.0, 0.7, 3.1])
     def test_parametric_gates_unitary(self, theta):
         for g in (rx(0, theta), pz(0, theta)):
-            u = gate_matrix(g)
+            u = kind_matrix(g.kind, g.angle)
             assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-12
 
     def test_missing_angle_rejected(self):
@@ -130,7 +130,7 @@ class TestApplyGate:
             g = Gate(base.kind, qubits, base.angle)
             state = random_state(rng, n)
             got = apply_circuit(state, Circuit(n, (g,))).amplitudes
-            oracle = embed_dense(gate_matrix(g), qubits, n) @ state.amplitudes
+            oracle = embed_dense(kind_matrix(g.kind, g.angle), qubits, n) @ state.amplitudes
             assert np.max(np.abs(got - oracle)) < 1e-10
 
     def test_out_of_range_raises(self):
@@ -160,7 +160,7 @@ class TestApplyCircuit:
         state = random_state(rng, 3)
         u = np.eye(8, dtype=complex)
         for g in c.gates:
-            u = embed_dense(gate_matrix(g), g.qubits, 3) @ u
+            u = embed_dense(kind_matrix(g.kind, g.angle), g.qubits, 3) @ u
         assert np.max(np.abs(apply_circuit(state, c).amplitudes
                              - u @ state.amplitudes)) < 1e-10
 
@@ -305,6 +305,11 @@ class TestFusion:
         blocks = qsim.fuse_gates(c.gates)
         built = noise._block_superoperator.cache_info()
         assert built.misses == len(set(blocks)) < built.hits + built.misses == len(blocks)
+        # fold 3 builds again only the blocks that carry CNOT noise
+        simulate_noisy(c, nm, fold=3)
+        noisy = {b for b in blocks if len(b[0]) == 2}
+        assert len(noisy) < len(set(blocks))
+        assert noise._block_superoperator.cache_info().misses == built.misses + len(noisy)
 
 
 class TestDagger:
@@ -404,12 +409,12 @@ class TestCapacity:
 
 
 class TestGateSet:
-    @pytest.mark.parametrize("kind", sorted(qsim.GATE_KINDS))
+    @pytest.mark.parametrize("kind", sorted(qsim.GATES))
     def test_inverse_times_gate_is_identity(self, kind):
         spec = qsim.GATES[kind]
         g = Gate(kind, tuple(range(spec.qubits)), 0.7 if callable(spec.matrix) else None)
-        u = gate_matrix(g)
-        assert np.max(np.abs(gate_matrix(qsim.inverse_gate(g)) @ u
+        u, inv = kind_matrix(g.kind, g.angle), qsim.inverse_gate(g)
+        assert np.max(np.abs(kind_matrix(inv.kind, inv.angle) @ u
                              - np.eye(len(u)))) < 1e-12
         assert not u.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -426,4 +431,4 @@ class TestGateSet:
             emitted |= {g.kind for g in fabs_measurement_circuit(u, 1, 2).gates}
             magic.add(cfg.magic)
         assert magic == {False, True}
-        assert emitted == qsim.GATE_KINDS
+        assert emitted == set(qsim.GATES)
