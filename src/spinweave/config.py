@@ -91,13 +91,11 @@ MAX_SHOTS = 2 ** 63 - 1
 # n * (ell_max + 1) is the surface's row count; the bundled presets need at
 # most 438, and a grid past this bound would only exhaust memory
 MAX_GRID_POINTS = 2 ** 20
-# n is bounded before any builder sees it, then by its pipeline's cap
-_MAX_N = max(p.max_n for p in PIPELINES.values())
 
 # (name, default, type, check, message) of every field.  A type of None
 # passes the value to its builder in config_from_dict unchecked.
 _FIELDS = (
-    ("n", 4, int, lambda v: 3 <= v <= _MAX_N, f"must be in 3..{_MAX_N}"),
+    ("n", 4, int),  # config_from_dict bounds it by its pipeline's cap
     ("tau", 0.06, float, lambda v: v > 0 and math.isfinite(v), "must be > 0"),
     ("k", 1, int, lambda v: v >= 1, "must be >= 1"),
     ("ell_max", 24, int, lambda v: v >= 0, "must be >= 0"),
@@ -257,8 +255,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if extra:
         errors.append(f"unknown fields {sorted(extra)}")
     values = {row[0]: _field(errors, data, *row) for row in _FIELDS}
-    n, tau, k, ell_max = values.pop("n"), values["tau"], values["k"], values["ell_max"]
     pipeline = PIPELINES[values["pipeline"]]
+    n = _field(errors, {"n": values.pop("n")}, *_FIELDS[0],
+               lambda v: 3 <= v <= pipeline.max_n,
+               f"must be in 3..{pipeline.max_n} for pipeline {values['pipeline']!r}")
+    tau, k, ell_max = values["tau"], values["k"], values["ell_max"]
 
     # the last time is ell_max tau; only a pipeline that builds circuits
     # also builds the cell U(k tau)
@@ -289,9 +290,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         errors.append("state/probe: measured pipelines support only the "
                       "all-zeros state with the X probe; alternative states "
                       "and probes run through the exact pipeline")
-    if n > pipeline.max_n:
-        errors.append(f"n: must be in 3..{pipeline.max_n} for pipeline "
-                      f"{values['pipeline']!r} (got {n})")
 
     for name, reads, message in _PIPELINE_FIELDS:
         if message and data.get(name) is not None and not reads(pipeline):

@@ -8,9 +8,10 @@ NNLS (see :meth:`TmemSolver.solve`).
 
 Zero-noise extrapolation (ZNE) takes the readout distributions at the CNOT
 folds :data:`ZNE_FOLDS`, the circuit (m=1) and its CNOT-tripled channel
-(m=3), and extrapolates each bitstring probability linearly to m=0,
+(m=3), and extrapolates each bitstring probability linearly to m=0 with the
+Richardson weights of folds a < b (Temme, Bravyi & Gambetta, PRL 2017),
 
-    p0(x) = (3 p1(x) - p3(x)) / 2,
+    p0(x) = (b pa(x) - a pb(x)) / (b - a) = (3 p1(x) - p3(x)) / 2,
 
 accepts the result when it already lies in [0, 1] everywhere (it then sums
 to one automatically), and otherwise returns the Euclidean projection onto
@@ -117,7 +118,8 @@ class ZnePair:
 
 def zne_extrapolate(p1: np.ndarray, p3: np.ndarray) -> np.ndarray:
     """Per-bitstring linear extrapolation to zero CNOT noise, unconstrained."""
-    return (3.0 * np.asarray(p1, dtype=float) - np.asarray(p3, dtype=float)) / 2.0
+    a, b = ZNE_FOLDS
+    return (b * np.asarray(p1, dtype=float) - a * np.asarray(p3, dtype=float)) / (b - a)
 
 
 def zne_correct(pair: ZnePair) -> BitstringDistribution:

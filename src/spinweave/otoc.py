@@ -255,10 +255,10 @@ def _surface_row(cfg, solver: TmemSolver | None, ell: int) -> list[tuple]:
         p1, p3 = dists
         q1 = z = corrected = None
         if mit is not None:
-            q1 = _tmem(solver, p1, j, ell, 1) if mit.tmem else None
+            q1 = _tmem(solver, p1, j, ell, ZNE_FOLDS[0]) if mit.tmem else None
             z = zne_correct(ZnePair(p1, p3)) if mit.zne else None
             if mit.tmem and mit.zne:
-                corrected = (zne_correct(ZnePair(q1, _tmem(solver, p3, j, ell, 3)))
+                corrected = (zne_correct(ZnePair(q1, _tmem(solver, p3, j, ell, ZNE_FOLDS[1])))
                              if mit.order == "tmem_then_zne"
                              else _tmem(solver, z, j, ell, 0))
             else:  # the one method applied, or the raw readout

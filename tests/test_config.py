@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,8 +156,19 @@ class TestValidation:
         assert PIPELINES[pipeline].max_n == cap
         config_from_dict({"regime": "chaotic", "n": cap, "pipeline": pipeline,
                           "ell_max": 0})
-        with pytest.raises(ConfigError, match=re.escape(f"n: must be in 3..{cap}")):
-            config_from_dict({"regime": "chaotic", "n": cap + 1, "pipeline": pipeline})
+        for n in (2, cap + 1, 11):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"n: must be in 3..{cap} for pipeline {pipeline!r} (got {n})")):
+                config_from_dict({"regime": "chaotic", "n": n, "pipeline": pipeline})
+
+    def test_docs_give_each_pipeline_cap(self):
+        # the message quotes PIPELINES[...].max_n; README and the config
+        # module docstring tabulate it
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        caps = {name: str(traits.max_n) for name, traits in PIPELINES.items()}
+        assert dict(re.findall(r"^\| `(\w+)` .*\| n ≤ (\d+) +\|$", readme, re.M)) == caps
+        assert dict(re.findall(r"^    (\w+) .* (\d+)$", config.__doc__, re.M)) == caps
 
     def test_huge_n_rejected_before_any_noise_model(self, monkeypatch):
         # a noise model of 10**9 qubits would build tuples of 10**9 rates
@@ -167,7 +179,8 @@ class TestValidation:
             built.append(n)
 
         monkeypatch.setattr(config, "_build_noise", build_noise)
-        with pytest.raises(ConfigError, match=re.escape("n: must be in 3..10 (got 1000000000)")):
+        with pytest.raises(ConfigError, match=re.escape(
+                "n: must be in 3..8 for pipeline 'noisy' (got 1000000000)")):
             config_from_dict({"regime": "chaotic", "n": 10 ** 9, "pipeline": "noisy"})
         assert built == [4]
 
