@@ -30,7 +30,11 @@ Measured values come from one readout seam, :func:`readout_distributions`,
 which runs the pipeline's engine on every probe site's protocol circuit at
 one time index and returns a (folds, n, 2^n) array.  The surface rows draw
 shots from it and apply TMEM and ZNE per site; they know no engine,
-circuit or fold.
+circuit or fold.  The noiseless statevector engine runs each protocol on
+the backward light cone of X_1 in the weave (:func:`_light_cone`), which
+spans min(n, s + 1) qubits after s Trotter steps; the gates outside it
+cancel exactly.  The density engine runs the full weave, because there
+every CNOT carries noise and nothing cancels.
 """
 
 from __future__ import annotations
@@ -161,6 +165,30 @@ def fabs_measurement_circuit(u: Circuit, i: int, j: int) -> Circuit:
     return Circuit(n, gates)
 
 
+def _light_cone(u: Circuit, qubit: int) -> Circuit:
+    """The gates of ``u`` in the backward light cone of ``qubit``, in order.
+
+    One reverse pass: ``reach`` starts as {qubit}, and a gate joins the cone
+    when it touches ``reach``, whose qubits then join ``reach``.  Every other
+    gate acts on qubits disjoint from ``qubit`` and from every later cone
+    gate, so it commutes past them to the end: U = W V as operators, with V
+    the cone and W the rest, and W commutes with X_qubit.  Hence
+
+        U^dag X_qubit U = V^dag W^dag X_qubit W V = V^dag X_qubit V,
+
+    and the |F| protocol on V prepares the same state as on U, so every
+    readout probability is unchanged, not only |F|^2.  This holds only for
+    noiseless gates: a noisy gate outside the cone still acts.
+    """
+    reach = {qubit}
+    cone = []
+    for g in reversed(u.gates):
+        if not reach.isdisjoint(g.qubits):
+            reach.update(g.qubits)
+            cone.append(g)
+    return Circuit(u.n_qubits, tuple(reversed(cone)))
+
+
 def fixed_node_otoc(f_abs: float, p: IsingParams, j: int, t: float) -> complex:
     """Measured modulus combined with the classical-Hamiltonian phase."""
     if not -1e-9 <= f_abs <= 1.0 + 1e-9:
@@ -188,13 +216,20 @@ def readout_distributions(cfg, ell: int) -> np.ndarray:
     whose fold axis holds fold 1 and, when the pipeline mitigates with ZNE,
     fold 3: the channel of the CNOT-tripled circuit, which the density
     engine runs as each CNOT's noise applied three times.  The weave and
-    each site's protocol circuit are built once for all folds."""
+    each site's protocol circuit are built once for all folds.
+
+    The statevector engine runs each protocol on the light cone of X_1 in
+    the weave (:func:`_light_cone`), which leaves every probability
+    unchanged up to rounding; the density engine runs the full weave,
+    whose CNOTs outside the cone still carry noise."""
     traits = PIPELINES[cfg.pipeline]
     if traits.engine is None:
         raise ValueError(f"pipeline {cfg.pipeline!r} reads out no circuit")
     n = cfg.params.n
     folds = ZNE_FOLDS if traits.mitigates and cfg.mitigation.zne else ZNE_FOLDS[:1]
     u_circ = weave_circuit(cfg.params, cfg.tau, cfg.k, ell, cfg.magic)
+    if traits.engine == "statevector":
+        u_circ = _light_cone(u_circ, 0)
     out = np.empty((len(folds), n, 2 ** n))
     for j in range(1, n + 1):
         meas = fabs_measurement_circuit(u_circ, 1, j)

@@ -247,6 +247,25 @@ class TestFabsProtocol:
             fabs_measurement_circuit(Circuit(4), 1, 5)
 
 
+def cone_qubits(u: Circuit, qubit: int) -> set[int]:
+    """``qubit`` and every qubit of a gate in its light cone in ``u``."""
+    return {qubit}.union(*(g.qubits for g in otoc._light_cone(u, qubit).gates))
+
+
+class TestLightCone:
+    @pytest.mark.parametrize("magic", [False, True])
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_cone_of_x1_spreads_one_site_per_trotter_step(self, k, magic):
+        # the paper's lightcone: after s steps X_1(t) is supported on the
+        # first min(n, s + 1) sites of the chaotic weave
+        n = 8
+        p = preset_params("chaotic", n)
+        for ell in range(10 * k + 1):
+            u = weave_circuit(p, 0.03, k, ell, magic)
+            s = -(-ell // k)  # the cells, plus the shift when k does not divide ell
+            assert cone_qubits(u, 0) == set(range(min(n, s + 1))), ell
+
+
 class TestFixedNode:
     def test_outside_cone_reduces_to_modulus_formula(self):
         for f_abs in (0.0, 0.4, 1.0):
@@ -487,6 +506,13 @@ class TestReadoutDistributions:
     @pytest.mark.parametrize("pipeline, mitigation, folds", READOUT_CASES)
     @pytest.mark.parametrize("ell", [0, 3])
     def test_rows_match_the_gatewise_oracle(self, pipeline, mitigation, folds, ell):
+        """Every engine against the gate-by-gate oracles on the full circuit.
+
+        The ``noisy`` and ``mitigated`` cases pin the density engine to the
+        full weave: at ell=3 (one cell) the light cone of X_1 is qubits
+        {0, 1}, so running the density engine on the cone would miss the
+        CNOT noise on edges (1, 2) and (2, 3).
+        """
         cfg = config_from_dict({**READOUT_BASE, "pipeline": pipeline,
                                 "mitigation": mitigation})
         n = cfg.params.n
@@ -504,6 +530,26 @@ class TestReadoutDistributions:
                 else:
                     expected = gatewise_readout(fold_cnots(meas, fold), cfg.noise)
                 assert np.max(np.abs(got[f, j - 1] - expected)) < 1e-12, (j, fold)
+
+    @pytest.mark.parametrize("pipeline", ["trotter_exact", "sampled"])
+    @pytest.mark.parametrize("ell, width", [(3, 3), (14, 8)])
+    def test_statevector_rows_at_n8_match_the_full_circuit(self, pipeline, ell, width):
+        # the engine runs the light cone of X_1: partial at ell=3 (a shift
+        # and a cell), saturated at ell=14 (seven cells); the oracle runs
+        # the full protocol circuit gate by gate
+        cfg = config_from_dict({"regime": "chaotic", "n": 8, "tau": 0.03, "k": 2,
+                                "ell_max": 14, "seed": 5, "pipeline": pipeline})
+        n = cfg.params.n
+        u = weave_circuit(cfg.params, cfg.tau, cfg.k, ell, cfg.magic)
+        assert len(cone_qubits(u, 0)) == width
+        got = readout_distributions(cfg, ell)
+        assert got.shape == (1, n, 2 ** n)
+        zeros = np.zeros(2 ** n, dtype=complex)
+        zeros[0] = 1.0
+        for j in range(1, n + 1):
+            meas = fabs_measurement_circuit(u, 1, j)
+            expected = np.abs(gatewise_amplitudes(zeros, meas)) ** 2
+            assert np.max(np.abs(got[0, j - 1] - expected)) < 1e-12, j
 
     def test_exact_pipeline_reads_out_nothing(self):
         with pytest.raises(ValueError, match="reads out no circuit"):

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from spinweave import noise, qsim
+from spinweave import noise, otoc, qsim
 from spinweave.config import load_preset, preset_names
 from spinweave.errors import CapacityError, MalformedGateError
 from spinweave.noise import NoiseModel, simulate_noisy
@@ -310,6 +310,34 @@ class TestFusion:
         noisy = {b for b in blocks if len(b[0]) == 2}
         assert len(noisy) < len(set(blocks))
         assert noise._block_superoperator.cache_info().misses == built.misses + len(noisy)
+
+
+class TestLightCone:
+    """``otoc._light_cone``: the gates that X_q(t) = U^dag X_q U depends on."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(fusion_cases())
+    @example(fusion_case(3, ()))
+    @example(fusion_case(3, (x_gate(2), pz(1, 0.3), cnot(1, 2))))
+    def test_property_heisenberg_operator_is_unchanged(self, case):
+        u = case[0]
+        n = u.n_qubits
+        full = circuit_unitary(u)
+        for q in range(n):
+            cone = otoc._light_cone(u, q)
+            assert cone.n_qubits == n
+            rest = iter(u.gates)  # an order-preserving subsequence of u's gates
+            assert all(any(g == h for h in rest) for g in cone.gates)
+            x = circuit_unitary(Circuit(n, (x_gate(q),)))
+            v = circuit_unitary(cone)
+            expected = full.conj().T @ x @ full
+            assert np.max(np.abs(v.conj().T @ x @ v - expected)) < 1e-12, q
+
+    def test_gates_off_the_cone_are_dropped(self):
+        u = Circuit(3, (x_gate(2), cnot(1, 0), pz(1, 0.3), x_gate(0)))
+        assert otoc._light_cone(u, 0).gates == (cnot(1, 0), x_gate(0))
+        assert otoc._light_cone(u, 1).gates == (cnot(1, 0), pz(1, 0.3))
+        assert otoc._light_cone(Circuit(3), 0).gates == ()
 
 
 class TestDagger:
