@@ -34,6 +34,8 @@ Pipelines (:data:`PIPELINES`), each of which also records C_exact::
     sampled         statevector      yes    no          10
     noisy           density matrix   yes    no           8
     mitigated       density matrix   yes    yes          8
+
+A field that the pipeline does not read is None on the validated config.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ PIPELINES = {
 }
 # A field that only some pipelines read: its name, the pipelines that read
 # it, and the message that rejects a non-null value on any other pipeline
-# (None: every pipeline accepts it).  The metadata echo leaves such a field
-# out where the run does not read it.
+# (None: every pipeline accepts it).  Where the run does not read it, the
+# field is None on the validated config and absent from the metadata echo.
 _BUILDS_CIRCUITS = (lambda t: t.engine is not None,
                     "only the trotter_exact, sampled, noisy and mitigated "
                     "pipelines build circuits")
@@ -114,6 +116,7 @@ _FIELDS = (
     ("mitigation", None, None),
     ("noise", None, None),
 )
+_ROWS = {row[0]: row for row in _FIELDS}
 _MITIGATION_FIELDS = (
     ("tmem", True, bool),
     ("zne", True, bool),
@@ -133,20 +136,22 @@ class MitigationConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated config; a field that its pipeline does not read is None."""
+
     params: IsingParams
     regime: str
     tau: float
-    k: int
+    k: int | None
     ell_max: int
-    magic: bool
-    magic_override: bool
+    magic: bool | None
+    magic_override: bool | None
     pipeline: str
     state: str
     probe: str
-    shots: int
-    noise: NoiseModel
-    mitigation: MitigationConfig
-    seed: int
+    shots: int | None
+    noise: NoiseModel | None
+    mitigation: MitigationConfig | None
+    seed: int | None
     output_dir: str | None
     description: str
 
@@ -208,9 +213,10 @@ def _resolve_regime(value, n: int, errors: list[str]):
 
 
 def _build_noise(data, n: int, pipeline: Pipeline, errors: list[str]):
+    if pipeline.engine != "density":
+        return None
     if data is None:
-        return (NoiseModel.default(n) if pipeline.engine == "density"
-                else NoiseModel.ideal(n))
+        return NoiseModel.default(n)
     if not isinstance(data, dict):
         errors.append("noise: must be an object")
         return None
@@ -234,7 +240,9 @@ def _build_noise(data, n: int, pipeline: Pipeline, errors: list[str]):
         return None
 
 
-def _build_mitigation(data, errors: list[str]) -> MitigationConfig:
+def _build_mitigation(data, pipeline: Pipeline, errors: list[str]):
+    if not pipeline.mitigates:
+        return None
     if data is not None and not isinstance(data, dict):
         errors.append("mitigation: must be an object")
     data = data if isinstance(data, dict) else {}
@@ -254,9 +262,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     extra = set(data) - {row[0] for row in _FIELDS}
     if extra:
         errors.append(f"unknown fields {sorted(extra)}")
-    values = {row[0]: _field(errors, data, *row) for row in _FIELDS}
-    pipeline = PIPELINES[values["pipeline"]]
-    n = _field(errors, {"n": values.pop("n")}, *_FIELDS[0],
+    # the pipeline decides which fields the run reads (its own error comes in
+    # field order); a field that it rejects gets only its rejection line
+    pipeline = PIPELINES[_field([], data, *_ROWS["pipeline"])]
+    unread = {name: message for name, reads, message in _PIPELINE_FIELDS
+              if not reads(pipeline)}
+    rejected = {name: message for name, message in unread.items()
+                if message and data.get(name) is not None}
+    values = {row[0]: _field(errors, data, *row) for row in _FIELDS
+              if row[0] not in rejected}
+    n = _field(errors, {"n": values.pop("n")}, *_ROWS["n"],
                lambda v: 3 <= v <= pipeline.max_n,
                f"must be in 3..{pipeline.max_n} for pipeline {values['pipeline']!r}")
     tau, k, ell_max = values["tau"], values["k"], values["ell_max"]
@@ -291,10 +306,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                       "all-zeros state with the X probe; alternative states "
                       "and probes run through the exact pipeline")
 
-    for name, reads, message in _PIPELINE_FIELDS:
-        if message and data.get(name) is not None and not reads(pipeline):
-            errors.append(f"{name}: {message}")
-            values[name] = None
+    errors.extend(f"{name}: {message}" for name, message in rejected.items())
+    values.update(dict.fromkeys(unread))
 
     if (params is not None and span_finite and values["magic"]
             and not values["magic_override"]):
@@ -305,7 +318,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                           "magic_override to run with the nominal angle replaced by "
                           "the nearest +-pi/2 rotation")
 
-    values["mitigation"] = _build_mitigation(values["mitigation"], errors)
+    values["mitigation"] = _build_mitigation(values["mitigation"], pipeline, errors)
     values["noise"] = _build_noise(values["noise"], n, pipeline, errors)
 
     if errors:
@@ -332,14 +345,13 @@ def validate_config(path, seed: int | None = None) -> ExperimentConfig:
 
 def config_echo(cfg: ExperimentConfig) -> dict:
     """Resolved configuration as a JSON-ready dict: every field that the
-    run reads except ``output_dir``, so that runs into different
-    directories still produce byte-identical metadata, and without the
-    noise model's qubit count, which ``params`` already holds."""
-    echo = asdict(cfg)
-    del echo["output_dir"], echo["noise"]["n_qubits"]
-    for name, reads, _ in _PIPELINE_FIELDS:
-        if not reads(PIPELINES[cfg.pipeline]):
-            del echo[name]
+    run reads (every one not None) except ``output_dir``, so that runs into
+    different directories still produce byte-identical metadata, and
+    without the noise model's qubit count, which ``params`` already holds."""
+    echo = {name: value for name, value in asdict(cfg).items()
+            if value is not None and name != "output_dir"}
+    if "noise" in echo:
+        del echo["noise"]["n_qubits"]
     return echo
 
 

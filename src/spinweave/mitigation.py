@@ -53,7 +53,7 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 class TmemSolver:
     """Active-set TMEM solver for one square, column-stochastic T (possibly
-    singular), with its condition number computed once."""
+    singular)."""
 
     def __init__(self, t: np.ndarray):
         t = np.asarray(t, dtype=float)
@@ -62,7 +62,6 @@ class TmemSolver:
         if np.max(np.abs(t.sum(axis=0) - 1.0)) > 1e-9:
             raise ValueError("T columns must sum to 1")
         self.t = t
-        self.condition_number = float(np.linalg.cond(self.t))
 
     def solve(self, b: np.ndarray):
         """Minimize ||T x - b||_2^2 over the simplex; returns (x, iterations,

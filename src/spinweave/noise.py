@@ -78,11 +78,6 @@ class NoiseModel:
                            _rates(self.t0_given_1, self.n_qubits, "t0_given_1"))
 
     @classmethod
-    def ideal(cls, n_qubits: int) -> "NoiseModel":
-        return cls(n_qubits, (0.0,) * (n_qubits - 1), (0.0,) * n_qubits,
-                   (0.0,) * n_qubits)
-
-    @classmethod
     def default(cls, n_qubits: int = 4) -> "NoiseModel":
         """Bundled calibration defaults for a 4-qubit chain (repeating the
         last table entry when a longer chain is requested)."""

@@ -17,8 +17,7 @@ Conventions used throughout the package:
   its own gates on an identity tensor, and cached.
   :func:`spinweave.noise.simulate_noisy` builds each block's channel from
   that cached unitary and applies it with the same kernel,
-  :func:`_contract`.  The full 2^n x 2^n operator is never formed except
-  in :func:`circuit_unitary`, which runs the circuit gate by gate.
+  :func:`_contract`.  The full 2^n x 2^n operator is never formed.
 * The ZZ and phase-gate decompositions the weave uses differ from the
   exact exponentials by a global phase, which cancels in every quantity
   the package measures.
@@ -304,9 +303,3 @@ def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
 def measurement_distribution(state: StateVector) -> BitstringDistribution:
     """Born-rule probabilities |amplitude(x)|^2 over classical states."""
     return BitstringDistribution(state.n_qubits, np.abs(state.amplitudes) ** 2)
-
-
-def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Dense 2^n x 2^n unitary of a circuit, built gate by gate."""
-    return _compose(c.n_qubits, ((kind_matrix(g.kind, g.angle), g.qubits)
-                                 for g in c.gates))

@@ -26,13 +26,17 @@ because the pair channel commutes with every unitary on its pair.
 ``fold_cnots`` is the former ZNE folding of ``noise``: it builds the
 circuit with every CNOT repeated m times, whose channel
 ``simulate_noisy(c, nm, fold=m)`` runs without building it.
+
+``circuit_unitary`` is the former dense unitary of ``qsim``: the full
+2^n x 2^n operator of a circuit, composed gate by gate with the kernel
+that builds each fused block's operator, which no run needs.
 """
 
 import numpy as np
 
 from spinweave.mitigation import project_simplex
 from spinweave.noise import build_confusion_matrix
-from spinweave.qsim import Circuit, kind_matrix
+from spinweave.qsim import Circuit, _compose, kind_matrix
 
 PG_TOL = 1e-10
 PG_MAX_ITER = 100_000
@@ -149,3 +153,9 @@ def fold_cnots(c, m: int):
     for g in c.gates:
         gates.extend([g] * m if g.kind == "CNOT" else [g])
     return Circuit(c.n_qubits, tuple(gates))
+
+
+def circuit_unitary(c: Circuit) -> np.ndarray:
+    """Dense 2^n x 2^n unitary of a circuit, built gate by gate."""
+    return _compose(c.n_qubits, ((kind_matrix(g.kind, g.angle), g.qubits)
+                                 for g in c.gates))

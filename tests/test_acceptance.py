@@ -25,12 +25,12 @@ from spinweave.noise import NoiseModel, build_confusion_matrix, simulate_noisy
 from spinweave.otoc import (build_surface, fabs_measurement_circuit,
                             fixed_node_commutator)
 from spinweave.qsim import (BitstringDistribution, StateVector, apply_circuit,
-                            circuit_unitary, measurement_distribution)
+                            measurement_distribution)
 from spinweave.weave import magic_rzz, rzz_decomposition, trotter_step, weave_circuit
 
 from conftest import (align_global_phase, cnot_count, commutator, dense_otoc,
                       dense_hamiltonian, rzz_matrix)
-from oracles import fold_cnots
+from oracles import circuit_unitary, fold_cnots
 from scipy.linalg import expm
 
 CHAOTIC4 = preset_params("chaotic", 4)

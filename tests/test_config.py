@@ -9,9 +9,11 @@ import pytest
 
 from spinweave import config
 from spinweave.config import (MAX_GRID_POINTS, PIPELINES, ExperimentConfig,
-                              config_echo, config_from_dict, load_preset,
-                              preset_names, preset_path, validate_config)
+                              MitigationConfig, config_echo, config_from_dict,
+                              load_preset, preset_names, preset_path,
+                              validate_config)
 from spinweave.errors import ConfigError
+from spinweave.noise import NoiseModel
 
 EXPECTED_PRESETS = {"fig1a", "fig1b", "fig2", "fig4", "fig5", "fig5a",
                     "fig5b", "fig6a", "fig6b", "s7", "s8", "s9"}
@@ -23,11 +25,11 @@ class TestValidation:
         assert cfg.params.n == 4
         assert cfg.params.Bx == 0.0
         assert cfg.tau == 0.06
-        assert cfg.k == 1
+        assert cfg.k is None  # the exact pipeline builds no circuit
         assert cfg.ell_max == 24
         assert cfg.pipeline == "exact"
-        assert cfg.shots == 8192
-        assert cfg.noise.cnot_error == (0.0, 0.0, 0.0)  # ideal for exact runs
+        assert cfg.shots is None
+        assert cfg.noise is None
 
     def test_negative_tau_names_field(self):
         with pytest.raises(ConfigError, match="tau"):
@@ -92,7 +94,7 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(
                 "noise: only the noisy and mitigated pipelines simulate noise")):
             config_from_dict({**data, "noise": {"spam_epsilon": 0.5, "cnot_error": 0.2}})
-        assert config_from_dict({**data, "noise": None}).noise.cnot_error == (0.0,) * 3
+        assert config_from_dict({**data, "noise": None}).noise is None
 
     @pytest.mark.parametrize("pipeline", ["exact", "trotter_exact"])
     def test_shots_rejected_where_nothing_is_sampled(self, pipeline):
@@ -112,6 +114,38 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape("magic: only the")):
             config_from_dict({"regime": "chaotic", "magic": False})
 
+    @pytest.mark.parametrize("data, line", [
+        ({"shots": 0}, "shots: only the sampled, noisy and mitigated pipelines "
+                       "draw shots"),
+        ({"shots": "100"}, "shots: only the sampled, noisy and mitigated pipelines "
+                           "draw shots"),
+        ({"magic": "yes"}, "magic: only the trotter_exact, sampled, noisy and "
+                           "mitigated pipelines build circuits"),
+    ], ids=["shots-0", "shots-string", "magic-string"])
+    def test_a_rejected_field_gets_only_its_rejection_line(self, data, line):
+        # whatever its value: the exact pipeline reads neither field
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"regime": "chaotic", **data})
+        assert str(info.value).splitlines()[1:] == [f"  {line}"]
+
+    @pytest.mark.parametrize("pipeline", list(PIPELINES))
+    def test_fields_the_pipeline_does_not_read_are_none(self, pipeline):
+        # k and seed are accepted on every pipeline, read or not; a null
+        # noise or mitigation gets the defaults where the run reads it
+        cfg = config_from_dict({"regime": "chaotic", "pipeline": pipeline, "k": 3,
+                                "seed": 5, "noise": None, "mitigation": None,
+                                "output_dir": "out"})
+        traits = PIPELINES[pipeline]
+        for name, reads, _ in config._PIPELINE_FIELDS:
+            assert (getattr(cfg, name) is None) == (not reads(traits)), name
+        present = {f.name for f in dataclasses.fields(cfg)
+                   if getattr(cfg, f.name) is not None}
+        assert set(config_echo(cfg)) == present - {"output_dir"}
+        if traits.engine == "density":
+            assert cfg.noise == NoiseModel.default(4)
+        if traits.mitigates:
+            assert cfg.mitigation == MitigationConfig(True, True, "tmem_then_zne")
+
     @pytest.mark.parametrize("value", [True, False])
     def test_magic_override_rejected_where_no_circuit_is_built(self, value):
         with pytest.raises(ConfigError) as info:
@@ -127,7 +161,7 @@ class TestValidation:
         # exact evolution never builds the cell U(k tau); only ell_max tau counts
         cfg = config_from_dict({"regime": "chaotic", "pipeline": "exact",
                                 "k": 10 ** 400, "tau": 1e300, "ell_max": 1})
-        assert cfg.k == 10 ** 400
+        assert cfg.k is None
         with pytest.raises(ConfigError, match=re.escape(
                 "tau: tau * max(k, ell_max) must be finite")):
             config_from_dict({"regime": "chaotic", "pipeline": "trotter_exact",
@@ -297,7 +331,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("field, data", [
         ("n", {"n": "5"}),
-        ("shots", {"shots": "100"}),
+        ("shots", {"pipeline": "sampled", "shots": "100"}),
         ("seed", {"seed": "3"}),
         ("description", {"description": 7}),
         ("pipeline", {"pipeline": 1}),
@@ -323,7 +357,8 @@ class TestValidation:
 
     def test_validate_config_roundtrip(self, tmp_path):
         path = tmp_path / "ok.json"
-        path.write_text(json.dumps({"regime": "chaotic", "n": 4, "seed": 9}))
+        path.write_text(json.dumps({"regime": "chaotic", "n": 4, "seed": 9,
+                                    "pipeline": "sampled"}))
         cfg = validate_config(path)
         assert isinstance(cfg, ExperimentConfig)
         assert cfg.seed == 9

@@ -196,11 +196,6 @@ class TestTmem:
             assert np.all(x >= 0)
             assert x.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_condition_number_reported(self):
-        solver = TmemSolver(build_confusion_matrix(NoiseModel.default(4)))
-        assert solver.condition_number >= 1.0
-        assert np.isfinite(solver.condition_number)
-
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="square"):
             TmemSolver(np.full((4, 2), 0.25))

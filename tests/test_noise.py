@@ -9,13 +9,12 @@ from spinweave.noise import (NoiseModel, build_confusion_matrix,
                              empirical_distribution, sample_counts, simulate_noisy)
 from spinweave.otoc import fabs_measurement_circuit
 from spinweave.qsim import (GATES, BitstringDistribution, Circuit, Gate,
-                            StateVector, apply_circuit, circuit_unitary, cnot,
-                            fuse_gates, h_gate, kind_matrix,
-                            measurement_distribution, rx)
+                            StateVector, apply_circuit, cnot, fuse_gates,
+                            h_gate, kind_matrix, measurement_distribution, rx)
 from spinweave.weave import weave_circuit
 
 from conftest import I2, X2, Y2, Z2, cnot_count, embed_dense
-from oracles import fold_cnots
+from oracles import circuit_unitary, fold_cnots
 
 
 def chaotic_fabs_circuit(ell=12, j=2):
@@ -100,7 +99,7 @@ class TestNoiseModel:
 
 class TestConfusionMatrix:
     def test_identity_for_ideal_model(self):
-        assert np.array_equal(build_confusion_matrix(NoiseModel.ideal(3)), np.eye(8))
+        assert np.array_equal(build_confusion_matrix(NoiseModel(3, 0.0, 0.0, 0.0)), np.eye(8))
 
     def test_single_qubit_entries(self):
         nm = NoiseModel(3, 0.0, (0.01, 0.0, 0.0), (0.02, 0.0, 0.0))
@@ -192,7 +191,7 @@ class TestSimulateNoisy:
     def test_zero_noise_matches_pure_state(self):
         c = chaotic_fabs_circuit(ell=6)
         ideal = measurement_distribution(apply_circuit(StateVector.zeros(4), c))
-        noisy = simulate_noisy(c, NoiseModel.ideal(4))
+        noisy = simulate_noisy(c, NoiseModel(4, 0.0, 0.0, 0.0))
         assert np.max(np.abs(noisy.probabilities - ideal.probabilities)) < 1e-10
 
     def test_single_cnot_hand_value(self):
@@ -228,7 +227,7 @@ class TestSimulateNoisy:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            simulate_noisy(Circuit(9), NoiseModel.ideal(9))
+            simulate_noisy(Circuit(9), NoiseModel(9, 0.0, 0.0, 0.0))
 
 
 class TestFolding:

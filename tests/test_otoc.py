@@ -15,13 +15,12 @@ from spinweave.otoc import (_otoc_value, build_surface, fabs_measurement_circuit
                             fixed_node_commutator, fixed_node_otoc, otoc_exact,
                             readout_distributions)
 from spinweave.qsim import (Circuit, StateVector, apply_circuit,
-                            circuit_unitary, measurement_distribution, pz,
-                            x_gate)
+                            measurement_distribution, pz, x_gate)
 from spinweave.weave import weave_circuit
 
 from conftest import commutator, dense_hamiltonian, dense_otoc
-from oracles import (fold_cnots, gatewise_amplitudes, gatewise_readout,
-                     heisenberg_x, matrix_otoc_value)
+from oracles import (circuit_unitary, fold_cnots, gatewise_amplitudes,
+                     gatewise_readout, heisenberg_x, matrix_otoc_value)
 
 CHAOTIC4 = preset_params("chaotic", 4)
 INTEGRABLE4 = preset_params("integrable", 4)

@@ -10,14 +10,15 @@ from spinweave.errors import CapacityError, MalformedGateError
 from spinweave.noise import NoiseModel, simulate_noisy
 from spinweave.otoc import fabs_measurement_circuit
 from spinweave.qsim import (BitstringDistribution, Circuit, Gate, StateVector,
-                            apply_circuit, circuit_unitary, cnot, dagger,
-                            h_gate, kind_matrix, measurement_distribution, pz,
-                            rx, s_gate, sdg_gate, x_gate)
+                            apply_circuit, cnot, dagger, h_gate, kind_matrix,
+                            measurement_distribution, pz, rx, s_gate, sdg_gate,
+                            x_gate)
 from spinweave.ising import preset_params
 from spinweave.weave import trotter_step, weave_circuit
 
 from conftest import align_global_phase, cnot_count, embed_dense, rzz_matrix
-from oracles import gatewise_amplitudes, gatewise_readout, tensordot_contract
+from oracles import (circuit_unitary, gatewise_amplitudes, gatewise_readout,
+                     tensordot_contract)
 
 ALL_GATES = [
     rx(0, 0.37), pz(0, -1.1), s_gate(0), sdg_gate(0), h_gate(0),
@@ -386,7 +387,7 @@ class TestDensityMatrix:
     def test_gate_matches_pure_state(self, rng):
         c = random_circuit(rng, 3, 25)
         sv = apply_circuit(StateVector.zeros(3), c)
-        dist = simulate_noisy(c, NoiseModel.ideal(3))
+        dist = simulate_noisy(c, NoiseModel(3, 0.0, 0.0, 0.0))
         assert np.max(np.abs(dist.probabilities - np.abs(sv.amplitudes) ** 2)) < 1e-10
 
     def test_identity_kraus_unchanged(self):

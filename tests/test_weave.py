@@ -5,11 +5,12 @@ import pytest
 from scipy.linalg import expm
 
 from spinweave.ising import preset_params
-from spinweave.qsim import StateVector, apply_circuit, circuit_unitary, dagger
+from spinweave.qsim import StateVector, apply_circuit, dagger
 from spinweave.weave import magic_rzz, rzz_decomposition, trotter_step, weave_circuit
 
 from conftest import (align_global_phase, cnot_count, dense_hamiltonian,
                       rzz_matrix)
+from oracles import circuit_unitary
 
 CHAOTIC4 = preset_params("chaotic", 4)
 H_CHAOTIC4 = dense_hamiltonian(4, CHAOTIC4.J, CHAOTIC4.Bx, CHAOTIC4.Bz)
