@@ -364,7 +364,3 @@ def preset_path(name: str) -> Path:
     if not path.is_file():
         raise ConfigError(f"unknown preset {name!r}; available: {preset_names()}")
     return path
-
-
-def load_preset(name: str) -> ExperimentConfig:
-    return validate_config(preset_path(name))

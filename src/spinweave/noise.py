@@ -19,11 +19,11 @@ Depolarizing strength p means "replace the pair state by I/4 with
 probability p", i.e. the error weight is spread uniformly over the 15
 non-identity two-qubit Paulis.  :func:`simulate_noisy` is the one
 density-matrix engine.  It runs each fused block of at most two qubits
-(:func:`~spinweave.qsim.fuse_gates`) as one channel: the block's cached
+(:attr:`~spinweave.qsim.Circuit.blocks`) as one channel: the block's cached
 unitary U as U (x) conj(U), followed by one depolarizing step for all of
 the block's CNOTs.  The density matrix costs one O(4^n) contraction per
-block, not per gate.  A ZNE fold m (CNOT-tripled for m = 3) is run as the
-unfolded circuit with each CNOT's noise applied m times.
+block, not per gate.  A ZNE fold m (CNOT-tripled for m = 3) runs the
+unfolded circuit's one fusion plan with each CNOT's noise applied m times.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .qsim import (BLOCK_CACHE_SIZE, BitstringDistribution, Circuit, Gate,
-                   _block_unitary, _contract, fuse_gates)
+                   _block_unitary, _contract)
 
 # a density tensor holds 4^n amplitudes: 1 MiB at n = 8
 MAX_DM_QUBITS = 8
@@ -143,7 +143,7 @@ def simulate_noisy(c: Circuit, nm: NoiseModel, fold: int = 1) -> BitstringDistri
     CNOT's noise applied ``fold`` times (odd and positive): the channel of
     the circuit with every CNOT repeated ``fold`` times.
 
-    Each fused block (:func:`~spinweave.qsim.fuse_gates`) is one
+    Each fused block (:attr:`~spinweave.qsim.Circuit.blocks`) is one
     superoperator (:func:`_block_superoperator`) on its row and column axes
     of the (2,)*(2n) density tensor: one O(4^n) contraction per block.  A
     block spans two qubits only through a CNOT, so one edge's rate serves
@@ -160,7 +160,7 @@ def simulate_noisy(c: Circuit, nm: NoiseModel, fold: int = 1) -> BitstringDistri
         raise ValueError(f"fold must be odd and positive, got {fold!r}")
     t = np.zeros((2,) * (2 * n), dtype=complex)
     t[(0,) * (2 * n)] = 1.0
-    for qubits, gates in fuse_gates(c.gates):
+    for qubits, gates in c.blocks:
         p = nm.cnot_error[min(qubits)] if len(qubits) == 2 else 0.0
         # without CNOT noise a block has one channel, and one cache entry, at every fold
         s = _block_superoperator(qubits, gates, p, fold if p > 0.0 else 1)

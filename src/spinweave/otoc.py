@@ -33,8 +33,10 @@ shots from it and apply TMEM and ZNE per site; they know no engine,
 circuit or fold.  The noiseless statevector engine runs each protocol on
 the backward light cone of X_1 in the weave (:func:`_light_cone`), which
 spans min(n, s + 1) qubits after s Trotter steps; the gates outside it
-cancel exactly.  The density engine runs the full weave, because there
-every CNOT carries noise and nothing cancels.
+cancel exactly, and a probe site outside it reads exactly |0...0>.  The
+density engine runs the full weave, because there every CNOT carries noise
+and nothing cancels.  The weave is inverted once per time index, and each
+protocol circuit is fused once for all its folds.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .mitigation import ZNE_FOLDS, TmemSolver, ZnePair, zne_correct
 from .noise import (build_confusion_matrix, empirical_distribution, sample_counts,
                     simulate_noisy)
 from .qsim import (BitstringDistribution, Circuit, StateVector, apply_circuit,
-                   dagger, measurement_distribution, x_gate)
+                   measurement_distribution, x_gate)
 from .surface_io import VALUE_COLUMNS, SurfaceTable
 from .weave import weave_circuit
 
@@ -159,7 +161,7 @@ def fabs_measurement_circuit(u: Circuit, i: int, j: int) -> Circuit:
     n = u.n_qubits
     _check_site(n, i, "i")
     _check_site(n, j, "j")
-    udg = dagger(u)
+    udg = u.inverse
     xi, xj = (x_gate(i - 1),), (x_gate(j - 1),)
     gates = xj + u.gates + xi + udg.gates + xj + u.gates + xi + udg.gates
     return Circuit(n, gates)
@@ -218,9 +220,13 @@ def readout_distributions(cfg, ell: int) -> np.ndarray:
     engine runs as each CNOT's noise applied three times.  The weave and
     each site's protocol circuit are built once for all folds.
 
-    The statevector engine runs each protocol on the light cone of X_1 in
+    The statevector engine runs each protocol on the light cone V of X_1 in
     the weave (:func:`_light_cone`), which leaves every probability
-    unchanged up to rounding; the density engine runs the full weave,
+    unchanged up to rounding.  It runs no protocol for a site j whose qubit
+    j - 1 lies outside the reach of X_1 (the cone's qubits and qubit 0):
+    there X_j commutes with V and with X_1, so the protocol prepares
+    (V^dag X_1 V)^2 |0...0> = |0...0>, and the site reads exactly the point
+    mass on 0.  The density engine runs the full weave at every site,
     whose CNOTs outside the cone still carry noise."""
     traits = PIPELINES[cfg.pipeline]
     if traits.engine is None:
@@ -228,10 +234,15 @@ def readout_distributions(cfg, ell: int) -> np.ndarray:
     n = cfg.params.n
     folds = ZNE_FOLDS if traits.mitigates and cfg.mitigation.zne else ZNE_FOLDS[:1]
     u_circ = weave_circuit(cfg.params, cfg.tau, cfg.k, ell, cfg.magic)
+    reach = range(n)
     if traits.engine == "statevector":
         u_circ = _light_cone(u_circ, 0)
-    out = np.empty((len(folds), n, 2 ** n))
+        reach = {0}.union(*(g.qubits for g in u_circ.gates))
+    out = np.zeros((len(folds), n, 2 ** n))
     for j in range(1, n + 1):
+        if j - 1 not in reach:
+            out[:, j - 1, 0] = 1.0
+            continue
         meas = fabs_measurement_circuit(u_circ, 1, j)
         for f, fold in enumerate(folds):
             if traits.engine == "statevector":

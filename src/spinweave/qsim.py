@@ -8,16 +8,17 @@ Conventions used throughout the package:
 * All values are immutable; every operation returns a new object.
 * The gate set is exactly what the weave and the |F| protocol emit: RX, PZ,
   S, SDG, H, X and CNOT, one row each of the table :data:`GATES`; validation,
-  inverses and both engines read it, building a matrix once per (kind, angle).
-* Both engines run a circuit as fused blocks: :func:`fuse_gates` groups
-  the gates, in one pass, into blocks of at most two qubits, and each
-  block costs O(2^n): one cached axis plan per (rank, axes), then one
-  transpose copy and one matrix product of the block's 2x2 or 4x4 unitary
-  against the state tensor.  A block's operator is built once, by running
-  its own gates on an identity tensor, and cached.
-  :func:`spinweave.noise.simulate_noisy` builds each block's channel from
-  that cached unitary and applies it with the same kernel,
-  :func:`_contract`.  The full 2^n x 2^n operator is never formed.
+  inverses (:attr:`Circuit.inverse`, built once per circuit) and both
+  engines read it, building a matrix once per (kind, angle).
+* Both engines run a circuit as its fused blocks, :attr:`Circuit.blocks`:
+  :func:`fuse_gates` groups the gates, once per circuit and in one pass,
+  into blocks of at most two qubits, and each block costs O(2^n): one
+  cached axis plan per (rank, axes), then one transpose copy and one matrix
+  product of the block's 2x2 or 4x4 unitary against the state tensor.  A
+  block's operator is built once, by running its own gates on an identity
+  tensor, and cached.  :func:`spinweave.noise.simulate_noisy` builds each
+  block's channel from that cached unitary and applies it with the same
+  kernel, :func:`_contract`.  The full 2^n x 2^n operator is never formed.
 * The ZZ and phase-gate decompositions the weave uses differ from the
   exact exponentials by a global phase, which cancels in every quantity
   the package measures.
@@ -97,6 +98,15 @@ class Gate:
             object.__setattr__(self, "angle", float(self.angle))
         elif self.angle is not None:
             raise MalformedGateError(f"{self.kind} takes no angle")
+        # every block-cache lookup hashes its gates
+        object.__setattr__(self, "_hash", hash((self.kind, self.qubits, self.angle)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild, and so rehash, on unpickling: string hashes differ per process
+        return Gate, (self.kind, self.qubits, self.angle)
 
 
 def rx(q: int, theta: float) -> Gate:
@@ -147,6 +157,16 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
+    @functools.cached_property
+    def blocks(self) -> tuple[tuple[tuple[int, ...], tuple[Gate, ...]], ...]:
+        """The :func:`fuse_gates` plan of the gates, built once."""
+        return fuse_gates(self.gates)
+
+    @functools.cached_property
+    def inverse(self) -> "Circuit":
+        """Built once: the gates reversed, each replaced by its inverse."""
+        return Circuit(self.n_qubits, tuple(map(inverse_gate, reversed(self.gates))))
+
 
 @functools.lru_cache(maxsize=1024)
 def kind_matrix(kind: str, angle: float | None) -> np.ndarray:
@@ -162,11 +182,6 @@ def kind_matrix(kind: str, angle: float | None) -> np.ndarray:
 def inverse_gate(g: Gate) -> Gate:
     """The inverse of a gate, built once per distinct gate."""
     return Gate(GATES[g.kind].inverse, g.qubits, None if g.angle is None else -g.angle)
-
-
-def dagger(c: Circuit) -> Circuit:
-    """Inverse circuit: gates reversed, each replaced by its inverse."""
-    return Circuit(c.n_qubits, tuple(inverse_gate(g) for g in reversed(c.gates)))
 
 
 # --- state representations -------------------------------------------------
@@ -233,7 +248,7 @@ def _contract(tensor: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.nd
     return out.reshape(tensor.shape).transpose(inv)
 
 
-def fuse_gates(gates) -> list[tuple[tuple[int, ...], tuple[Gate, ...]]]:
+def fuse_gates(gates) -> tuple[tuple[tuple[int, ...], tuple[Gate, ...]], ...]:
     """Group a gate sequence into blocks of at most ``BLOCK_QUBITS`` qubits,
     in one pass; returns (qubits, gates) per block, in application order.
 
@@ -262,7 +277,7 @@ def fuse_gates(gates) -> list[tuple[tuple[int, ...], tuple[Gate, ...]]]:
         members.append([g])
         for q in g.qubits:
             latest[q] = i
-    return list(zip(qubits, map(tuple, members)))
+    return tuple(zip(qubits, map(tuple, members)))
 
 
 def _block_axes(qubits: tuple[int, ...], g: Gate) -> tuple[int, ...]:
@@ -295,7 +310,7 @@ def apply_circuit(state: StateVector, c: Circuit) -> StateVector:
     if c.n_qubits != state.n_qubits:
         raise ValueError("circuit and state qubit counts differ")
     psi = state.amplitudes.reshape((2,) * state.n_qubits)
-    for qubits, gates in fuse_gates(c.gates):
+    for qubits, gates in c.blocks:
         psi = _contract(psi, _block_unitary(qubits, gates), qubits)
     return StateVector(state.n_qubits, psi.reshape(-1))
 

@@ -6,8 +6,9 @@ A single step U(dt) is the symmetric splitting
 
 with per-gate angles RX(Bx*dt), the ZZ rotation
 RZZ(2J*dt) = exp(-i J dt Z_i Z_{i+1}) on every chain edge, and PZ(2Bz*dt)
-on every site.  The ZZ rotation has no gate of its own; it is expanded into
-CNOT . PZ(theta) . CNOT, so a standard step costs 2(n-1) CNOTs.  That
+on every site; the RX half layers are left out when Bx*dt = 0, as in the
+integrable regime.  The ZZ rotation has no gate of its own; it is expanded
+into CNOT . PZ(theta) . CNOT, so a standard step costs 2(n-1) CNOTs.  That
 expansion, and the phase-gate layer, differ from the exact exponentials by
 global phases, which cancel in every quantity this package measures.
 
@@ -31,18 +32,17 @@ from .ising import IsingParams
 from .qsim import Circuit, Gate, cnot, h_gate, pz, rx, s_gate, sdg_gate
 
 
-def rzz_decomposition(theta: float, i: int, j: int) -> Circuit:
+def rzz_decomposition(theta: float, i: int, j: int) -> tuple[Gate, ...]:
     """CNOT . PZ(theta) on the target . CNOT, equal to RZZ(theta) up to the
     global phase exp(i theta / 2).
 
     The phase gate must sit on the target: on the control it commutes with
     the CNOTs and the product degenerates to a local phase.
     """
-    n = max(i, j) + 1
-    return Circuit(n, (cnot(i, j), pz(j, theta), cnot(i, j)))
+    return cnot(i, j), pz(j, theta), cnot(i, j)
 
 
-def magic_rzz(i: int, j: int, sign: int) -> Circuit:
+def magic_rzz(i: int, j: int, sign: int) -> tuple[Gate, ...]:
     """One-CNOT realization of RZZ(sign * pi/2), up to a global phase.
 
     sign=+1 gives S_i S_j CZ_ij; sign=-1 is its inverse (daggered S gates).
@@ -52,8 +52,7 @@ def magic_rzz(i: int, j: int, sign: int) -> Circuit:
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     phase = s_gate if sign > 0 else sdg_gate
-    n = max(i, j) + 1
-    return Circuit(n, (phase(i), phase(j), h_gate(j), cnot(i, j), h_gate(j)))
+    return phase(i), phase(j), h_gate(j), cnot(i, j), h_gate(j)
 
 
 def trotter_step(p: IsingParams, dt: float, magic: bool = False) -> Circuit:
@@ -67,13 +66,12 @@ def trotter_step(p: IsingParams, dt: float, magic: bool = False) -> Circuit:
         raise ValueError("dt must be finite")
     n = p.n
     gates: list[Gate] = []
-    half = [rx(q, p.Bx * dt) for q in range(n)]
+    half = [rx(q, p.Bx * dt) for q in range(n)] if p.Bx * dt != 0.0 else []
     gates += half
     theta = 2.0 * p.J * dt
     sign = 1 if theta >= 0 else -1
     for q in range(n - 1):
-        edge = magic_rzz(q, q + 1, sign) if magic else rzz_decomposition(theta, q, q + 1)
-        gates += edge.gates
+        gates += magic_rzz(q, q + 1, sign) if magic else rzz_decomposition(theta, q, q + 1)
     gates += [pz(q, 2.0 * p.Bz * dt) for q in range(n)]
     gates += half
     return Circuit(n, tuple(gates))

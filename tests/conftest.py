@@ -3,13 +3,14 @@
 The dense oracles (``embed_dense``, ``kron_site``, ``dense_hamiltonian``,
 ``dense_otoc``, ``rzz_matrix``) are deliberately naive (bit loops, explicit
 kron chains) so that they share no code path with the package internals
-they check.  ``commutator``, ``cnot_count`` and ``align_global_phase`` are
-small conveniences over package values.
+they check.  ``commutator``, ``cnot_count``, ``align_global_phase`` and
+``load_preset`` are small conveniences over package values.
 """
 
 import numpy as np
 import pytest
 
+from spinweave.config import preset_path, validate_config
 from spinweave.otoc import otoc_exact
 
 I2 = np.eye(2, dtype=complex)
@@ -80,6 +81,11 @@ def rzz_matrix(theta):
 def commutator(p, i, j, t, state="zeros", probe="x"):
     """Squared commutator 2 - 2 Re F_ij(t), in [0, 4]."""
     return 2.0 - 2.0 * otoc_exact(p, i, j, t, state, probe).real
+
+
+def load_preset(name):
+    """The validated config of a bundled preset."""
+    return validate_config(preset_path(name))
 
 
 def cnot_count(c):

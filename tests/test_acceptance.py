@@ -18,18 +18,18 @@ import numpy as np
 import pytest
 
 from spinweave.cli import main as cli_main
-from spinweave.config import config_from_dict, load_preset, preset_path
+from spinweave.config import config_from_dict, preset_path
 from spinweave.ising import classical_otoc_phase, preset_params
 from spinweave.mitigation import TmemSolver, ZnePair, zne_correct, zne_extrapolate
 from spinweave.noise import NoiseModel, build_confusion_matrix, simulate_noisy
 from spinweave.otoc import (build_surface, fabs_measurement_circuit,
                             fixed_node_commutator)
-from spinweave.qsim import (BitstringDistribution, StateVector, apply_circuit,
-                            measurement_distribution)
+from spinweave.qsim import (BitstringDistribution, Circuit, StateVector,
+                            apply_circuit, measurement_distribution)
 from spinweave.weave import magic_rzz, rzz_decomposition, trotter_step, weave_circuit
 
 from conftest import (align_global_phase, cnot_count, commutator, dense_otoc,
-                      dense_hamiltonian, rzz_matrix)
+                      dense_hamiltonian, load_preset, rzz_matrix)
 from oracles import circuit_unitary, fold_cnots
 from scipy.linalg import expm
 
@@ -189,11 +189,11 @@ def test_criterion_05_decompositions_and_cnot_counts():
     worst = 0.0
     for theta in rng.uniform(-2 * np.pi, 2 * np.pi, size=20):
         ref = rzz_matrix(float(theta))
-        u = circuit_unitary(rzz_decomposition(float(theta), 0, 1))
+        u = circuit_unitary(Circuit(2, rzz_decomposition(float(theta), 0, 1)))
         worst = max(worst, float(np.max(np.abs(align_global_phase(u, ref) - ref))))
     for sign in (+1, -1):
         ref = rzz_matrix(sign * np.pi / 2)
-        u = circuit_unitary(magic_rzz(0, 1, sign))
+        u = circuit_unitary(Circuit(2, magic_rzz(0, 1, sign)))
         worst = max(worst, float(np.max(np.abs(align_global_phase(u, ref) - ref))))
 
     n = CHAOTIC4.n

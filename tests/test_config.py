@@ -10,10 +10,11 @@ import pytest
 from spinweave import config
 from spinweave.config import (MAX_GRID_POINTS, PIPELINES, ExperimentConfig,
                               MitigationConfig, config_echo, config_from_dict,
-                              load_preset, preset_names, preset_path,
-                              validate_config)
+                              preset_names, preset_path, validate_config)
 from spinweave.errors import ConfigError
 from spinweave.noise import NoiseModel
+
+from conftest import load_preset
 
 EXPECTED_PRESETS = {"fig1a", "fig1b", "fig2", "fig4", "fig5", "fig5a",
                     "fig5b", "fig6a", "fig6b", "s7", "s8", "s9"}

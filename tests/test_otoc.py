@@ -1,3 +1,4 @@
+import functools
 import os
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from spinweave import otoc
-from spinweave.config import config_from_dict, load_preset
+from spinweave import otoc, qsim
+from spinweave.config import config_from_dict
 from spinweave.errors import CapacityError
 from spinweave.ising import (ExactEvolution, IsingParams, build_hamiltonian,
                              preset_params)
@@ -18,7 +19,7 @@ from spinweave.qsim import (Circuit, StateVector, apply_circuit,
                             measurement_distribution, pz, x_gate)
 from spinweave.weave import weave_circuit
 
-from conftest import commutator, dense_hamiltonian, dense_otoc
+from conftest import commutator, dense_hamiltonian, dense_otoc, load_preset
 from oracles import (circuit_unitary, fold_cnots, gatewise_amplitudes,
                      gatewise_readout, heisenberg_x, matrix_otoc_value)
 
@@ -231,10 +232,9 @@ class TestFabsProtocol:
         # ordering (evolved operator first) is the adjoint circuit and
         # measures the conjugate correlator, indistinguishable in |F|.
         # Pinned deliberately to document which ordering is implemented.
-        from spinweave.qsim import dagger
         u = weave_circuit(CHAOTIC4, 0.06, 6, 9)
         forward = fabs_measurement_circuit(u, 1, 2)
-        opposite = dagger(forward)
+        opposite = forward.inverse
         amp_fwd = apply_circuit(StateVector.zeros(4), forward).amplitudes[0]
         amp_opp = apply_circuit(StateVector.zeros(4), opposite).amplitudes[0]
         assert abs(amp_fwd.imag) > 1e-3  # orderings genuinely differ here
@@ -263,6 +263,40 @@ class TestLightCone:
             u = weave_circuit(p, 0.03, k, ell, magic)
             s = -(-ell // k)  # the cells, plus the shift when k does not divide ell
             assert cone_qubits(u, 0) == set(range(min(n, s + 1))), ell
+
+    @pytest.mark.parametrize("magic", [False, True])
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_sites_off_the_cone_read_exactly_zeros_and_build_no_protocol(
+            self, monkeypatch, k, magic):
+        # X_j off the reach of X_1 commutes with the cone V and with X_1, so
+        # the protocol returns |0...0>: the engine writes that without a run,
+        # and the gate-by-gate oracle on the full protocol circuit agrees
+        cfg = config_from_dict({"regime": "chaotic", "n": 8, "tau": 0.03, "k": k,
+                                "ell_max": 7 * k, "pipeline": "trotter_exact",
+                                "magic": magic, "magic_override": magic})
+        n = cfg.params.n
+        zeros = np.zeros(2 ** n, dtype=complex)
+        zeros[0] = 1.0
+        built = []
+        protocol = otoc.fabs_measurement_circuit
+
+        def counting_protocol(u, i, j):
+            built.append(j)
+            return protocol(u, i, j)
+
+        monkeypatch.setattr(otoc, "fabs_measurement_circuit", counting_protocol)
+        # every cone width from 1 to 8, through cells alone and shift plus cells
+        for ell in sorted({*range(0, 7 * k + 1, k), *range(1, 7 * k + 1, k)}):
+            u = weave_circuit(cfg.params, cfg.tau, cfg.k, ell, cfg.magic)
+            reach = cone_qubits(u, 0)
+            built.clear()
+            got = readout_distributions(cfg, ell)
+            assert built == [j for j in range(1, n + 1) if j - 1 in reach], ell
+            for j in range(1, n + 1):
+                if j - 1 not in reach:
+                    assert np.array_equal(got[0, j - 1], zeros.real), (ell, j)
+                expected = np.abs(gatewise_amplitudes(zeros, protocol(u, 1, j))) ** 2
+                assert np.max(np.abs(got[0, j - 1] - expected)) < 1e-12, (ell, j)
 
 
 class TestFixedNode:
@@ -577,6 +611,37 @@ class TestReadoutDistributions:
         assert calls == [call for ell in range(cfg.ell_max + 1)
                          for call in [("weave", ell)]
                          + [("protocol", j) for j in range(1, n + 1)]]
+
+    def test_each_protocol_circuit_fused_once_for_both_folds(self, monkeypatch):
+        fused = []
+        fuse = qsim.fuse_gates
+
+        def counting_fuse(gates):
+            fused.append(len(gates))
+            return fuse(gates)
+
+        monkeypatch.setattr(qsim, "fuse_gates", counting_fuse)
+        cfg = config_from_dict({**READOUT_BASE, "pipeline": "mitigated"})
+        assert cfg.mitigation.zne
+        build_surface(cfg)
+        assert len(fused) == cfg.params.n * (cfg.ell_max + 1)
+
+    @pytest.mark.parametrize("pipeline", ["trotter_exact", "sampled", "noisy",
+                                          "mitigated"])
+    def test_weave_inverted_once_per_time_index(self, monkeypatch, pipeline):
+        inverted = []
+        inverse = qsim.Circuit.__dict__["inverse"].func
+
+        def counting_inverse(c):
+            inverted.append(len(c))
+            return inverse(c)
+
+        counted = functools.cached_property(counting_inverse)
+        counted.__set_name__(qsim.Circuit, "inverse")
+        monkeypatch.setattr(qsim.Circuit, "inverse", counted)
+        cfg = config_from_dict({**READOUT_BASE, "pipeline": pipeline})
+        build_surface(cfg)
+        assert len(inverted) == cfg.ell_max + 1
 
 
 MITIGATION_FLAGS = [(tmem, zne, order) for tmem in (True, False)

@@ -1,3 +1,9 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,18 +11,19 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from spinweave import noise, otoc, qsim
-from spinweave.config import load_preset, preset_names
+from spinweave.config import preset_names
 from spinweave.errors import CapacityError, MalformedGateError
 from spinweave.noise import NoiseModel, simulate_noisy
 from spinweave.otoc import fabs_measurement_circuit
 from spinweave.qsim import (BitstringDistribution, Circuit, Gate, StateVector,
-                            apply_circuit, cnot, dagger, h_gate, kind_matrix,
+                            apply_circuit, cnot, h_gate, kind_matrix,
                             measurement_distribution, pz, rx, s_gate, sdg_gate,
                             x_gate)
 from spinweave.ising import preset_params
 from spinweave.weave import trotter_step, weave_circuit
 
-from conftest import align_global_phase, cnot_count, embed_dense, rzz_matrix
+from conftest import (align_global_phase, cnot_count, embed_dense, load_preset,
+                      rzz_matrix)
 from oracles import (circuit_unitary, gatewise_amplitudes, gatewise_readout,
                      tensordot_contract)
 
@@ -153,7 +160,7 @@ class TestApplyCircuit:
     def test_circuit_then_dagger_is_identity(self, rng):
         c = random_circuit(rng, 3, 40)
         state = random_state(rng, 3)
-        out = apply_circuit(apply_circuit(state, c), dagger(c))
+        out = apply_circuit(apply_circuit(state, c), c.inverse)
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-9
 
     def test_matches_dense_matrix_product(self, rng):
@@ -183,7 +190,7 @@ class TestApplyCircuit:
         # every block reads the (qubits, gates) cache, which builds on a
         # miss, and a build reads the (kind, angle) cache once per gate
         cell = (h_gate(0), cnot(0, 2), rx(1, 0.3), pz(2, -0.8), cnot(2, 1), h_gate(0))
-        c = Circuit(3, cell * 4 + tuple(dagger(Circuit(3, cell)).gates))
+        c = Circuit(3, cell * 4 + tuple(Circuit(3, cell).inverse.gates))
         qsim.kind_matrix.cache_clear()
         qsim._block_unitary.cache_clear()
         apply_circuit(StateVector.zeros(3), c)
@@ -343,22 +350,22 @@ class TestLightCone:
 
 class TestDagger:
     def test_rx_angle_negated(self):
-        d = dagger(Circuit(1, (rx(0, 0.4),)))
+        d = Circuit(1, (rx(0, 0.4),)).inverse
         assert d.gates == (rx(0, -0.4),)
 
     def test_cnot_self_inverse(self):
-        d = dagger(Circuit(2, (cnot(0, 1),)))
+        d = Circuit(2, (cnot(0, 1),)).inverse
         assert d.gates == (cnot(0, 1),)
 
     def test_s_swaps_with_sdg(self):
-        assert dagger(Circuit(1, (s_gate(0),))).gates == (sdg_gate(0),)
-        assert dagger(Circuit(1, (sdg_gate(0),))).gates == (s_gate(0),)
-        assert dagger(Circuit(1, (s_gate(0), sdg_gate(0)))).gates == \
+        assert Circuit(1, (s_gate(0),)).inverse.gates == (sdg_gate(0),)
+        assert Circuit(1, (sdg_gate(0),)).inverse.gates == (s_gate(0),)
+        assert Circuit(1, (s_gate(0), sdg_gate(0))).inverse.gates == \
             (s_gate(0), sdg_gate(0))
 
     def test_identity_on_five_random_states(self, rng):
         c = random_circuit(rng, 4, 60)
-        inv = dagger(c)
+        inv = c.inverse
         for _ in range(5):
             state = random_state(rng, 4)
             out = apply_circuit(apply_circuit(state, c), inv)
@@ -435,6 +442,23 @@ class TestCapacity:
     def test_distribution_shape_validation(self):
         with pytest.raises(ValueError):
             BitstringDistribution(2, np.array([1.0, 0.0]))
+
+
+class TestGateHash:
+    def test_unpickled_gate_hashes_like_a_fresh_one_in_another_process(self):
+        # a string's hash differs per process, so an unpickled gate must
+        # not carry the hash it was built with
+        g = Gate("RX", (2,), 0.25)
+        script = ("import pickle, sys; from spinweave.qsim import Gate; "
+                  "g = pickle.loads(sys.stdin.buffer.read()); "
+                  "fresh = Gate('RX', (2,), 0.25); "
+                  "print(g == fresh, hash(g) == hash(fresh), {fresh: 1}.get(g))")
+        src = str(Path(qsim.__file__).parents[1])
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            out = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(g),
+                                 capture_output=True, env=env, check=True)
+            assert out.stdout.split() == [b"True", b"True", b"1"], seed
 
 
 class TestGateSet:

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from spinweave.ising import preset_params
-from spinweave.qsim import StateVector, apply_circuit, dagger
+from spinweave.qsim import Circuit, StateVector, apply_circuit, pz, rx
 from spinweave.weave import magic_rzz, rzz_decomposition, trotter_step, weave_circuit
 
 from conftest import (align_global_phase, cnot_count, dense_hamiltonian,
@@ -46,15 +46,35 @@ class TestTrotterStep:
         with pytest.raises(ValueError):
             trotter_step(CHAOTIC4, float("inf"))
 
+    @pytest.mark.parametrize("magic", [False, True])
+    @pytest.mark.parametrize("regime", ["integrable", "chaotic"])
+    def test_rx_layers_only_where_the_field_turns(self, regime, magic):
+        # Bx = 0 makes every RX(Bx dt) the identity: an integrable step
+        # leaves them out and keeps its unitary; a chaotic step keeps them
+        p, dt = preset_params(regime, 4), 0.06
+        step = trotter_step(p, dt, magic)
+        zz = (magic_rzz(q, q + 1, 1 if p.J * dt >= 0 else -1) if magic
+              else rzz_decomposition(2.0 * p.J * dt, q, q + 1) for q in range(3))
+        half = tuple(rx(q, p.Bx * dt) for q in range(4))
+        full = Circuit(4, half + sum(zz, ()) + tuple(pz(q, 2.0 * p.Bz * dt)
+                                                      for q in range(4)) + half)
+        if regime == "integrable":
+            assert p.Bx == 0.0
+            assert not any(g.kind == "RX" for g in step.gates)
+            assert len(step) == len(full) - 8
+            assert np.max(np.abs(circuit_unitary(step) - circuit_unitary(full))) < 1e-12
+        else:
+            assert step.gates == full.gates
+
 
 class TestRzzDecomposition:
     def test_zero_angle_identity_up_to_phase(self):
-        u = circuit_unitary(rzz_decomposition(0.0, 0, 1))
+        u = circuit_unitary(Circuit(2, rzz_decomposition(0.0, 0, 1)))
         assert aligned_error(u, np.eye(4)) < 1e-15
 
     def test_quarter_turn_matches_gate(self):
         ref = rzz_matrix(np.pi / 2)
-        u = align_global_phase(circuit_unitary(rzz_decomposition(np.pi / 2, 0, 1)), ref)
+        u = align_global_phase(circuit_unitary(Circuit(2, rzz_decomposition(np.pi / 2, 0, 1))), ref)
         assert np.max(np.abs(u - ref)) < 1e-12
         # after alignment the |11> entry carries the tabulated quarter phase
         assert u[3, 3] == pytest.approx(np.exp(-1j * np.pi / 4), abs=1e-12)
@@ -62,13 +82,13 @@ class TestRzzDecomposition:
 
     def test_twenty_random_angles(self, rng):
         for theta in rng.uniform(-2 * np.pi, 2 * np.pi, size=20):
-            u = circuit_unitary(rzz_decomposition(float(theta), 0, 1))
+            u = circuit_unitary(Circuit(2, rzz_decomposition(float(theta), 0, 1)))
             assert aligned_error(u, rzz_matrix(float(theta))) < 1e-12
 
     def test_global_phase_factor_value(self):
         # decomposition equals exp(i theta / 2) RZZ(theta) exactly
         theta = 0.73
-        u = circuit_unitary(rzz_decomposition(theta, 0, 1))
+        u = circuit_unitary(Circuit(2, rzz_decomposition(theta, 0, 1)))
         assert np.max(np.abs(u - np.exp(1j * theta / 2)
                              * rzz_matrix(theta))) < 1e-12
 
@@ -79,22 +99,22 @@ class TestRzzDecomposition:
 
 class TestMagicRzz:
     def test_positive_sign_matches_quarter_turn(self):
-        u = circuit_unitary(magic_rzz(0, 1, +1))
+        u = circuit_unitary(Circuit(2, magic_rzz(0, 1, +1)))
         assert aligned_error(u, rzz_matrix(np.pi / 2)) < 1e-12
 
     def test_negative_sign_is_dagger_of_positive(self):
-        plus = circuit_unitary(magic_rzz(0, 1, +1))
-        minus = circuit_unitary(magic_rzz(0, 1, -1))
+        plus = circuit_unitary(Circuit(2, magic_rzz(0, 1, +1)))
+        minus = circuit_unitary(Circuit(2, magic_rzz(0, 1, -1)))
         assert np.max(np.abs(minus - plus.conj().T)) < 1e-12
         assert np.max(np.abs(minus
-                             - circuit_unitary(dagger(magic_rzz(0, 1, +1))))) < 1e-12
+                             - circuit_unitary(Circuit(2, magic_rzz(0, 1, +1)).inverse))) < 1e-12
 
     def test_negative_sign_matches_negative_quarter_turn(self):
-        u = circuit_unitary(magic_rzz(0, 1, -1))
+        u = circuit_unitary(Circuit(2, magic_rzz(0, 1, -1)))
         assert aligned_error(u, rzz_matrix(-np.pi / 2)) < 1e-12
 
     def test_single_cnot(self):
-        assert cnot_count(magic_rzz(0, 1, +1)) == 1
+        assert cnot_count(Circuit(2, magic_rzz(0, 1, +1))) == 1
 
     def test_magic_step_halves_cnots(self):
         p = CHAOTIC4
