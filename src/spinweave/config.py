@@ -263,14 +263,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if extra:
         errors.append(f"unknown fields {sorted(extra)}")
     # the pipeline decides which fields the run reads (its own error comes in
-    # field order); a field that it rejects gets only its rejection line
+    # field order); a field that it rejects is not checked: null passes, and
+    # any other value gets only its rejection line
     pipeline = PIPELINES[_field([], data, *_ROWS["pipeline"])]
     unread = {name: message for name, reads, message in _PIPELINE_FIELDS
               if not reads(pipeline)}
     rejected = {name: message for name, message in unread.items()
                 if message and data.get(name) is not None}
     values = {row[0]: _field(errors, data, *row) for row in _FIELDS
-              if row[0] not in rejected}
+              if not unread.get(row[0])}
     n = _field(errors, {"n": values.pop("n")}, *_ROWS["n"],
                lambda v: 3 <= v <= pipeline.max_n,
                f"must be in 3..{pipeline.max_n} for pipeline {values['pipeline']!r}")

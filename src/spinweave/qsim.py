@@ -9,7 +9,8 @@ Conventions used throughout the package:
 * The gate set is exactly what the weave and the |F| protocol emit: RX, PZ,
   S, SDG, H, X and CNOT, one row each of the table :data:`GATES`; validation,
   inverses (:attr:`Circuit.inverse`, built once per circuit) and both
-  engines read it, building a matrix once per (kind, angle).
+  engines read it, building a matrix once per (kind, angle).  A :class:`Gate`
+  is a tuple, checked (a finite angle included) when built and unpickled.
 * Both engines run a circuit as its fused blocks, :attr:`Circuit.blocks`:
   :func:`fuse_gates` groups the gates, once per circuit and in one pass,
   into blocks of at most two qubits, and each block costs O(2^n): one
@@ -68,45 +69,37 @@ BLOCK_QUBITS = max(spec.qubits for spec in GATES.values())
 _NO_BLOCK = (-1,) * BLOCK_QUBITS
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(namedtuple("Gate", "kind qubits angle")):
     """A named gate bound to qubit indices, with an angle where required.
 
     Two-qubit gates list their qubits in operator order: for CNOT the first
-    index is the control and the second the target.
+    index is the control and the second the target.  A gate is the checked
+    tuple ``(kind, qubits, angle)`` and equals it; unpickling (protocol >= 2)
+    checks it again in ``__new__``, while ``_make`` and ``_replace`` do not.
     """
 
-    kind: str
-    qubits: tuple[int, ...]
-    angle: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        spec = GATES.get(self.kind)
+    def __new__(cls, kind: str, qubits: tuple[int, ...], angle: float | None = None):
+        spec = GATES.get(kind)
         if spec is None:
-            raise MalformedGateError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if len(self.qubits) != spec.qubits:
-            raise MalformedGateError(
-                f"{self.kind} takes {spec.qubits} qubit(s), got {self.qubits}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise MalformedGateError(f"{self.kind} qubit indices must be distinct")
-        if any(q < 0 for q in self.qubits):
+            raise MalformedGateError(f"unknown gate kind {kind!r}")
+        qubits = tuple(int(q) for q in qubits)
+        if len(qubits) != spec.qubits:
+            raise MalformedGateError(f"{kind} takes {spec.qubits} qubit(s), got {qubits}")
+        if len(set(qubits)) != len(qubits):
+            raise MalformedGateError(f"{kind} qubit indices must be distinct")
+        if any(q < 0 for q in qubits):
             raise MalformedGateError("qubit indices must be non-negative")
         if callable(spec.matrix):
-            if self.angle is None:
-                raise MalformedGateError(f"{self.kind} requires an angle")
-            object.__setattr__(self, "angle", float(self.angle))
-        elif self.angle is not None:
-            raise MalformedGateError(f"{self.kind} takes no angle")
-        # every block-cache lookup hashes its gates
-        object.__setattr__(self, "_hash", hash((self.kind, self.qubits, self.angle)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild, and so rehash, on unpickling: string hashes differ per process
-        return Gate, (self.kind, self.qubits, self.angle)
+            if angle is None:
+                raise MalformedGateError(f"{kind} requires an angle")
+            angle = float(angle)
+            if not math.isfinite(angle):
+                raise MalformedGateError(f"{kind} angle must be finite, got {angle}")
+        elif angle is not None:
+            raise MalformedGateError(f"{kind} takes no angle")
+        return super().__new__(cls, kind, qubits, angle)
 
 
 def rx(q: int, theta: float) -> Gate:

@@ -86,6 +86,8 @@ def weave_circuit(p: IsingParams, tau: float, k: int, ell: int,
     circuit, and ell mod k = 0 uses no shift at all.  Only the shift and
     the cell are built, and only the cell takes the magic decomposition.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if ell < 0:
         raise ValueError(f"ell must be >= 0, got {ell}")
     cell = trotter_step(p, k * tau, magic=magic)

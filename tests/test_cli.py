@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinweave
 from spinweave.cli import main
 from spinweave.config import PIPELINES, preset_names, preset_path
 from spinweave.surface_io import load_surface
@@ -101,6 +106,27 @@ class TestRun:
         assert main(["run", str(cfg), "--output-dir", str(a)]) == 0
         assert main(["run", str(cfg), "--output-dir", str(b), "--jobs", "2"]) == 0
         assert (a / "surface.csv").read_bytes() == (b / "surface.csv").read_bytes()
+
+
+    def test_runs_on_numpy_alone(self, tmp_path):
+        # the package depends on numpy alone: block the test-only imports
+        # and run one tiny config of every pipeline
+        script = ("import sys\n"
+                  "sys.modules.update(dict.fromkeys(('scipy', 'pytest', 'hypothesis')))\n"
+                  "from spinweave.cli import main\n"
+                  "for cfg in sys.argv[1:]:\n"
+                  "    assert main(['run', cfg, '--output-dir', cfg[:-5]]) == 0, cfg\n")
+        configs = [write_config(tmp_path, f"{pipeline}.json", pipeline=pipeline,
+                                n=3, k=1, ell_max=2, shots=64)
+                   for pipeline in PIPELINES]
+        src = str(Path(spinweave.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", script, *map(str, configs)],
+                       env=env, cwd=tmp_path, check=True)
+        for cfg in configs:
+            out = cfg.with_suffix("")
+            for name in ("surface.csv", "surface.meta.json", "heatmap_C_exact.svg"):
+                assert (out / name).exists(), (out.name, name)
 
 
 class TestRender:

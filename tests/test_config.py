@@ -129,6 +129,19 @@ class TestValidation:
             config_from_dict({"regime": "chaotic", **data})
         assert str(info.value).splitlines()[1:] == [f"  {line}"]
 
+    @pytest.mark.parametrize("name", ["shots", "magic", "magic_override"])
+    def test_a_rejected_field_accepts_null(self, name):
+        cfg = config_from_dict({"regime": "chaotic", name: None})
+        assert getattr(cfg, name) is None
+        assert name not in config_echo(cfg)
+
+    def test_null_still_fails_where_the_field_is_read(self):
+        with pytest.raises(ConfigError, match=re.escape("shots: expected a number")):
+            config_from_dict({"regime": "chaotic", "pipeline": "sampled", "shots": None})
+        # k is checked on every pipeline, read or not
+        with pytest.raises(ConfigError, match=re.escape("k: expected a number")):
+            config_from_dict({"regime": "chaotic", "k": None})
+
     @pytest.mark.parametrize("pipeline", list(PIPELINES))
     def test_fields_the_pipeline_does_not_read_are_none(self, pipeline):
         # k and seed are accepted on every pipeline, read or not; a null

@@ -113,6 +113,13 @@ class TestGateMatrix:
         with pytest.raises(MalformedGateError):
             Gate("CNOT", (0,))
 
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("kind", ["RX", "PZ"])
+    def test_non_finite_angle_rejected(self, kind, angle):
+        with pytest.raises(MalformedGateError,
+                           match=f"{kind} angle must be finite, got {angle}"):
+            Gate(kind, (0,), angle)
+
 
 class TestApplyGate:
     def test_cnot_control_zero(self):
@@ -459,6 +466,23 @@ class TestGateHash:
             out = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(g),
                                  capture_output=True, env=env, check=True)
             assert out.stdout.split() == [b"True", b"True", b"1"], seed
+
+
+class TestGateTuple:
+    def test_gate_is_the_tuple_of_its_fields(self):
+        g = Gate("RX", [np.int64(0)], 1)
+        assert isinstance(g, tuple)
+        assert g == ("RX", (0,), 1.0) and hash(g) == hash(("RX", (0,), 1.0))
+        assert type(g.qubits[0]) is int and type(g.angle) is float
+        assert repr(Gate("RX", (0,), 0.3)) == "Gate(kind='RX', qubits=(0,), angle=0.3)"
+
+    def test_unpickling_validates_again(self):
+        # _make skips the checks, and unpickling runs them again in __new__
+        unchecked = Gate._make(("RX", (0,), None))
+        with pytest.raises(MalformedGateError, match="RX requires an angle"):
+            pickle.loads(pickle.dumps(unchecked))
+        g = Gate("CNOT", (1, 0))
+        assert pickle.loads(pickle.dumps(g)) == g
 
 
 class TestGateSet:

@@ -197,6 +197,11 @@ class TestWeaveCircuit:
         assert weave_circuit(CHAOTIC4, 0.05, 20, ell).gates == expected.gates
         assert len(calls) == (2 if ell % 20 else 1)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            weave_circuit(CHAOTIC4, 0.05, k, 5)
+
     def test_ell_out_of_range(self):
         with pytest.raises(ValueError):
             weave_circuit(CHAOTIC4, 0.06, 6, -1)
