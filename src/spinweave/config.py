@@ -212,9 +212,7 @@ def _resolve_regime(value, n: int, errors: list[str]):
     return "invalid", None
 
 
-def _build_noise(data, n: int, pipeline: Pipeline, errors: list[str]):
-    if pipeline.engine != "density":
-        return None
+def _build_noise(data, n: int, errors: list[str]):
     if data is None:
         return NoiseModel.default(n)
     if not isinstance(data, dict):
@@ -240,9 +238,7 @@ def _build_noise(data, n: int, pipeline: Pipeline, errors: list[str]):
         return None
 
 
-def _build_mitigation(data, pipeline: Pipeline, errors: list[str]):
-    if not pipeline.mitigates:
-        return None
+def _build_mitigation(data, errors: list[str]):
     if data is not None and not isinstance(data, dict):
         errors.append("mitigation: must be an object")
     data = data if isinstance(data, dict) else {}
@@ -277,9 +273,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                f"must be in 3..{pipeline.max_n} for pipeline {values['pipeline']!r}")
     tau, k, ell_max = values["tau"], values["k"], values["ell_max"]
 
-    # the last time is ell_max tau; only a pipeline that builds circuits
-    # also builds the cell U(k tau)
-    steps = max(k, ell_max) if pipeline.engine else ell_max
+    # the last time is ell_max tau; only a pipeline that reads k also builds
+    # the cell U(k tau)
+    steps = ell_max if "k" in unread else max(k, ell_max)
     try:
         span_finite = math.isfinite(tau * steps)
     except OverflowError:  # an int too large for a float
@@ -319,8 +315,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                           "magic_override to run with the nominal angle replaced by "
                           "the nearest +-pi/2 rotation")
 
-    values["mitigation"] = _build_mitigation(values["mitigation"], pipeline, errors)
-    values["noise"] = _build_noise(values["noise"], n, pipeline, errors)
+    if "mitigation" not in unread:
+        values["mitigation"] = _build_mitigation(values["mitigation"], errors)
+    if "noise" not in unread:
+        values["noise"] = _build_noise(values["noise"], n, errors)
 
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))

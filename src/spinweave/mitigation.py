@@ -4,7 +4,8 @@ Transition-matrix error mitigation (TMEM) inverts the readout confusion
 matrix T by constrained least squares: it returns the distribution p
 minimizing ||T p - p_noisy||_2^2 over the probability simplex, exactly and
 in finitely many steps, by a primal active-set method as in Lawson-Hanson
-NNLS (see :meth:`TmemSolver.solve`).
+NNLS, started from the simplex projection of the least-squares solution
+T^+ p_noisy (see :meth:`TmemSolver.solve`).
 
 Zero-noise extrapolation (ZNE) takes the readout distributions at the CNOT
 folds :data:`ZNE_FOLDS`, the circuit (m=1) and its CNOT-tripled channel
@@ -62,11 +63,13 @@ class TmemSolver:
         if np.max(np.abs(t.sum(axis=0) - 1.0)) > 1e-9:
             raise ValueError("T columns must sum to 1")
         self.t = t
+        self.t_pinv = np.linalg.pinv(t)
 
     def solve(self, b: np.ndarray):
         """Minimize ||T x - b||_2^2 over the simplex; returns (x, iterations,
-        converged).  Starting from the support S of project_simplex(b), the
-        KKT system [G_SS 1; 1^T 0] [z; mu] = [(T^T b)_S; 1], G = T^T T, is
+        converged).  Starting from the support S of project_simplex(T^+ b),
+        with T^+ the pseudo-inverse that the solver builds once, the KKT
+        system [G_SS 1; 1^T 0] [z; mu] = [(T^T b)_S; 1], G = T^T T, is
         solved as the least squares min ||T_S z - b|| over z summing to one
         (cond(T) unsquared; a minimizer also for singular T).  While z leaves
         the simplex, x steps to the boundary and the entry that hits zero
@@ -78,7 +81,7 @@ class TmemSolver:
         if b.shape != self.t.shape[:1]:
             raise ValueError(f"distribution must have {self.t.shape[0]} entries, "
                              f"got shape {b.shape}")
-        x = project_simplex(b)
+        x = project_simplex(self.t_pinv @ b)
         support = x > 0.0
         for it in range(1, TMEM_MAX_ITER + 1):
             while True:  # each step back shrinks S, so this ends

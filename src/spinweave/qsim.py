@@ -31,6 +31,7 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -73,9 +74,11 @@ class Gate(namedtuple("Gate", "kind qubits angle")):
     """A named gate bound to qubit indices, with an angle where required.
 
     Two-qubit gates list their qubits in operator order: for CNOT the first
-    index is the control and the second the target.  A gate is the checked
-    tuple ``(kind, qubits, angle)`` and equals it; unpickling (protocol >= 2)
-    checks it again in ``__new__``, while ``_make`` and ``_replace`` do not.
+    index is the control and the second the target.  A qubit must be an
+    integer and an angle a finite real number, not a bool or a string: they
+    are checked, never converted.  A gate is the checked tuple ``(kind,
+    qubits, angle)`` and equals it; unpickling (protocol >= 2) checks it
+    again in ``__new__``, while ``_make`` and ``_replace`` do not.
     """
 
     __slots__ = ()
@@ -84,7 +87,11 @@ class Gate(namedtuple("Gate", "kind qubits angle")):
         spec = GATES.get(kind)
         if spec is None:
             raise MalformedGateError(f"unknown gate kind {kind!r}")
-        qubits = tuple(int(q) for q in qubits)
+        qubits = tuple(qubits)
+        # the built-in types come first: isinstance against a numbers ABC is slow
+        if any(isinstance(q, bool) or not isinstance(q, (int, Integral)) for q in qubits):
+            raise MalformedGateError(f"{kind} qubit indices must be integers, got {qubits!r}")
+        qubits = tuple(map(int, qubits))
         if len(qubits) != spec.qubits:
             raise MalformedGateError(f"{kind} takes {spec.qubits} qubit(s), got {qubits}")
         if len(set(qubits)) != len(qubits):
@@ -94,9 +101,15 @@ class Gate(namedtuple("Gate", "kind qubits angle")):
         if callable(spec.matrix):
             if angle is None:
                 raise MalformedGateError(f"{kind} requires an angle")
-            angle = float(angle)
-            if not math.isfinite(angle):
+            if isinstance(angle, bool) or not isinstance(angle, (float, int, Real)):
+                raise MalformedGateError(f"{kind} angle must be a real number, got {angle!r}")
+            try:
+                finite = math.isfinite(angle)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
                 raise MalformedGateError(f"{kind} angle must be finite, got {angle}")
+            angle = float(angle)
         elif angle is not None:
             raise MalformedGateError(f"{kind} takes no angle")
         return super().__new__(cls, kind, qubits, angle)

@@ -222,7 +222,7 @@ class TestValidation:
         # a noise model of 10**9 qubits would build tuples of 10**9 rates
         built = []
 
-        def build_noise(data, n, pipeline, errors):
+        def build_noise(data, n, errors):
             assert n <= 10, "n reached the noise builder unchecked"
             built.append(n)
 
@@ -231,6 +231,30 @@ class TestValidation:
                 "n: must be in 3..8 for pipeline 'noisy' (got 1000000000)")):
             config_from_dict({"regime": "chaotic", "n": 10 ** 9, "pipeline": "noisy"})
         assert built == [4]
+
+    @pytest.mark.parametrize("pipeline, built", [
+        ("exact", set()), ("sampled", set()), ("noisy", {"noise"}),
+        ("mitigated", {"noise", "mitigation"})])
+    def test_a_builder_runs_only_where_its_field_is_read(self, monkeypatch,
+                                                         pipeline, built):
+        calls = set()
+
+        def builder(name, real):
+            def build(*args):
+                if name not in built:
+                    raise AssertionError(f"{name} built for pipeline {pipeline!r}")
+                calls.add(name)
+                return real(*args)
+            return build
+
+        monkeypatch.setattr(config, "_build_noise",
+                            builder("noise", config._build_noise))
+        monkeypatch.setattr(config, "_build_mitigation",
+                            builder("mitigation", config._build_mitigation))
+        cfg = config_from_dict({"regime": "chaotic", "pipeline": pipeline})
+        assert calls == built
+        assert (cfg.noise is None, cfg.mitigation is None) == (
+            "noise" not in built, "mitigation" not in built)
 
     def test_noise_scalar_and_lists(self):
         cfg = config_from_dict({"regime": "chaotic", "pipeline": "noisy",

@@ -218,14 +218,19 @@ class TestTmem:
         assert np.allclose([x[:2].sum(), x[2:].sum()], marginal, atol=1e-12)
 
     def test_iteration_cap_returns_simplex_point_unconverged(self, monkeypatch):
-        # column 1 fits b = e_0 better than column 0, so the start support
-        # {0} is left in the second iteration
-        t = np.array([[0.6, 0.9], [0.4, 0.1]])
-        b = np.array([1.0, 0.0])
+        # with two outcomes T^-1 b already lies on the simplex's line, so a
+        # start from it never needs a second pass; on two qubits T^-1 b =
+        # (-7/6, 11/12, 5/3, -5/12) projects to the start (0, 1/8, 7/8, 0),
+        # the first pass steps back from its support to the vertex e_2, and
+        # the second pass takes outcome 3 in: (0, 0, 77/104, 27/104)
+        t = np.kron([[1.0, 0.4], [0.0, 0.6]], [[0.6, 0.4], [0.4, 0.6]])
+        b = np.array([0.0, 0.25, 0.5, 0.25])
+        start = project_simplex(np.linalg.pinv(t) @ b)
+        assert np.allclose(start, [0.0, 0.125, 0.875, 0.0], atol=1e-15)
         x, iterations, converged = TmemSolver(t).solve(b)
         assert (iterations, converged) == (2, True)
-        assert np.allclose(x, [0.0, 1.0], atol=1e-15)
-        for cap, expected in ((1, [1.0, 0.0]), (0, project_simplex(b))):
+        assert np.allclose(x, [0.0, 0.0, 77 / 104, 27 / 104], atol=1e-15)
+        for cap, expected in ((1, [0.0, 0.0, 1.0, 0.0]), (0, start)):
             monkeypatch.setattr(mitigation, "TMEM_MAX_ITER", cap)
             x, iterations, converged = TmemSolver(t).solve(b)
             assert (iterations, converged) == (cap, False)

@@ -1,5 +1,6 @@
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -119,6 +120,33 @@ class TestGateMatrix:
         with pytest.raises(MalformedGateError,
                            match=f"{kind} angle must be finite, got {angle}"):
             Gate(kind, (0,), angle)
+
+    @pytest.mark.parametrize("qubit", [0.7, 1.0, "1", True, np.bool_(False)],
+                             ids=["0.7", "1.0", "str", "True", "numpy-bool"])
+    def test_non_integer_qubit_rejected(self, qubit):
+        # a qubit is checked, never converted: int(0.7) would give qubit 0
+        with pytest.raises(MalformedGateError,
+                           match=re.escape(f"H qubit indices must be integers, got ({qubit!r},)")):
+            Gate("H", (qubit,))
+        with pytest.raises(MalformedGateError, match="CNOT qubit indices must be integers"):
+            Gate("CNOT", (0, qubit))
+
+    @pytest.mark.parametrize("angle", ["0.3", True, 0.3j])
+    def test_non_real_angle_rejected(self, angle):
+        with pytest.raises(MalformedGateError,
+                           match=re.escape(f"RX angle must be a real number, got {angle!r}")):
+            Gate("RX", (0,), angle)
+
+    @pytest.mark.parametrize("angle", [10 ** 400, -(10 ** 400)], ids=["1e400", "-1e400"])
+    def test_int_angle_beyond_float_range_rejected(self, angle):
+        with pytest.raises(MalformedGateError,
+                           match=re.escape(f"PZ angle must be finite, got {angle}")):
+            Gate("PZ", (0,), angle)
+
+    def test_numpy_integers_and_reals_accepted(self):
+        g = Gate("RX", (np.int32(1),), np.float32(0.5))
+        assert g == ("RX", (1,), 0.5)
+        assert type(g.qubits[0]) is int and type(g.angle) is float
 
 
 class TestApplyGate:
