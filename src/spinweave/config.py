@@ -35,7 +35,10 @@ Pipelines (:data:`PIPELINES`), each of which also records C_exact::
     noisy           density matrix   yes    no           8
     mitigated       density matrix   yes    yes          8
 
-A field that the pipeline does not read is None on the validated config.
+A field that the pipeline does not read is None on the validated config,
+and only validation reads :data:`PIPELINES`: the run reads the fields, and
+a stage whose field is None does not run.  An unknown pipeline reads every
+field, so each gets only its own checks.
 """
 
 from __future__ import annotations
@@ -136,7 +139,8 @@ class MitigationConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated config; a field that its pipeline does not read is None."""
+    """A validated config; a field that its pipeline does not read is None.
+    A run reads the fields, not ``pipeline``, also on one built by hand."""
 
     params: IsingParams
     regime: str
@@ -260,17 +264,20 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         errors.append(f"unknown fields {sorted(extra)}")
     # the pipeline decides which fields the run reads (its own error comes in
     # field order); a field that it rejects is not checked: null passes, and
-    # any other value gets only its rejection line
-    pipeline = PIPELINES[_field([], data, *_ROWS["pipeline"])]
+    # any other value gets only its rejection line.  An unknown pipeline
+    # reads every field, and bounds n by the largest cap, MAX_OTOC_QUBITS
+    chosen = data.get("pipeline", _ROWS["pipeline"][1])
+    pipeline = PIPELINES.get(chosen) if isinstance(chosen, str) else None
     unread = {name: message for name, reads, message in _PIPELINE_FIELDS
-              if not reads(pipeline)}
+              if pipeline and not reads(pipeline)}
     rejected = {name: message for name, message in unread.items()
                 if message and data.get(name) is not None}
     values = {row[0]: _field(errors, data, *row) for row in _FIELDS
               if not unread.get(row[0])}
+    max_n = pipeline.max_n if pipeline else MAX_OTOC_QUBITS
     n = _field(errors, {"n": values.pop("n")}, *_ROWS["n"],
-               lambda v: 3 <= v <= pipeline.max_n,
-               f"must be in 3..{pipeline.max_n} for pipeline {values['pipeline']!r}")
+               lambda v: 3 <= v <= max_n,
+               f"must be in 3..{max_n}" + (f" for pipeline {chosen!r}" if pipeline else ""))
     tau, k, ell_max = values["tau"], values["k"], values["ell_max"]
 
     # the last time is ell_max tau; only a pipeline that reads k also builds
@@ -298,7 +305,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                           f"+ n(|Bz| + |Bx|) and 4 max(|J + Bz|, |J|) "
                           f"(got tau={tau!r}, k={k}, ell_max={ell_max})")
 
-    if pipeline.engine and (values["state"], values["probe"]) != ("zeros", "x"):
+    if (pipeline and pipeline.engine
+            and (values["state"], values["probe"]) != ("zeros", "x")):
         errors.append("state/probe: measured pipelines support only the "
                       "all-zeros state with the X probe; alternative states "
                       "and probes run through the exact pipeline")

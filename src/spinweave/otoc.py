@@ -27,16 +27,16 @@ to the columns that each state reads: O(n 4^n) per time for the all-zeros
 state and the uniform superposition, O(8^n) for the maximally mixed state.
 
 Measured values come from one readout seam, :func:`readout_distributions`,
-which runs the pipeline's engine on every probe site's protocol circuit at
-one time index and returns a (folds, n, 2^n) array.  The surface rows draw
-shots from it and apply TMEM and ZNE per site; they know no engine,
-circuit or fold.  The noiseless statevector engine runs each protocol on
-the backward light cone of X_1 in the weave (:func:`_light_cone`), which
-spans min(n, s + 1) qubits after s Trotter steps; the gates outside it
-cancel exactly, and a probe site outside it reads exactly |0...0>.  The
-density engine runs the full weave, because there every CNOT carries noise
-and nothing cancels.  The weave is inverted once per time index, and each
-protocol circuit is fused once for all its folds.
+which runs every probe site's protocol circuit at one time index and
+returns a (folds, n, 2^n) array; the surface rows draw shots from it and
+apply TMEM and ZNE per site.  Validation sets every field that a pipeline
+does not read to None, so both run a stage exactly when its field is set.
+Without noise, the statevector engine runs each protocol on the backward
+light cone of X_1 in the weave (:func:`_light_cone`), min(n, s + 1) qubits
+after s Trotter steps: the gates outside it cancel exactly, and a site
+outside it reads |0...0>.  The density engine runs the full weave, whose
+every CNOT is noisy.  Each time index inverts its weave once and fuses each
+protocol circuit once for all folds.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from functools import partial
 
 import numpy as np
 
-from .config import PIPELINES, PROBES, STATES
+from .config import PROBES, STATES
 from .errors import CapacityError
 from .ising import (ExactEvolution, IsingParams, MAX_OTOC_QUBITS, _check_site,
                     cached_evolution, classical_otoc_phase, phase_rate)
@@ -214,28 +214,27 @@ def _point_seed(seed: int, j: int, ell: int, fold: int) -> np.random.SeedSequenc
 
 def readout_distributions(cfg, ell: int) -> np.ndarray:
     """Every probe site's |F| protocol readout distribution before shots at
-    time index ``ell``, from the pipeline's engine: a (folds, n, 2^n) array
-    whose fold axis holds fold 1 and, when the pipeline mitigates with ZNE,
-    fold 3: the channel of the CNOT-tripled circuit, which the density
-    engine runs as each CNOT's noise applied three times.  The weave and
-    each site's protocol circuit are built once for all folds.
+    time index ``ell``: a (folds, n, 2^n) array whose fold axis holds fold 1
+    and, when ``cfg.mitigation`` applies ZNE, fold 3: the channel of the
+    CNOT-tripled circuit, which the density engine of ``cfg.noise`` runs as
+    each CNOT's noise applied three times.  The weave and each site's
+    protocol circuit are built once for all folds (ValueError without ``k``).
 
-    The statevector engine runs each protocol on the light cone V of X_1 in
-    the weave (:func:`_light_cone`), which leaves every probability
-    unchanged up to rounding.  It runs no protocol for a site j whose qubit
-    j - 1 lies outside the reach of X_1 (the cone's qubits and qubit 0):
-    there X_j commutes with V and with X_1, so the protocol prepares
-    (V^dag X_1 V)^2 |0...0> = |0...0>, and the site reads exactly the point
-    mass on 0.  The density engine runs the full weave at every site,
-    whose CNOTs outside the cone still carry noise."""
-    traits = PIPELINES[cfg.pipeline]
-    if traits.engine is None:
-        raise ValueError(f"pipeline {cfg.pipeline!r} reads out no circuit")
+    Where ``cfg.noise`` is None, the statevector engine runs each protocol
+    on the light cone V of X_1 in the weave (:func:`_light_cone`), which
+    leaves every probability unchanged up to rounding.  It runs no protocol
+    for a site j whose qubit j - 1 lies outside the reach of X_1 (the cone's
+    qubits and qubit 0): there X_j commutes with V and with X_1, so the
+    protocol prepares (V^dag X_1 V)^2 |0...0> = |0...0>, and the site reads
+    exactly the point mass on 0.  The density engine runs the full weave at
+    every site, whose CNOTs outside the cone still carry noise."""
+    if cfg.k is None:
+        raise ValueError("a config whose k is None reads out no circuit")
     n = cfg.params.n
-    folds = ZNE_FOLDS if traits.mitigates and cfg.mitigation.zne else ZNE_FOLDS[:1]
+    folds = ZNE_FOLDS if cfg.mitigation and cfg.mitigation.zne else ZNE_FOLDS[:1]
     u_circ = weave_circuit(cfg.params, cfg.tau, cfg.k, ell, cfg.magic)
     reach = range(n)
-    if traits.engine == "statevector":
+    if cfg.noise is None:
         u_circ = _light_cone(u_circ, 0)
         reach = {0}.union(*(g.qubits for g in u_circ.gates))
     out = np.zeros((len(folds), n, 2 ** n))
@@ -245,7 +244,7 @@ def readout_distributions(cfg, ell: int) -> np.ndarray:
             continue
         meas = fabs_measurement_circuit(u_circ, 1, j)
         for f, fold in enumerate(folds):
-            if traits.engine == "statevector":
+            if cfg.noise is None:
                 dist = measurement_distribution(apply_circuit(StateVector.zeros(n), meas))
             else:
                 dist = simulate_noisy(meas, cfg.noise, fold)
@@ -272,8 +271,8 @@ def _surface_row(cfg, solver: TmemSolver | None, ell: int) -> list[tuple]:
     """All probe sites at one time index.
 
     Returns one tuple per site holding the values of ``VALUE_COLUMNS``, in
-    that order; ``solver`` is None unless TMEM runs.  Module-level so rows
-    can be dispatched to worker processes.
+    that order, NaN in the measured ones without ``k``.  ``solver`` is None
+    unless TMEM runs.  Module-level so rows can be dispatched to workers.
     """
     p = cfg.params
     n = p.n
@@ -281,21 +280,20 @@ def _surface_row(cfg, solver: TmemSolver | None, ell: int) -> list[tuple]:
     nan = float("nan")
     f_exact = _otoc_value(cached_evolution(p), 1, t, cfg.state, cfg.probe)
     c_exact = 2.0 - 2.0 * f_exact.real
-    traits = PIPELINES[cfg.pipeline]
-    if traits.engine is None:
+    if cfg.k is None:
         phase = np.angle(f_exact)
         phase[phase == -np.pi] = np.pi  # (-pi, pi]: np.angle(-1 - 0j) is -pi
         return [(nan, nan, nan, nan, c, abs(f), a)
                 for c, f, a in zip(c_exact, f_exact, phase)]
 
     readouts = readout_distributions(cfg, ell)
-    mit = cfg.mitigation if traits.mitigates else None
+    mit = cfg.mitigation
     out = []
     for j in range(1, n + 1):
         dists = [None] * len(ZNE_FOLDS)
         for f, (fold, probs) in enumerate(zip(ZNE_FOLDS, readouts[:, j - 1])):
             dists[f] = BitstringDistribution(n, probs)
-            if traits.shots:
+            if cfg.shots:
                 dists[f] = empirical_distribution(sample_counts(
                     dists[f], cfg.shots, _point_seed(cfg.seed, j, ell, fold)))
         p1, p3 = dists
@@ -337,7 +335,7 @@ def build_surface(cfg, jobs: int = 1) -> SurfaceTable:
     """
     n, l1 = cfg.params.n, cfg.ell_max + 1
     solver = (TmemSolver(build_confusion_matrix(cfg.noise))
-              if PIPELINES[cfg.pipeline].mitigates and cfg.mitigation.tmem else None)
+              if cfg.mitigation and cfg.mitigation.tmem else None)
     workers = min(jobs, l1, _usable_cpus())
     if workers > 1:
         # imported here: the process-pool modules add about 20 ms to every import

@@ -11,8 +11,8 @@ stated, so they will start passing (and flag XPASS) only if the physics
 they test ever changes.
 """
 
+import json
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ from spinweave.qsim import (BitstringDistribution, Circuit, StateVector,
 from spinweave.weave import magic_rzz, rzz_decomposition, trotter_step, weave_circuit
 
 from conftest import (align_global_phase, cnot_count, commutator, dense_otoc,
-                      dense_hamiltonian, load_preset, rzz_matrix)
+                      dense_hamiltonian, rzz_matrix)
 from oracles import circuit_unitary, fold_cnots
 from scipy.linalg import expm
 
@@ -297,8 +297,16 @@ def test_criterion_08_zne_linear_regime():
 
 # --- 9: qualitative reproduction of the measured-figure insets ---------------
 
+def _inset_data(preset):
+    """The preset's config object, run through the noiseless weave."""
+    data = json.loads(preset_path(preset).read_text())
+    data["pipeline"] = "trotter_exact"
+    del data["shots"]  # trotter_exact draws no shots
+    return data
+
+
 def _inset_surface(preset):
-    cfg = replace(load_preset(preset), pipeline="trotter_exact")
+    cfg = config_from_dict(_inset_data(preset))
     return build_surface(cfg), cfg
 
 
@@ -345,12 +353,8 @@ def test_criterion_09_chaotic_insets_spread_outward():
 
 
 def test_criterion_09_byte_determinism(tmp_path):
-    import json
-    cfg_data = json.loads(preset_path("fig4").read_text())
-    cfg_data["pipeline"] = "trotter_exact"
-    del cfg_data["shots"]  # trotter_exact draws no shots
     cfg_path = tmp_path / "fig4_inset.json"
-    cfg_path.write_text(json.dumps(cfg_data))
+    cfg_path.write_text(json.dumps(_inset_data("fig4")))
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli_main(["run", str(cfg_path), "--output-dir", str(a)]) == 0
     assert cli_main(["run", str(cfg_path), "--output-dir", str(b)]) == 0

@@ -209,6 +209,24 @@ class TestValidation:
                     f"n: must be in 3..{cap} for pipeline {pipeline!r} (got {n})")):
                 config_from_dict({"regime": "chaotic", "n": n, "pipeline": pipeline})
 
+    @pytest.mark.parametrize("pipeline", ["mitigatd", 1, None, ["mitigated"]],
+                             ids=["misspelt", "int", "null", "list"])
+    def test_an_unknown_pipeline_gets_one_error_line(self, pipeline):
+        # no pipeline was chosen, so every field is read and gets only its
+        # own checks, and n is bounded by the largest cap without a name
+        data = {"regime": "chaotic", "pipeline": pipeline, "shots": 100,
+                "noise": {"spam_epsilon": 0.1}, "mitigation": {"zne": False},
+                "magic": False, "k": 3, "seed": 5}
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        lines = str(info.value).splitlines()[1:]
+        assert len(lines) == 1 and lines[0].startswith("  pipeline: "), lines
+        for n in (2, 11):
+            with pytest.raises(ConfigError) as info:
+                config_from_dict({**data, "n": n})
+            assert str(info.value).splitlines()[2:] == [
+                f"  n: must be in 3..10 (got {n})"]
+
     def test_docs_give_each_pipeline_cap(self):
         # the message quotes PIPELINES[...].max_n; README and the config
         # module docstring tabulate it

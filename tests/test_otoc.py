@@ -1,5 +1,6 @@
 import functools
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from spinweave import otoc, qsim
-from spinweave.config import config_from_dict
+from spinweave.config import PIPELINES, config_from_dict
 from spinweave.errors import CapacityError
 from spinweave.ising import (ExactEvolution, IsingParams, build_hamiltonian,
                              preset_params)
@@ -362,6 +363,18 @@ class TestBuildSurface:
                                 "ell_max": 4, "pipeline": "exact"})
         surf = build_surface(cfg)
         assert np.max(np.abs(surf.grid("C_exact")[:, 0])) < 1e-10
+
+    @pytest.mark.parametrize("pipeline", list(PIPELINES))
+    def test_the_fields_not_the_pipeline_name_decide_the_run(self, pipeline):
+        # validation sets every field that a pipeline does not read to None,
+        # and the surface loop runs each stage exactly when its field is set
+        cfg = config_from_dict({**READOUT_BASE, "n": 3, "pipeline": pipeline})
+        want = build_surface(cfg).columns
+        for other in set(PIPELINES) - {pipeline}:
+            got = build_surface(replace(cfg, pipeline=other)).columns
+            for column in want:
+                assert np.array_equal(got[column], want[column], equal_nan=True), (
+                    other, column)
 
     def test_point_reconstruction_invariant(self):
         cfg = config_from_dict({"regime": "chaotic", "n": 4, "tau": 0.06,

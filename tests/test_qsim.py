@@ -143,6 +143,22 @@ class TestGateMatrix:
                            match=re.escape(f"PZ angle must be finite, got {angle}")):
             Gate("PZ", (0,), angle)
 
+    # Python prints no int of more than 4300 digits, so each message shows
+    # such an int by its sign and bit length (10**5000 has 16610 bits)
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Gate("RX", (0,), 10 ** 5000), "RX angle must be finite, got <16610-bit int>"),
+        (lambda: Gate("RX", (0,), -(10 ** 5000)),
+         "RX angle must be finite, got -<16610-bit int>"),
+        (lambda: Gate("H", (10 ** 5000, 1)), "H takes 1 qubit(s), got (<16610-bit int>, 1)"),
+        (lambda: Gate("H", ("0", 10 ** 5000)),
+         "H qubit indices must be integers, got ('0', <16610-bit int>)"),
+        (lambda: Circuit(2, [Gate("X", (10 ** 5000,))]),
+         "X on (<16610-bit int>,) exceeds n_qubits=2"),
+    ], ids=["angle", "negative-angle", "qubit-count", "qubit-type", "circuit-width"])
+    def test_int_too_long_to_print_rejected_by_its_size(self, make, message):
+        with pytest.raises(MalformedGateError, match=re.escape(message)):
+            make()
+
     def test_numpy_integers_and_reals_accepted(self):
         g = Gate("RX", (np.int32(1),), np.float32(0.5))
         assert g == ("RX", (1,), 0.5)
