@@ -35,54 +35,50 @@ Pipelines (:data:`PIPELINES`), each of which also records C_exact::
     noisy           density matrix   yes    no           8
     mitigated       density matrix   yes    yes          8
 
-A field that the pipeline does not read is None on the validated config,
-and only validation reads :data:`PIPELINES`: the run reads the fields, and
-a stage whose field is None does not run.  An unknown pipeline reads every
-field, so each gets only its own checks.
+Each row of :data:`PIPELINES` gives the optional fields that its pipeline
+reads and its cap on n; a field that it does not read is None on the
+validated config.  Only validation reads the table: the run reads the
+fields, and a stage whose field is None does not run.  An unknown pipeline
+reads every field, each with only its own checks, and n the largest cap.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import namedtuple
 from dataclasses import asdict, dataclass
 from numbers import Real
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, show_value
 from .ising import (MAX_OTOC_QUBITS, REGIME_COUPLINGS, IsingParams, phase_rate,
                     preset_params)
 from .noise import DEFAULT_SHOTS, MAX_DM_QUBITS, NoiseModel
 
-# A pipeline's readout engine (None, "statevector" or "density"), whether it
-# draws shots, whether it mitigates, and the largest n that it accepts.
-Pipeline = namedtuple("Pipeline", "engine shots mitigates max_n")
+# The optional fields each pipeline reads (any other is None on the validated
+# config and absent from the metadata echo), and the largest n it accepts.
+Pipeline = namedtuple("Pipeline", "reads max_n")
+_CIRCUIT_FIELDS = frozenset({"k", "magic", "magic_override"})
+_SHOT_FIELDS = _CIRCUIT_FIELDS | {"seed", "shots"}
 PIPELINES = {
-    "exact": Pipeline(None, False, False, MAX_OTOC_QUBITS),
-    "trotter_exact": Pipeline("statevector", False, False, MAX_OTOC_QUBITS),
-    "sampled": Pipeline("statevector", True, False, MAX_OTOC_QUBITS),
-    "noisy": Pipeline("density", True, False, MAX_DM_QUBITS),
-    "mitigated": Pipeline("density", True, True, MAX_DM_QUBITS),
+    "exact": Pipeline(frozenset(), MAX_OTOC_QUBITS),
+    "trotter_exact": Pipeline(_CIRCUIT_FIELDS, MAX_OTOC_QUBITS),
+    "sampled": Pipeline(_SHOT_FIELDS, MAX_OTOC_QUBITS),
+    "noisy": Pipeline(_SHOT_FIELDS | {"noise"}, MAX_DM_QUBITS),
+    "mitigated": Pipeline(_SHOT_FIELDS | {"noise", "mitigation"}, MAX_DM_QUBITS),
 }
-# A field that only some pipelines read: its name, the pipelines that read
-# it, and the message that rejects a non-null value on any other pipeline
-# (None: every pipeline accepts it).  Where the run does not read it, the
-# field is None on the validated config and absent from the metadata echo.
-_BUILDS_CIRCUITS = (lambda t: t.engine is not None,
-                    "only the trotter_exact, sampled, noisy and mitigated "
-                    "pipelines build circuits")
-_PIPELINE_FIELDS = (
-    ("k", lambda t: t.engine is not None, None),
-    ("seed", lambda t: t.shots, None),
-    ("shots", lambda t: t.shots,
-     "only the sampled, noisy and mitigated pipelines draw shots"),
-    ("magic", *_BUILDS_CIRCUITS),
-    ("magic_override", *_BUILDS_CIRCUITS),
-    ("noise", lambda t: t.engine == "density",
-     "only the noisy and mitigated pipelines simulate noise"),
-    ("mitigation", lambda t: t.mitigates, "only the mitigated pipeline mitigates"),
-)
+# The line rejecting a non-null value of a field on a pipeline that does not
+# read it, in report order; k and seed have none, as every pipeline takes them.
+_UNREAD_LINES = {
+    "shots": "only the sampled, noisy and mitigated pipelines draw shots",
+    **dict.fromkeys(("magic", "magic_override"), "only the trotter_exact, "
+                    "sampled, noisy and mitigated pipelines build circuits"),
+    "noise": "only the noisy and mitigated pipelines simulate noise",
+    "mitigation": "only the mitigated pipeline mitigates",
+}
+_OPTIONAL_FIELDS = frozenset({"k", "seed", *_UNREAD_LINES})
 STATES = ("zeros", "plus", "maximally_mixed")
 PROBES = ("x", "y")
 MITIGATION_ORDERS = ("tmem_then_zne", "zne_then_tmem")
@@ -165,9 +161,9 @@ def _field(errors: list[str], src: dict, name: str, default, kind, check=None,
     """``src[name]`` (``default`` when absent), checked to be a ``kind``; a
     ``kind`` of None passes it unchecked, and a None default admits null.
 
-    A value of the wrong type, or one that fails ``check``, is reported in
-    ``errors`` under ``prefix + name`` and replaced by ``default``.  Numbers
-    are never parsed from strings; an int field takes a whole float."""
+    A value of the wrong type, past the int-to-str digit limit or failing
+    ``check`` is reported under ``prefix + name`` and replaced by ``default``.
+    Numbers are never parsed from strings; an int field takes a whole float."""
     value = src.get(name, default)
     if kind is None or (value is None and default is None):
         return value
@@ -182,12 +178,15 @@ def _field(errors: list[str], src: dict, name: str, default, kind, check=None,
     else:
         try:
             value = kind(value)
+            str(value)  # the metadata echo writes it
             problem = None if check is None or check(value) else msg
         except OverflowError:  # an int too large for a float field
             problem = "expected a finite number"
+        except ValueError:  # an int past Python's int-to-str digit limit
+            problem = f"expected at most {sys.get_int_max_str_digits()} digits"
     if problem is None:
         return value
-    errors.append(f"{prefix}{name}: {problem} (got {value!r})")
+    errors.append(f"{prefix}{name}: {problem} (got {show_value(value, repr)})")
     return default
 
 
@@ -264,17 +263,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         errors.append(f"unknown fields {sorted(extra)}")
     # the pipeline decides which fields the run reads (its own error comes in
     # field order); a field that it rejects is not checked: null passes, and
-    # any other value gets only its rejection line.  An unknown pipeline
-    # reads every field, and bounds n by the largest cap, MAX_OTOC_QUBITS
+    # any other value gets only its rejection line
     chosen = data.get("pipeline", _ROWS["pipeline"][1])
     pipeline = PIPELINES.get(chosen) if isinstance(chosen, str) else None
-    unread = {name: message for name, reads, message in _PIPELINE_FIELDS
-              if pipeline and not reads(pipeline)}
-    rejected = {name: message for name, message in unread.items()
-                if message and data.get(name) is not None}
+    unread = _OPTIONAL_FIELDS - pipeline.reads if pipeline else frozenset()
+    unchecked = unread & _UNREAD_LINES.keys()
     values = {row[0]: _field(errors, data, *row) for row in _FIELDS
-              if not unread.get(row[0])}
-    max_n = pipeline.max_n if pipeline else MAX_OTOC_QUBITS
+              if row[0] not in unchecked}
+    max_n = pipeline.max_n if pipeline else max(p.max_n for p in PIPELINES.values())
     n = _field(errors, {"n": values.pop("n")}, *_ROWS["n"],
                lambda v: 3 <= v <= max_n,
                f"must be in 3..{max_n}" + (f" for pipeline {chosen!r}" if pipeline else ""))
@@ -305,13 +301,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                           f"+ n(|Bz| + |Bx|) and 4 max(|J + Bz|, |J|) "
                           f"(got tau={tau!r}, k={k}, ell_max={ell_max})")
 
-    if (pipeline and pipeline.engine
+    if (pipeline and "k" in pipeline.reads
             and (values["state"], values["probe"]) != ("zeros", "x")):
         errors.append("state/probe: measured pipelines support only the "
                       "all-zeros state with the X probe; alternative states "
                       "and probes run through the exact pipeline")
 
-    errors.extend(f"{name}: {message}" for name, message in rejected.items())
+    errors.extend(f"{name}: {line}" for name, line in _UNREAD_LINES.items()
+                  if name in unchecked and data.get(name) is not None)
     values.update(dict.fromkeys(unread))
 
     if (params is not None and span_finite and values["magic"]
@@ -334,14 +331,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def validate_config(path, seed: int | None = None) -> ExperimentConfig:
-    """Parse and validate a config file, with line diagnostics on bad JSON;
-    a ``seed`` other than None replaces the file's seed before validation."""
+    """Parse and validate a config file; a decode or parse failure raises a
+    ConfigError naming the file.  A non-None ``seed`` replaces the file's."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits, too deep
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if seed is not None and isinstance(data, dict):
         data = {**data, "seed": seed}
     try:

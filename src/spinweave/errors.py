@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the formatter that their
+messages use for a rejected value."""
 
 
 class MalformedGateError(ValueError):
@@ -11,3 +12,15 @@ class CapacityError(ValueError):
 
 class ConfigError(ValueError):
     """An experiment configuration violates one or more invariants."""
+
+
+def show_value(value, text=str) -> str:
+    """``text(value)``, except that an int past Python's int-to-str digit
+    limit, alone or in a tuple, shows as its sign and bit length."""
+    try:
+        return text(value)
+    except ValueError:
+        if isinstance(value, tuple):
+            items = [show_value(v, repr) for v in value]
+            return f"({', '.join(items)}{',' * (len(items) == 1)})"
+        return f"{'-' * (value < 0)}<{abs(value).bit_length()}-bit int>"

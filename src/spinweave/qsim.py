@@ -35,7 +35,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import CapacityError, MalformedGateError
+from .errors import CapacityError, MalformedGateError, show_value
 
 MAX_QUBITS = 14
 # Operators held by each fused-block cache.  A run needs one per distinct
@@ -70,18 +70,6 @@ BLOCK_QUBITS = max(spec.qubits for spec in GATES.values())
 _NO_BLOCK = (-1,) * BLOCK_QUBITS
 
 
-def _show(value, text=str) -> str:
-    """``text(value)``, except that an int past Python's int-to-str digit
-    limit, alone or in a tuple, shows as its sign and bit length."""
-    try:
-        return text(value)
-    except ValueError:
-        if isinstance(value, tuple):
-            items = [_show(v, repr) for v in value]
-            return f"({', '.join(items)}{',' * (len(items) == 1)})"
-        return f"{'-' * (value < 0)}<{abs(value).bit_length()}-bit int>"
-
-
 class Gate(namedtuple("Gate", "kind qubits angle")):
     """A named gate bound to qubit indices, with an angle where required.
 
@@ -102,10 +90,12 @@ class Gate(namedtuple("Gate", "kind qubits angle")):
         qubits = tuple(qubits)
         # the built-in types come first: isinstance against a numbers ABC is slow
         if any(isinstance(q, bool) or not isinstance(q, (int, Integral)) for q in qubits):
-            raise MalformedGateError(f"{kind} qubit indices must be integers, got {_show(qubits)}")
+            raise MalformedGateError(
+                f"{kind} qubit indices must be integers, got {show_value(qubits)}")
         qubits = tuple(map(int, qubits))
         if len(qubits) != spec.qubits:
-            raise MalformedGateError(f"{kind} takes {spec.qubits} qubit(s), got {_show(qubits)}")
+            raise MalformedGateError(
+                f"{kind} takes {spec.qubits} qubit(s), got {show_value(qubits)}")
         if len(set(qubits)) != len(qubits):
             raise MalformedGateError(f"{kind} qubit indices must be distinct")
         if any(q < 0 for q in qubits):
@@ -120,7 +110,7 @@ class Gate(namedtuple("Gate", "kind qubits angle")):
             except OverflowError:  # an int too large for a float
                 finite = False
             if not finite:
-                raise MalformedGateError(f"{kind} angle must be finite, got {_show(angle)}")
+                raise MalformedGateError(f"{kind} angle must be finite, got {show_value(angle)}")
             angle = float(angle)
         elif angle is not None:
             raise MalformedGateError(f"{kind} takes no angle")
@@ -165,12 +155,12 @@ class Circuit:
     def __post_init__(self):
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise CapacityError(
-                f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
+                f"n_qubits must be in [1, {MAX_QUBITS}], got {show_value(self.n_qubits)}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if max(g.qubits) >= self.n_qubits:
                 raise MalformedGateError(
-                    f"{g.kind} on {_show(g.qubits)} exceeds n_qubits={self.n_qubits}")
+                    f"{g.kind} on {show_value(g.qubits)} exceeds n_qubits={self.n_qubits}")
 
     def __len__(self) -> int:
         return len(self.gates)

@@ -4,7 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v`` to get one pass/fail line
 per criterion.  Each test also prints an ``ACCEPTANCE <id>`` line with the
 measured numbers (visible with ``-s`` or ``-rA``, and in failure reports).
 
-Two assertions are marked ``xfail(strict=True)``: they encode expectations
+Three assertions are marked ``xfail(strict=True)``: they encode expectations
 that the model's own closed-form phases rule out.  Their docstrings carry
 the derivation; the assertions themselves are implemented exactly as
 stated, so they will start passing (and flag XPASS) only if the physics

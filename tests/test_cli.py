@@ -18,7 +18,7 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     data = {"regime": "chaotic", "n": 4, "tau": 0.06, "k": 3, "ell_max": 4,
             "pipeline": "mitigated", "shots": 256, "seed": 33}
     data.update(overrides)
-    if not PIPELINES[data["pipeline"]].shots:  # such a pipeline rejects the field
+    if "shots" not in PIPELINES[data["pipeline"]].reads:  # it rejects the field
         del data["shots"]
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -47,6 +47,17 @@ class TestRun:
         cfg = write_config(tmp_path, tau=-0.5)
         assert main(["run", str(cfg)]) == 2
         assert "tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b'{"n": ' + b"4" * 5001 + b"}",
+                                         b'{"regime": "\xff"}'],
+                             ids=["int-past-digit-limit", "not-utf8"])
+    def test_unparsable_config_exits_2_and_names_file(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: invalid JSON: ")
+        assert not out.exists()
 
     def test_time_overflowing_the_energy_phase_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, pipeline="exact", tau=1e308, k=1, ell_max=1)

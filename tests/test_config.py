@@ -16,6 +16,21 @@ from spinweave.noise import NoiseModel
 
 from conftest import load_preset
 
+# The optional fields that each pipeline reads, written out independently of
+# config.PIPELINES
+EXPECTED_READS = {
+    "exact": set(),
+    "trotter_exact": {"k", "magic", "magic_override"},
+    "sampled": {"k", "magic", "magic_override", "seed", "shots"},
+    "noisy": {"k", "magic", "magic_override", "seed", "shots", "noise"},
+    "mitigated": {"k", "magic", "magic_override", "seed", "shots", "noise",
+                  "mitigation"},
+}
+OPTIONAL_FIELDS = ("k", "seed", "shots", "magic", "magic_override", "noise",
+                   "mitigation")
+# 10**5000 is past Python's default int-to-str limit of 4300 digits
+HUGE = 10 ** 5000
+
 EXPECTED_PRESETS = {"fig1a", "fig1b", "fig2", "fig4", "fig5", "fig5a",
                     "fig5b", "fig6a", "fig6b", "s7", "s8", "s9"}
 
@@ -142,23 +157,42 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape("k: expected a number")):
             config_from_dict({"regime": "chaotic", "k": None})
 
-    @pytest.mark.parametrize("pipeline", list(PIPELINES))
+    @pytest.mark.parametrize("pipeline", list(EXPECTED_READS))
     def test_fields_the_pipeline_does_not_read_are_none(self, pipeline):
         # k and seed are accepted on every pipeline, read or not; a null
         # noise or mitigation gets the defaults where the run reads it
         cfg = config_from_dict({"regime": "chaotic", "pipeline": pipeline, "k": 3,
                                 "seed": 5, "noise": None, "mitigation": None,
                                 "output_dir": "out"})
-        traits = PIPELINES[pipeline]
-        for name, reads, _ in config._PIPELINE_FIELDS:
-            assert (getattr(cfg, name) is None) == (not reads(traits)), name
+        reads = EXPECTED_READS[pipeline]
+        assert PIPELINES[pipeline].reads == reads
+        for name in OPTIONAL_FIELDS:
+            assert (getattr(cfg, name) is None) == (name not in reads), name
         present = {f.name for f in dataclasses.fields(cfg)
                    if getattr(cfg, f.name) is not None}
         assert set(config_echo(cfg)) == present - {"output_dir"}
-        if traits.engine == "density":
+        if "noise" in reads:
             assert cfg.noise == NoiseModel.default(4)
-        if traits.mitigates:
+        if "mitigation" in reads:
             assert cfg.mitigation == MitigationConfig(True, True, "tmem_then_zne")
+
+    def test_the_table_holds_the_expected_pipelines_in_order(self):
+        assert list(PIPELINES) == list(EXPECTED_READS)
+
+    @pytest.mark.parametrize("field", ["shots", "magic", "magic_override",
+                                       "noise", "mitigation"])
+    def test_a_rejection_line_names_the_pipelines_that_read_its_field(self, field):
+        # the line names, in table order, exactly the pipelines whose row
+        # reads the field, and every other pipeline rejects it with that line
+        readers = [name for name, reads in EXPECTED_READS.items() if field in reads]
+        names = re.compile(r"\b(%s)\b" % "|".join(PIPELINES))
+        for pipeline in set(PIPELINES) - set(readers):
+            with pytest.raises(ConfigError) as info:
+                config_from_dict({"regime": "chaotic", "pipeline": pipeline,
+                                  field: 1})
+            [line] = str(info.value).splitlines()[1:]
+            assert line.startswith(f"  {field}: only the "), line
+            assert names.findall(line) == readers, line
 
     @pytest.mark.parametrize("value", [True, False])
     def test_magic_override_rejected_where_no_circuit_is_built(self, value):
@@ -400,6 +434,34 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(f"{field}: expected")):
             config_from_dict({"regime": "chaotic", **data})
 
+    # each message shows an int past the int-to-str digit limit by its sign
+    # and bit length; no such int reaches the run, whose metadata echoes it
+    @pytest.mark.parametrize("data, line", [
+        ({"n": HUGE}, "n: expected at most 4300 digits (got <16610-bit int>)"),
+        ({"ell_max": HUGE}, "ell_max: expected at most 4300 digits (got <16610-bit int>)"),
+        ({"tau": HUGE}, "tau: expected a finite number (got <16610-bit int>)"),
+        ({"pipeline": "sampled", "shots": HUGE},
+         "shots: expected at most 4300 digits (got <16610-bit int>)"),
+        ({"pipeline": "trotter_exact", "k": HUGE},
+         "k: expected at most 4300 digits (got <16610-bit int>)"),
+        ({"regime": {"J": HUGE, "Bx": 0, "Bz": 0}},
+         "regime.J: expected a finite number (got <16610-bit int>)"),
+        ({"pipeline": "sampled", "seed": HUGE},
+         "seed: expected at most 4300 digits (got <16610-bit int>)"),
+        ({"pipeline": "sampled", "seed": -HUGE},
+         "seed: expected at most 4300 digits (got -<16610-bit int>)"),
+    ], ids=["n", "ell_max", "tau", "shots", "k", "regime", "seed", "negative-seed"])
+    def test_an_int_past_the_digit_limit_names_its_field(self, data, line):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"regime": "chaotic", **data})
+        assert str(info.value).splitlines()[1:] == [f"  {line}"]
+
+    def test_a_seed_at_the_digit_limit_is_echoed(self):
+        seed = 10 ** 4299  # 4300 digits
+        cfg = config_from_dict({"regime": "chaotic", "pipeline": "sampled",
+                                "seed": seed})
+        assert json.loads(json.dumps(config_echo(cfg)))["seed"] == seed
+
     def test_mitigation_order_validated(self):
         with pytest.raises(ConfigError, match="mitigation.order"):
             config_from_dict({"regime": "chaotic", "pipeline": "mitigated",
@@ -409,6 +471,15 @@ class TestValidation:
         path = tmp_path / "bad.json"
         path.write_text('{\n  "regime": "integrable",\n  oops\n}\n')
         with pytest.raises(ConfigError, match="line 3"):
+            validate_config(path)
+
+    @pytest.mark.parametrize("content", [
+        b'{"seed": ' + b"1" * 5001 + b"}", b'{"regime": "\xff"}', b"[" * 100000,
+    ], ids=["int-past-digit-limit", "not-utf8", "too-deep"])
+    def test_a_file_that_does_not_parse_is_named(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: invalid JSON: ")):
             validate_config(path)
 
     def test_validate_config_roundtrip(self, tmp_path):

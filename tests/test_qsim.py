@@ -159,6 +159,11 @@ class TestGateMatrix:
         with pytest.raises(MalformedGateError, match=re.escape(message)):
             make()
 
+    def test_circuit_size_too_long_to_print_rejected_by_its_size(self):
+        with pytest.raises(CapacityError, match=re.escape(
+                "n_qubits must be in [1, 14], got <16610-bit int>")):
+            Circuit(10 ** 5000)
+
     def test_numpy_integers_and_reals_accepted(self):
         g = Gate("RX", (np.int32(1),), np.float32(0.5))
         assert g == ("RX", (1,), 0.5)
