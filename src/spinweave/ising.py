@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, check_integer
 from .qsim import MAX_QUBITS
 
 MAX_OTOC_QUBITS = 10
@@ -39,8 +39,7 @@ class IsingParams:
     Bz: float
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"n must be >= 3, got {self.n}")
+        check_integer(self.n, "n", 3)
 
 
 REGIME_COUPLINGS = {
@@ -129,6 +128,7 @@ def cached_evolution(p: IsingParams) -> ExactEvolution:
 
 
 def _check_site(n: int, site: int, name: str = "j"):
+    check_integer(site, f"site {name}")
     if not 1 <= site <= n:
         raise ValueError(f"site {name}={site} out of range 1..{n}")
 

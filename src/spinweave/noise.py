@@ -34,7 +34,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, check_integer
 from .qsim import (BLOCK_CACHE_SIZE, BitstringDistribution, Circuit, Gate,
                    _block_unitary, _contract)
 
@@ -156,7 +156,7 @@ def simulate_noisy(c: Circuit, nm: NoiseModel, fold: int = 1) -> BitstringDistri
             f"density-matrix simulation limited to n <= {MAX_DM_QUBITS}, got n={n}")
     if nm.n_qubits != n:
         raise ValueError("noise model and circuit qubit counts differ")
-    if not isinstance(fold, int) or fold < 1 or fold % 2 == 0:
+    if isinstance(fold, bool) or not isinstance(fold, int) or fold < 1 or fold % 2 == 0:
         raise ValueError(f"fold must be odd and positive, got {fold!r}")
     t = np.zeros((2,) * (2 * n), dtype=complex)
     t[(0,) * (2 * n)] = 1.0
@@ -175,12 +175,15 @@ def sample_counts(d: BitstringDistribution, shots: int, seed) -> np.ndarray:
     of each basis index, summing to ``shots``.
 
     ``seed`` may be anything ``numpy.random.default_rng`` accepts, including
-    a ``SeedSequence`` for derived per-point streams.
+    a ``SeedSequence`` for derived per-point streams.  ``d`` must hold a
+    positive, finite mass once its negative entries are clipped to 0.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_integer(shots, "shots", 1)
     p = np.clip(d.probabilities, 0.0, None)
-    return np.random.default_rng(seed).multinomial(shots, p / p.sum())
+    mass = p.sum()
+    if not 0.0 < mass < np.inf:
+        raise ValueError(f"d must hold a positive, finite probability mass, got {mass}")
+    return np.random.default_rng(seed).multinomial(shots, p / mass)
 
 
 def empirical_distribution(counts: np.ndarray) -> BitstringDistribution:

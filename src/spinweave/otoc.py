@@ -48,7 +48,7 @@ from functools import partial
 import numpy as np
 
 from .config import PROBES, STATES
-from .errors import CapacityError
+from .errors import CapacityError, check_integer
 from .ising import (ExactEvolution, IsingParams, MAX_OTOC_QUBITS, _check_site,
                     cached_evolution, classical_otoc_phase, phase_rate)
 from .mitigation import ZNE_FOLDS, TmemSolver, ZnePair, zne_correct
@@ -252,10 +252,6 @@ def readout_distributions(cfg, ell: int) -> np.ndarray:
     return out
 
 
-def _modulus(dist: BitstringDistribution) -> float:
-    return np.sqrt(max(float(dist.probabilities[0]), 0.0))
-
-
 def _tmem(solver: TmemSolver, dist: BitstringDistribution, j: int, ell: int,
           fold: int) -> BitstringDistribution:
     """TMEM-corrected ``dist``, with a RuntimeWarning naming the point if
@@ -267,28 +263,26 @@ def _tmem(solver: TmemSolver, dist: BitstringDistribution, j: int, ell: int,
     return BitstringDistribution(dist.n_qubits, x)
 
 
-def _surface_row(cfg, solver: TmemSolver | None, ell: int) -> list[tuple]:
-    """All probe sites at one time index.
-
-    Returns one tuple per site holding the values of ``VALUE_COLUMNS``, in
-    that order, NaN in the measured ones without ``k``.  ``solver`` is None
-    unless TMEM runs.  Module-level so rows can be dispatched to workers.
-    """
+def _surface_row(cfg, solver: TmemSolver | None, ell: int) -> dict:
+    """All probe sites at one time index, as {value column: (n,) array over
+    j = 1..n} holding only the columns that ``cfg`` computes: C_exact, F_abs
+    and F_phase, and with ``k`` set C_raw plus the C_tmem, C_zne and C_corr
+    that ``cfg.mitigation`` selects.  Each distribution's modulus is taken
+    once, where its column is written.  ``solver`` is None unless TMEM
+    runs.  Module-level so rows can be dispatched to workers."""
     p = cfg.params
     n = p.n
     t = ell * cfg.tau
-    nan = float("nan")
     f_exact = _otoc_value(cached_evolution(p), 1, t, cfg.state, cfg.probe)
     c_exact = 2.0 - 2.0 * f_exact.real
     if cfg.k is None:
         phase = np.angle(f_exact)
         phase[phase == -np.pi] = np.pi  # (-pi, pi]: np.angle(-1 - 0j) is -pi
-        return [(nan, nan, nan, nan, c, abs(f), a)
-                for c, f, a in zip(c_exact, f_exact, phase)]
+        return {"C_exact": c_exact, "F_abs": np.abs(f_exact), "F_phase": phase}
 
     readouts = readout_distributions(cfg, ell)
     mit = cfg.mitigation
-    out = []
+    sites = []  # {value column: distribution} per site
     for j in range(1, n + 1):
         dists = [None] * len(ZNE_FOLDS)
         for f, (fold, probs) in enumerate(zip(ZNE_FOLDS, readouts[:, j - 1])):
@@ -297,22 +291,26 @@ def _surface_row(cfg, solver: TmemSolver | None, ell: int) -> list[tuple]:
                 dists[f] = empirical_distribution(sample_counts(
                     dists[f], cfg.shots, _point_seed(cfg.seed, j, ell, fold)))
         p1, p3 = dists
-        q1 = z = corrected = None
+        site = {"C_raw": p1}
+        sites.append(site)
         if mit is not None:
-            q1 = _tmem(solver, p1, j, ell, ZNE_FOLDS[0]) if mit.tmem else None
-            z = zne_correct(ZnePair(p1, p3)) if mit.zne else None
+            if mit.tmem:
+                site["C_tmem"] = q1 = _tmem(solver, p1, j, ell, ZNE_FOLDS[0])
+            if mit.zne:
+                site["C_zne"] = z = zne_correct(ZnePair(p1, p3))
             if mit.tmem and mit.zne:
-                corrected = (zne_correct(ZnePair(q1, _tmem(solver, p3, j, ell, ZNE_FOLDS[1])))
-                             if mit.order == "tmem_then_zne"
-                             else _tmem(solver, z, j, ell, 0))
+                site["C_corr"] = (
+                    zne_correct(ZnePair(q1, _tmem(solver, p3, j, ell, ZNE_FOLDS[1])))
+                    if mit.order == "tmem_then_zne" else _tmem(solver, z, j, ell, 0))
             else:  # the one method applied, or the raw readout
-                corrected = q1 or z or p1
-        commutators = tuple(
-            nan if d is None else fixed_node_commutator(_modulus(d), p, j, t)
-            for d in (p1, q1, z, corrected))
-        out.append(commutators + (c_exact[j - 1], _modulus(p1),
-                                  classical_otoc_phase(p, j, t)))
-    return out
+                site["C_corr"] = site.get("C_tmem") or site.get("C_zne") or p1
+
+    f_abs = {column: np.sqrt(np.maximum([s[column].probabilities[0] for s in sites], 0.0))
+             for column in sites[0]}
+    row = {column: np.array([fixed_node_commutator(f, p, j, t) for j, f in enumerate(m, 1)])
+           for column, m in f_abs.items()}
+    return {**row, "C_exact": c_exact, "F_abs": f_abs["C_raw"],
+            "F_phase": np.array([classical_otoc_phase(p, j, t) for j in range(1, n + 1)])}
 
 
 def _usable_cpus() -> int:
@@ -326,13 +324,14 @@ def _usable_cpus() -> int:
 def build_surface(cfg, jobs: int = 1) -> SurfaceTable:
     """Evaluate the configured pipeline over the full (j, ell) grid.
 
-    Rows come out in CSV order: probe site j (1..n), then time index ell.
-    Grid points are independent; ``jobs > 1`` dispatches time indices to
-    at most ``ell_max + 1`` worker processes, and to no more than the
-    usable CPUs, because the pool starts every worker up front.  Results
-    are identical for any ``jobs`` because every sampled point draws from
-    its own derived seed.
+    Rows come out in CSV order: probe site j (1..n), then time index ell; a
+    value column that no :func:`_surface_row` computes is empty (NaN).  Grid
+    points are independent; ``jobs``, an integer >= 1, dispatches time
+    indices to at most that many worker processes, ``ell_max + 1`` and the
+    usable CPUs, as the pool starts every worker up front.  Results are the
+    same for any ``jobs``: every sampled point draws from its own seed.
     """
+    check_integer(jobs, "jobs", 1)
     n, l1 = cfg.params.n, cfg.ell_max + 1
     solver = (TmemSolver(build_confusion_matrix(cfg.noise))
               if cfg.mitigation and cfg.mitigation.tmem else None)
@@ -345,11 +344,10 @@ def build_surface(cfg, jobs: int = 1) -> SurfaceTable:
     else:
         rows = [_surface_row(cfg, solver, ell) for ell in range(l1)]
 
-    # rows[ell][j - 1] -> one (n * l1, columns) block, j-major
-    values = np.array(rows, dtype=float).transpose(1, 0, 2).reshape(n * l1, -1)
-    assert values.shape[1] == len(VALUE_COLUMNS)
     ell = np.tile(np.arange(l1), n).astype(float)
     columns = {"j": np.repeat(np.arange(1, n + 1), l1).astype(float),
                "ell": ell, "t": ell * cfg.tau}
-    columns.update(zip(VALUE_COLUMNS, values.T.copy()))
+    empty = np.full(n, np.nan)
+    for column in VALUE_COLUMNS:  # rows[ell][column][j - 1], written j-major
+        columns[column] = np.array([row.get(column, empty) for row in rows]).T.ravel()
     return SurfaceTable(columns)

@@ -35,7 +35,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import CapacityError, MalformedGateError, show_value
+from .errors import CapacityError, MalformedGateError, check_integer, show_value
 
 MAX_QUBITS = 14
 # Operators held by each fused-block cache.  A run needs one per distinct
@@ -153,6 +153,7 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        check_integer(self.n_qubits, "n_qubits", error=CapacityError)
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise CapacityError(
                 f"n_qubits must be in [1, {MAX_QUBITS}], got {show_value(self.n_qubits)}")

@@ -31,7 +31,7 @@ import numpy as np
 from ._version import __version__
 from .config import ExperimentConfig, config_echo
 
-# One surface variant each, in the order of otoc._surface_row's value tuples
+# One surface variant each, in CSV column order
 VALUE_COLUMNS = ("C_raw", "C_tmem", "C_zne", "C_corr", "C_exact", "F_abs", "F_phase")
 CSV_COLUMNS = ("j", "ell", "t") + VALUE_COLUMNS
 FORMAT_NAME = "spinweave-surface-v1"

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import check_integer
 from .ising import IsingParams
 from .qsim import Circuit, Gate, cnot, h_gate, pz, rx, s_gate, sdg_gate
 
@@ -86,10 +87,8 @@ def weave_circuit(p: IsingParams, tau: float, k: int, ell: int,
     circuit, and ell mod k = 0 uses no shift at all.  Only the shift and
     the cell are built, and only the cell takes the magic decomposition.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if ell < 0:
-        raise ValueError(f"ell must be >= 0, got {ell}")
+    check_integer(k, "k", 1)
+    check_integer(ell, "ell", 0)
     cell = trotter_step(p, k * tau, magic=magic)
     n_cells, shift_steps = divmod(ell, k)
     shift = trotter_step(p, shift_steps * tau).gates if shift_steps else ()

@@ -37,6 +37,12 @@ class TestPresets:
         with pytest.raises(ValueError):
             IsingParams(2, -1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("n", [4.0, True, "4"])
+    def test_non_integer_chain_size_rejected(self, n):
+        # checked, never converted: 4.0 used to fail later inside numpy
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+            IsingParams(n, -1.0, 0.7, 1.5)
+
 
 class TestHamiltonian:
     def test_pure_coupling_zero_state_energy(self):
@@ -132,6 +138,16 @@ class TestExactUnitary:
 
 
 class TestClassicalOtoc:
+    @pytest.mark.parametrize("j", [1.5, True, 2.0])
+    def test_non_integer_site_rejected(self, j):
+        # 1.5 used to fall through to the far-site phase 0.0
+        with pytest.raises(ValueError, match=f"site j must be an integer, got {j!r}"):
+            classical_otoc_phase(preset_params("chaotic", 4), j, 0.3)
+
+    def test_out_of_range_message_unchanged(self):
+        with pytest.raises(ValueError, match=r"^site j=5 out of range 1\.\.4$"):
+            classical_otoc_phase(preset_params("chaotic", 4), 5, 0.3)
+
     def test_beyond_neighbour_is_one(self):
         p = preset_params("chaotic", 5)
         for t in (0.0, 0.3, 2.1):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,12 @@ class TestFolding:
             with pytest.raises(ValueError, match="fold"):
                 simulate_noisy(c, NoiseModel(2, 0.1, 0.0, 0.0), fold)
 
+    def test_bool_fold_rejected(self):
+        # True used to run as fold 1
+        c = Circuit(2, (cnot(0, 1),))
+        with pytest.raises(ValueError, match="fold must be odd and positive, got True"):
+            simulate_noisy(c, NoiseModel(2, 0.1, 0.0, 0.0), fold=True)
+
     def test_folding_lowers_all_zeros_probability(self):
         # more noisy CNOTs push the return probability down
         c = chaotic_fabs_circuit(ell=12)
@@ -286,3 +294,21 @@ class TestSampling:
         d = BitstringDistribution(1, np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             sample_counts(d, 0, 1)
+
+    @pytest.mark.parametrize("shots", [True, 10.5, 10.0, "10"])
+    def test_non_integer_shots_rejected(self, shots):
+        # True used to draw 1 shot and 10.5 to draw 10
+        d = BitstringDistribution(1, np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=f"shots must be an integer, got {shots!r}"):
+            sample_counts(d, shots, 1)
+
+    @pytest.mark.parametrize("probs", [[0.0, 0.0], [-0.1, 0.0], [np.nan, 1.0],
+                                       [np.inf, 0.0]],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_distribution_without_finite_positive_mass_rejected(self, probs):
+        # a zero mass used to warn of 0/0, then fail inside numpy's multinomial
+        d = BitstringDistribution(1, np.array(probs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="d must hold a positive, finite"):
+                sample_counts(d, 10, 1)

@@ -18,6 +18,7 @@ from spinweave.otoc import (_otoc_value, build_surface, fabs_measurement_circuit
                             readout_distributions)
 from spinweave.qsim import (Circuit, StateVector, apply_circuit,
                             measurement_distribution, pz, x_gate)
+from spinweave.surface_io import VALUE_COLUMNS
 from spinweave.weave import weave_circuit
 
 from conftest import commutator, dense_hamiltonian, dense_otoc, load_preset
@@ -110,6 +111,16 @@ class TestOtocExact:
         with pytest.raises(ValueError, match="t must be finite"):
             otoc_exact(CHAOTIC4, 1, 2, 1e308)
         assert np.isfinite(otoc_exact(CHAOTIC4, 1, 2, 1e306))
+
+    # True used to read F_11, 2.0 to raise a bare IndexError and 1.5 a
+    # bare TypeError
+    @pytest.mark.parametrize("i, j, bad", [(1, True, "j"), (1, 2.0, "j"),
+                                           (1.5, 2, "i"), (True, 2, "i")])
+    def test_non_integer_site_rejected(self, i, j, bad):
+        value = {"i": i, "j": j}[bad]
+        with pytest.raises(ValueError,
+                           match=f"site {bad} must be an integer, got {value!r}"):
+            otoc_exact(CHAOTIC4, i, j, 0.3)
 
 
 COUPLING = st.floats(-2.0, 2.0, allow_nan=False)
@@ -246,6 +257,12 @@ class TestFabsProtocol:
         with pytest.raises(ValueError):
             fabs_measurement_circuit(Circuit(4), 1, 5)
 
+    @pytest.mark.parametrize("i, j, bad", [(1, True, "j"), (1.0, 2, "i")])
+    def test_non_integer_site_rejected(self, i, j, bad):
+        # True used to build site 1's protocol
+        with pytest.raises(ValueError, match=f"site {bad} must be an integer"):
+            fabs_measurement_circuit(weave_circuit(CHAOTIC4, 0.06, 1, 2), i, j)
+
 
 def cone_qubits(u: Circuit, qubit: int) -> set[int]:
     """``qubit`` and every qubit of a gate in its light cone in ``u``."""
@@ -326,6 +343,12 @@ class TestFixedNode:
     def test_time_overflowing_the_phase_rejected(self, fn, t):
         with pytest.raises(ValueError, match="t must be finite"):
             fn(0.5, CHAOTIC4, 1, t)
+
+    @pytest.mark.parametrize("fn", [fixed_node_otoc, fixed_node_commutator])
+    def test_non_integer_site_rejected(self, fn):
+        # 2.5 used to take the far-site phase 0, so the commutator read 1.0
+        with pytest.raises(ValueError, match="site j must be an integer, got 2.5"):
+            fn(0.5, CHAOTIC4, 2.5, 0.3)
 
     def test_integrable_fixed_node_equals_exact(self):
         # with Bx = 0 the classical phase is the exact phase
@@ -452,6 +475,25 @@ class TestBuildSurface:
                                            cpus, workers):
         started = self._workers_started(monkeypatch, jobs, ell_max, cpus)
         assert started == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("jobs, message", [
+        (0, "jobs must be >= 1, got 0"), (-3, "jobs must be >= 1, got -3"),
+        (True, "jobs must be an integer, got True"),
+        ("2", "jobs must be an integer, got '2'"), (2.0, "jobs must be an integer")])
+    def test_bad_jobs_rejected(self, jobs, message):
+        # 0, -3 and True used to run serially, and "2" to raise a bare TypeError
+        cfg = config_from_dict({"regime": "chaotic", "n": 3, "ell_max": 1})
+        with pytest.raises(ValueError, match=message):
+            build_surface(cfg, jobs=jobs)
+
+    @pytest.mark.parametrize("pipeline", ["exact", "sampled"])
+    def test_unmitigated_rows_leave_the_mitigated_columns_empty(self, pipeline):
+        columns = build_surface(config_from_dict(
+            {**READOUT_BASE, "n": 3, "pipeline": pipeline})).columns
+        empty = {"C_tmem", "C_zne", "C_corr"} | ({"C_raw"} if pipeline == "exact" else set())
+        for name in VALUE_COLUMNS:
+            nan = np.isnan(columns[name])
+            assert nan.all() if name in empty else not nan.any(), name
 
     def test_usable_cpus_without_an_affinity_set(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)

@@ -159,6 +159,13 @@ class TestGateMatrix:
         with pytest.raises(MalformedGateError, match=re.escape(message)):
             make()
 
+    @pytest.mark.parametrize("width", [True, 4.0, "4"])
+    def test_non_integer_circuit_width_rejected(self, width):
+        # True and 4.0 used to be accepted
+        with pytest.raises(CapacityError,
+                           match=f"n_qubits must be an integer, got {width!r}"):
+            Circuit(width)
+
     def test_circuit_size_too_long_to_print_rejected_by_its_size(self):
         with pytest.raises(CapacityError, match=re.escape(
                 "n_qubits must be in [1, 14], got <16610-bit int>")):

@@ -202,6 +202,14 @@ class TestWeaveCircuit:
         with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
             weave_circuit(CHAOTIC4, 0.05, k, 5)
 
+    @pytest.mark.parametrize("k, ell, bad", [(True, 5, "k"), (2.0, 5, "k"),
+                                             (2, 2.5, "ell"), (2, True, "ell")])
+    def test_non_integer_schedule_rejected(self, k, ell, bad):
+        # k=True used to run as k=1, and 2.0 or 2.5 to raise a bare TypeError
+        value = {"k": k, "ell": ell}[bad]
+        with pytest.raises(ValueError, match=f"{bad} must be an integer, got {value!r}"):
+            weave_circuit(CHAOTIC4, 0.05, k, ell)
+
     def test_ell_out_of_range(self):
         with pytest.raises(ValueError):
             weave_circuit(CHAOTIC4, 0.06, 6, -1)
