@@ -1,7 +1,9 @@
 """Exception types shared across the package, the formatter that their
-messages use for a rejected value, and the check of an integer argument."""
+messages use for a rejected value, and the checks of an integer and of a
+real argument."""
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 
 class MalformedGateError(ValueError):
@@ -18,13 +20,16 @@ class ConfigError(ValueError):
 
 def show_value(value, text=str) -> str:
     """``text(value)``, except that an int past Python's int-to-str digit
-    limit, alone or in a tuple, shows as its sign and bit length."""
+    limit, alone or in a tuple, shows as its sign and bit length, and any
+    other value that holds one as its type name."""
     try:
         return text(value)
     except ValueError:
         if isinstance(value, tuple):
             items = [show_value(v, repr) for v in value]
             return f"({', '.join(items)}{',' * (len(items) == 1)})"
+        if not isinstance(value, int):
+            return f"<{type(value).__name__}>"
         return f"{'-' * (value < 0)}<{abs(value).bit_length()}-bit int>"
 
 
@@ -38,3 +43,17 @@ def check_integer(value, name: str, lowest: int | None = None,
         raise error(f"{name} must be an integer, got {show_value(value, repr)}")
     if lowest is not None and value < lowest:
         raise error(f"{name} must be >= {lowest}, got {show_value(value)}")
+
+
+def check_real(value, name: str, error: type[ValueError] = ValueError):
+    """Raise ``error`` naming ``name`` unless ``value`` is a finite float,
+    int or other ``numbers.Real``, never a bool: checked, not converted,
+    with the built-in types tested first, as in :func:`check_integer`."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, Real)):
+        raise error(f"{name} must be a real number, got {show_value(value, repr)}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise error(f"{name} must be finite, got {show_value(value)}")

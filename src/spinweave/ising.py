@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, check_integer
+from .errors import CapacityError, check_integer, check_real
 from .qsim import MAX_QUBITS
 
 MAX_OTOC_QUBITS = 10
@@ -31,7 +31,9 @@ MAX_OTOC_QUBITS = 10
 
 @dataclass(frozen=True)
 class IsingParams:
-    """Chain size and couplings. The closed-form OTOC needs n >= 3."""
+    """Chain size and couplings, checked and never converted: ``n`` an
+    integer >= 3, as the closed-form OTOC needs, and each coupling a finite
+    real number, not a bool."""
 
     n: int
     J: float
@@ -40,6 +42,8 @@ class IsingParams:
 
     def __post_init__(self):
         check_integer(self.n, "n", 3)
+        for name in ("J", "Bx", "Bz"):
+            check_real(getattr(self, name), name)
 
 
 REGIME_COUPLINGS = {

@@ -70,6 +70,7 @@ class NoiseModel:
     t0_given_1: tuple[float, ...]
 
     def __post_init__(self):
+        check_integer(self.n_qubits, "n_qubits", 1)
         object.__setattr__(self, "cnot_error",
                            _rates(self.cnot_error, self.n_qubits - 1, "cnot_error"))
         object.__setattr__(self, "t1_given_0",

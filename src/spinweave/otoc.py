@@ -167,8 +167,9 @@ def fabs_measurement_circuit(u: Circuit, i: int, j: int) -> Circuit:
     return Circuit(n, gates)
 
 
-def _light_cone(u: Circuit, qubit: int) -> Circuit:
-    """The gates of ``u`` in the backward light cone of ``qubit``, in order.
+def _light_cone(u: Circuit, qubit: int) -> tuple[Circuit, frozenset[int]]:
+    """The gates of ``u`` in the backward light cone of ``qubit``, in order,
+    and the qubits they reach: ``qubit`` and every cone gate's qubits.
 
     One reverse pass: ``reach`` starts as {qubit}, and a gate joins the cone
     when it touches ``reach``, whose qubits then join ``reach``.  Every other
@@ -188,7 +189,7 @@ def _light_cone(u: Circuit, qubit: int) -> Circuit:
         if not reach.isdisjoint(g.qubits):
             reach.update(g.qubits)
             cone.append(g)
-    return Circuit(u.n_qubits, tuple(reversed(cone)))
+    return Circuit(u.n_qubits, tuple(reversed(cone))), frozenset(reach)
 
 
 def fixed_node_otoc(f_abs: float, p: IsingParams, j: int, t: float) -> complex:
@@ -221,13 +222,13 @@ def readout_distributions(cfg, ell: int) -> np.ndarray:
     protocol circuit are built once for all folds (ValueError without ``k``).
 
     Where ``cfg.noise`` is None, the statevector engine runs each protocol
-    on the light cone V of X_1 in the weave (:func:`_light_cone`), which
-    leaves every probability unchanged up to rounding.  It runs no protocol
-    for a site j whose qubit j - 1 lies outside the reach of X_1 (the cone's
-    qubits and qubit 0): there X_j commutes with V and with X_1, so the
-    protocol prepares (V^dag X_1 V)^2 |0...0> = |0...0>, and the site reads
-    exactly the point mass on 0.  The density engine runs the full weave at
-    every site, whose CNOTs outside the cone still carry noise."""
+    on the light cone V of X_1 in the weave, which leaves every probability
+    unchanged up to rounding, and :func:`_light_cone` returns V with the
+    reach of X_1 (qubit 0 and V's qubits).  No protocol runs for a site j
+    whose qubit j - 1 lies outside that reach: X_j commutes with V and with
+    X_1, so the protocol prepares (V^dag X_1 V)^2 |0...0> = |0...0>, and the
+    site reads exactly the point mass on 0.  The density engine runs the
+    full weave at every site, whose CNOTs outside the cone carry noise."""
     if cfg.k is None:
         raise ValueError("a config whose k is None reads out no circuit")
     n = cfg.params.n
@@ -235,8 +236,7 @@ def readout_distributions(cfg, ell: int) -> np.ndarray:
     u_circ = weave_circuit(cfg.params, cfg.tau, cfg.k, ell, cfg.magic)
     reach = range(n)
     if cfg.noise is None:
-        u_circ = _light_cone(u_circ, 0)
-        reach = {0}.union(*(g.qubits for g in u_circ.gates))
+        u_circ, reach = _light_cone(u_circ, 0)
     out = np.zeros((len(folds), n, 2 ** n))
     for j in range(1, n + 1):
         if j - 1 not in reach:

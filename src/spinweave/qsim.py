@@ -31,11 +31,12 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
-from .errors import CapacityError, MalformedGateError, check_integer, show_value
+from .errors import (CapacityError, MalformedGateError, check_integer, check_real,
+                     show_value)
 
 MAX_QUBITS = 14
 # Operators held by each fused-block cache.  A run needs one per distinct
@@ -103,14 +104,7 @@ class Gate(namedtuple("Gate", "kind qubits angle")):
         if callable(spec.matrix):
             if angle is None:
                 raise MalformedGateError(f"{kind} requires an angle")
-            if isinstance(angle, bool) or not isinstance(angle, (float, int, Real)):
-                raise MalformedGateError(f"{kind} angle must be a real number, got {angle!r}")
-            try:
-                finite = math.isfinite(angle)
-            except OverflowError:  # an int too large for a float
-                finite = False
-            if not finite:
-                raise MalformedGateError(f"{kind} angle must be finite, got {show_value(angle)}")
+            check_real(angle, f"{kind} angle", MalformedGateError)
             angle = float(angle)
         elif angle is not None:
             raise MalformedGateError(f"{kind} takes no angle")

@@ -50,6 +50,7 @@ def magic_rzz(i: int, j: int, sign: int) -> tuple[Gate, ...]:
     CZ is written as H_j CNOT_ij H_j so the CNOT cost per edge is 1 instead
     of the 2 used by :func:`rzz_decomposition`.
     """
+    check_integer(sign, "sign")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     phase = s_gate if sign > 0 else sdg_gate

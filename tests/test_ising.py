@@ -43,6 +43,23 @@ class TestPresets:
         with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
             IsingParams(n, -1.0, 0.7, 1.5)
 
+    @pytest.mark.parametrize("field", ["J", "Bx", "Bz"])
+    @pytest.mark.parametrize("value, problem", [
+        (True, "must be a real number, got True"),
+        ("x", "must be a real number, got 'x'"),
+        (None, "must be a real number, got None"),
+        (float("nan"), "must be finite, got nan"),
+        (float("inf"), "must be finite, got inf"),
+        (10 ** 400, "must be finite, got 1000"),
+        ([10 ** 5000], "must be a real number, got <list>")],
+        ids=["bool", "str", "none", "nan", "inf", "int-past-float", "list-past-digit-limit"])
+    def test_bad_coupling_rejected(self, field, value, problem):
+        # checked, never converted: True was held as J, "x" failed later in
+        # the weave with a bare TypeError, and nan was accepted
+        couplings = {"J": -1.0, "Bx": 0.7, "Bz": 1.5, field: value}
+        with pytest.raises(ValueError, match=f"{field} {problem}"):
+            IsingParams(4, **couplings)
+
 
 class TestHamiltonian:
     def test_pure_coupling_zero_state_energy(self):

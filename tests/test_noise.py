@@ -98,6 +98,18 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(4, 1.5, 0.0, 0.0)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: NoiseModel(4.0, 0.01, 0.01, 0.01), "n_qubits must be an integer, got 4.0"),
+        (lambda: NoiseModel(True, 0.01, 0.01, 0.01), "n_qubits must be an integer, got True"),
+        (lambda: NoiseModel.default(True), "n_qubits must be an integer, got True"),
+        (lambda: NoiseModel(0, 0.01, 0.01, 0.01), "n_qubits must be >= 1, got 0")],
+        ids=["float", "bool", "default-bool", "zero"])
+    def test_bad_width_rejected(self, build, message):
+        # 4.0 raised a bare TypeError, True built a 1-qubit model, and 0
+        # asked for -1 CNOT rates
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 class TestConfusionMatrix:
     def test_identity_for_ideal_model(self):

@@ -266,7 +266,7 @@ class TestFabsProtocol:
 
 def cone_qubits(u: Circuit, qubit: int) -> set[int]:
     """``qubit`` and every qubit of a gate in its light cone in ``u``."""
-    return {qubit}.union(*(g.qubits for g in otoc._light_cone(u, qubit).gates))
+    return {qubit}.union(*(g.qubits for g in otoc._light_cone(u, qubit)[0].gates))
 
 
 class TestLightCone:

@@ -154,7 +154,9 @@ class TestGateMatrix:
          "H qubit indices must be integers, got ('0', <16610-bit int>)"),
         (lambda: Circuit(2, [Gate("X", (10 ** 5000,))]),
          "X on (<16610-bit int>,) exceeds n_qubits=2"),
-    ], ids=["angle", "negative-angle", "qubit-count", "qubit-type", "circuit-width"])
+        (lambda: Gate("RX", (0,), [10 ** 5000]), "RX angle must be a real number, got <list>"),
+    ], ids=["angle", "negative-angle", "qubit-count", "qubit-type", "circuit-width",
+            "angle-list"])
     def test_int_too_long_to_print_rejected_by_its_size(self, make, message):
         with pytest.raises(MalformedGateError, match=re.escape(message)):
             make()
@@ -395,7 +397,8 @@ class TestLightCone:
         n = u.n_qubits
         full = circuit_unitary(u)
         for q in range(n):
-            cone = otoc._light_cone(u, q)
+            cone, reach = otoc._light_cone(u, q)
+            assert reach == {q}.union(*(g.qubits for g in cone.gates))
             assert cone.n_qubits == n
             rest = iter(u.gates)  # an order-preserving subsequence of u's gates
             assert all(any(g == h for h in rest) for g in cone.gates)
@@ -406,9 +409,9 @@ class TestLightCone:
 
     def test_gates_off_the_cone_are_dropped(self):
         u = Circuit(3, (x_gate(2), cnot(1, 0), pz(1, 0.3), x_gate(0)))
-        assert otoc._light_cone(u, 0).gates == (cnot(1, 0), x_gate(0))
-        assert otoc._light_cone(u, 1).gates == (cnot(1, 0), pz(1, 0.3))
-        assert otoc._light_cone(Circuit(3), 0).gates == ()
+        assert otoc._light_cone(u, 0)[0].gates == (cnot(1, 0), x_gate(0))
+        assert otoc._light_cone(u, 1)[0].gates == (cnot(1, 0), pz(1, 0.3))
+        assert otoc._light_cone(Circuit(3), 0)[0].gates == ()
 
 
 class TestDagger:

@@ -135,6 +135,12 @@ class TestMagicRzz:
         with pytest.raises(ValueError):
             magic_rzz(0, 1, 2)
 
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0, "1"])
+    def test_non_integer_sign_rejected(self, sign):
+        # True and 1.0 were taken as +1, since both are in (1, -1)
+        with pytest.raises(ValueError, match=f"sign must be an integer, got {sign!r}"):
+            magic_rzz(0, 1, sign)
+
 
 class TestWeaveOperators:
     """The operators {U(tau), ..., U(k tau)} as weave_circuit emits them:

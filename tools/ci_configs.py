@@ -1,20 +1,17 @@
-"""Write the configs that CI runs besides the bundled presets, one JSON file
-each, into OUT_DIR.
+"""The configs that CI runs besides the bundled presets.
 
-    python3 tools/ci_configs.py OUT_DIR
-
-CI runs every preset and every file written here at --jobs 1 and --jobs 2,
-with RuntimeWarning and DeprecationWarning as errors, and requires the two
-output trees to be identical.  Each config below covers a path that no
-bundled preset runs, for the reason in the comment above it.  The seed-1 configs of
-the benchmark workloads (``spinbench/workloads.py``) are written too, as
-``workload_<name>.json``, so that the sweep also runs what the benchmark
-times.  Nothing here imports spinweave.
+``tools/sweep.py`` writes each config here to ``<name>.json`` and runs it,
+with every preset, at --jobs 1 and --jobs 2, with RuntimeWarning and
+DeprecationWarning as errors, and requires the two output trees to be
+identical; CI runs that sweep.  Each config below covers a path that no
+bundled preset runs, for the reason in the comment above it.  The seed-1
+configs of the benchmark workloads (``spinbench/workloads.py``) are
+included too, as ``workload_<name>``, so that the sweep also runs what the
+benchmark times.  Nothing here imports spinweave.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -72,12 +69,3 @@ def all_configs() -> dict[str, dict]:
     sys.path.insert(0, str(ROOT / "spinbench"))
     from workloads import WORKLOADS
     return {**CONFIGS, **{f"workload_{name}": w.config(1) for name, w in WORKLOADS.items()}}
-
-
-if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python3 tools/ci_configs.py OUT_DIR")
-    out_dir = Path(sys.argv[1])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, cfg in all_configs().items():
-        (out_dir / f"{name}.json").write_text(json.dumps(cfg) + "\n", encoding="utf-8")
