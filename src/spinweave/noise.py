@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -82,6 +82,7 @@ class NoiseModel:
     def default(cls, n_qubits: int = 4) -> "NoiseModel":
         """Bundled calibration defaults for a 4-qubit chain (repeating the
         last table entry when a longer chain is requested)."""
+        check_integer(n_qubits, "n_qubits", 1)
         def take(table, count):
             return tuple(table[i] if i < len(table) else table[-1] for i in range(count))
         eps = take(DEFAULT_SPAM_EPSILON, n_qubits)
@@ -89,6 +90,7 @@ class NoiseModel:
 
     @classmethod
     def symmetric_spam(cls, n_qubits: int, cnot_error, spam_epsilon) -> "NoiseModel":
+        check_integer(n_qubits, "n_qubits", 1)
         eps = _rates(spam_epsilon, n_qubits, "spam_epsilon")
         return cls(n_qubits, cnot_error, eps, eps)
 
@@ -157,8 +159,10 @@ def simulate_noisy(c: Circuit, nm: NoiseModel, fold: int = 1) -> BitstringDistri
             f"density-matrix simulation limited to n <= {MAX_DM_QUBITS}, got n={n}")
     if nm.n_qubits != n:
         raise ValueError("noise model and circuit qubit counts differ")
-    if isinstance(fold, bool) or not isinstance(fold, int) or fold < 1 or fold % 2 == 0:
+    if (isinstance(fold, bool) or not isinstance(fold, (int, Integral))
+            or fold < 1 or fold % 2 == 0):
         raise ValueError(f"fold must be odd and positive, got {fold!r}")
+    fold = int(fold)  # a numpy integer would make the noise rate a numpy power
     t = np.zeros((2,) * (2 * n), dtype=complex)
     t[(0,) * (2 * n)] = 1.0
     for qubits, gates in c.blocks:

@@ -152,7 +152,9 @@ class Circuit:
             raise CapacityError(
                 f"n_qubits must be in [1, {MAX_QUBITS}], got {show_value(self.n_qubits)}")
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
+        for i, g in enumerate(self.gates):
+            if not isinstance(g, Gate):
+                raise MalformedGateError(f"gate {i} is not a Gate, got {show_value(g, repr)}")
             if max(g.qubits) >= self.n_qubits:
                 raise MalformedGateError(
                     f"{g.kind} on {show_value(g.qubits)} exceeds n_qubits={self.n_qubits}")
@@ -197,6 +199,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        check_integer(self.n_qubits, "n_qubits", 0)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (2 ** self.n_qubits,):
             raise ValueError(
@@ -218,6 +221,7 @@ class BitstringDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self):
+        check_integer(self.n_qubits, "n_qubits", 0)
         p = np.asarray(self.probabilities, dtype=float)
         if p.shape != (2 ** self.n_qubits,):
             raise ValueError(
@@ -283,27 +287,16 @@ def fuse_gates(gates) -> tuple[tuple[tuple[int, ...], tuple[Gate, ...]], ...]:
     return tuple(zip(qubits, map(tuple, members)))
 
 
-def _block_axes(qubits: tuple[int, ...], g: Gate) -> tuple[int, ...]:
-    """The positions of a gate's qubits in its block's qubit list."""
-    return tuple(qubits.index(q) for q in g.qubits)
-
-
-def _compose(width: int, ops) -> np.ndarray:
-    """The 2^width x 2^width product of ``ops``, (operator, axes) pairs
-    applied in order to an identity tensor."""
-    d = 2 ** width
-    t = np.eye(d, dtype=complex).reshape((2,) * width + (d,))
-    for u, axes in ops:
-        t = _contract(t, u, axes)
-    return t.reshape(d, d)
-
-
 @functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
 def _block_unitary(qubits: tuple[int, ...], gates: tuple[Gate, ...]) -> np.ndarray:
     """Read-only unitary of a fused block on its qubits, in their order,
-    built once per (qubits, gates)."""
-    u = _compose(len(qubits), ((kind_matrix(g.kind, g.angle), _block_axes(qubits, g))
-                               for g in gates))
+    built once per (qubits, gates) by applying the gates in order to an
+    identity tensor, each on the positions of its qubits in ``qubits``."""
+    d = 2 ** len(qubits)
+    t = np.eye(d, dtype=complex).reshape((2,) * len(qubits) + (d,))
+    for g in gates:
+        t = _contract(t, kind_matrix(g.kind, g.angle), tuple(map(qubits.index, g.qubits)))
+    u = t.reshape(d, d)
     u.flags.writeable = False
     return u
 

@@ -28,15 +28,16 @@ circuit with every CNOT repeated m times, whose channel
 ``simulate_noisy(c, nm, fold=m)`` runs without building it.
 
 ``circuit_unitary`` is the former dense unitary of ``qsim``: the full
-2^n x 2^n operator of a circuit, composed gate by gate with the kernel
-that builds each fused block's operator, which no run needs.
+2^n x 2^n operator of a circuit, which no run needs, composed gate by
+gate with ``tensordot_contract``, so it shares no kernel with the engines.
+An oracle here runs on ``tensordot_contract``, never on ``qsim._contract``.
 """
 
 import numpy as np
 
 from spinweave.mitigation import project_simplex
 from spinweave.noise import build_confusion_matrix
-from spinweave.qsim import Circuit, _compose, kind_matrix
+from spinweave.qsim import Circuit, kind_matrix
 
 PG_TOL = 1e-10
 PG_MAX_ITER = 100_000
@@ -156,6 +157,10 @@ def fold_cnots(c, m: int):
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Dense 2^n x 2^n unitary of a circuit, built gate by gate."""
-    return _compose(c.n_qubits, ((kind_matrix(g.kind, g.angle), g.qubits)
-                                 for g in c.gates))
+    """Dense 2^n x 2^n unitary of a circuit, built gate by gate on an
+    identity tensor whose trailing axis indexes its columns."""
+    d = 2 ** c.n_qubits
+    t = np.eye(d, dtype=complex).reshape((2,) * c.n_qubits + (d,))
+    for g in c.gates:
+        t = tensordot_contract(t, kind_matrix(g.kind, g.angle), g.qubits)
+    return t.reshape(d, d)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -108,6 +109,15 @@ class TestNoiseModel:
         # 4.0 raised a bare TypeError, True built a 1-qubit model, and 0
         # asked for -1 CNOT rates
         with pytest.raises(ValueError, match=message):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: NoiseModel.default(4.0),
+        lambda: NoiseModel.symmetric_spam(4.0, 0.01, 0.01)],
+        ids=["default", "symmetric_spam"])
+    def test_classmethods_check_width_first(self, build):
+        # both raised a bare TypeError before __post_init__ saw the width
+        with pytest.raises(ValueError, match="n_qubits must be an integer, got 4.0"):
             build()
 
 
@@ -268,6 +278,20 @@ class TestFolding:
         c = Circuit(2, (cnot(0, 1),))
         with pytest.raises(ValueError, match="fold must be odd and positive, got True"):
             simulate_noisy(c, NoiseModel(2, 0.1, 0.0, 0.0), fold=True)
+
+    def test_numpy_integer_fold_accepted(self):
+        # np.int64(3) was rejected as "fold must be odd and positive"
+        c = chaotic_fabs_circuit(ell=12)
+        nm = NoiseModel.default(4)
+        folded = simulate_noisy(c, nm, np.int64(3)).probabilities
+        assert folded.tobytes() == simulate_noisy(c, nm, 3).probabilities.tobytes()
+
+    @pytest.mark.parametrize("fold", [3.0, 0, 4, np.int64(2)])
+    def test_bad_fold_message(self, fold):
+        c = Circuit(2, (cnot(0, 1),))
+        message = f"fold must be odd and positive, got {fold!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate_noisy(c, NoiseModel(2, 0.1, 0.0, 0.0), fold)
 
     def test_folding_lowers_all_zeros_probability(self):
         # more noisy CNOTs push the return probability down

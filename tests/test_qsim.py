@@ -1,3 +1,4 @@
+import ast
 import os
 import pickle
 import re
@@ -508,6 +509,46 @@ class TestCapacity:
     def test_distribution_shape_validation(self):
         with pytest.raises(ValueError):
             BitstringDistribution(2, np.array([1.0, 0.0]))
+
+
+class TestHeldTypes:
+    @pytest.mark.parametrize("gates, message", [
+        ((("X", (0,), None),), "gate 0 is not a Gate, got ('X', (0,), None)"),
+        (("X",), "gate 0 is not a Gate, got 'X'"),
+        ((x_gate(0), ("X", (1,), None)), "gate 1 is not a Gate, got ('X', (1,), None)")],
+        ids=["tuple", "string", "second"])
+    def test_circuit_rejects_what_is_not_a_gate(self, gates, message):
+        # each raised a bare AttributeError; a tuple equals a Gate but is not one
+        with pytest.raises(MalformedGateError, match=re.escape(message)):
+            Circuit(2, gates)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: StateVector(2.0, np.ones(4)), "n_qubits must be an integer, got 2.0"),
+        (lambda: StateVector(True, np.ones(2)), "n_qubits must be an integer, got True"),
+        (lambda: BitstringDistribution(2.0, np.ones(4) / 4),
+         "n_qubits must be an integer, got 2.0"),
+        (lambda: StateVector(-1, np.ones(1)), "n_qubits must be >= 0, got -1")],
+        ids=["state-float", "state-bool", "distribution-float", "state-negative"])
+    def test_state_types_reject_a_bad_width(self, build, message):
+        # the first three were accepted, and apply_circuit then raised a bare TypeError
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
+    def test_any_integer_width_from_zero_accepted(self):
+        # a one-entry count vector is a distribution over 0 qubits
+        d = noise.empirical_distribution(np.array([5]))
+        assert d.n_qubits == 0 and d.probabilities.tolist() == [1.0]
+        assert StateVector(np.int64(1), np.ones(2)).n_qubits == 1
+
+
+class TestOracleIndependence:
+    def test_oracles_bind_no_private_package_name(self):
+        # an oracle built on the engine's own kernel would pass a kernel fault on both sides
+        tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+        bound = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 and (node.module or "").split(".")[0] == "spinweave"
+                 for alias in node.names]
+        assert bound and not [name for name in bound if name.startswith("_")]
 
 
 class TestGateHash:
