@@ -46,10 +46,9 @@ def color_for(value: float) -> str:
     f = (min(max(float(value), lo), hi) - lo) / (hi - lo)
     for (f0, c0), (f1, c1) in zip(_STOPS, _STOPS[1:]):
         if f <= f1:
-            w = 0.0 if f1 == f0 else (f - f0) / (f1 - f0)
+            w = (f - f0) / (f1 - f0)
             rgb = tuple(round(a + (b - a) * w) for a, b in zip(c0, c1))
             return "#{:02x}{:02x}{:02x}".format(*rgb)
-    return "#{:02x}{:02x}{:02x}".format(*_STOPS[-1][1])  # pragma: no cover
 
 
 def render_heatmap(table: SurfaceTable, variant: str) -> str:

@@ -42,6 +42,8 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     lambda = (1 - S_j) / j.  Idempotent and non-expansive.
     """
     v = np.asarray(v, dtype=float)
+    if not v.size:
+        raise ValueError(f"v must hold at least one entry, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("simplex projection requires finite entries")
     u = np.sort(v)[::-1]
@@ -54,7 +56,7 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 class TmemSolver:
     """Active-set TMEM solver for one square, column-stochastic T (possibly
-    singular)."""
+    singular): finite entries in [0, 1], each column summing to 1."""
 
     def __init__(self, t: np.ndarray):
         t = np.asarray(t, dtype=float)
@@ -62,6 +64,8 @@ class TmemSolver:
             raise ValueError(f"T must be square, got shape {t.shape}")
         if np.max(np.abs(t.sum(axis=0) - 1.0)) > 1e-9:
             raise ValueError("T columns must sum to 1")
+        if not ((t >= 0.0) & (t <= 1.0)).all():
+            raise ValueError("T entries must be finite and lie in [0, 1]")
         self.t = t
         self.t_pinv = np.linalg.pinv(t)
 

@@ -193,4 +193,7 @@ def sample_counts(d: BitstringDistribution, shots: int, seed) -> np.ndarray:
 
 def empirical_distribution(counts: np.ndarray) -> BitstringDistribution:
     """Shot frequencies: the count vector divided by the shot count."""
-    return BitstringDistribution(counts.size.bit_length() - 1, counts / counts.sum())
+    shots = counts.sum()
+    if not shots > 0:
+        raise ValueError(f"counts must hold at least one shot, got {shots}")
+    return BitstringDistribution(counts.size.bit_length() - 1, counts / shots)

@@ -48,7 +48,7 @@ from functools import partial
 import numpy as np
 
 from .config import PROBES, STATES
-from .errors import CapacityError, check_integer
+from .errors import CapacityError, check_integer, check_real
 from .ising import (ExactEvolution, IsingParams, MAX_OTOC_QUBITS, _check_site,
                     cached_evolution, classical_otoc_phase, phase_rate)
 from .mitigation import ZNE_FOLDS, TmemSolver, ZnePair, zne_correct
@@ -129,6 +129,7 @@ def _otoc_value(ev: ExactEvolution, i: int, t: float, state: str,
 
 
 def _check_time(p: IsingParams, t: float):
+    check_real(t, "t")
     if not np.isfinite(phase_rate(p) * t):
         raise ValueError(f"phase_rate * t must be finite, with the rate "
                          f"{phase_rate(p):g} (got t={t!r})")
@@ -192,18 +193,14 @@ def _light_cone(u: Circuit, qubit: int) -> tuple[Circuit, frozenset[int]]:
     return Circuit(u.n_qubits, tuple(reversed(cone))), frozenset(reach)
 
 
-def fixed_node_otoc(f_abs: float, p: IsingParams, j: int, t: float) -> complex:
-    """Measured modulus combined with the classical-Hamiltonian phase."""
-    if not -1e-9 <= f_abs <= 1.0 + 1e-9:
-        raise ValueError(f"|F| must lie in [0, 1] (within 1e-9), got {f_abs}")
-    _check_time(p, t)
-    return f_abs * np.exp(1j * classical_otoc_phase(p, j, t))
-
-
 def fixed_node_commutator(f_abs: float, p: IsingParams, j: int, t: float) -> float:
     """2 - 2 |F| cos(classical phase); equals the exact commutator whenever
     the transverse field vanishes."""
-    return 2.0 - 2.0 * fixed_node_otoc(f_abs, p, j, t).real
+    check_real(f_abs, "|F|")
+    if not -1e-9 <= f_abs <= 1.0 + 1e-9:
+        raise ValueError(f"|F| must lie in [0, 1] (within 1e-9), got {f_abs}")
+    _check_time(p, t)
+    return 2.0 - 2.0 * f_abs * np.cos(classical_otoc_phase(p, j, t))
 
 
 # --- spreading surfaces ----------------------------------------------------

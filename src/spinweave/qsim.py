@@ -208,6 +208,7 @@ class StateVector:
 
     @classmethod
     def zeros(cls, n_qubits: int) -> "StateVector":
+        check_integer(n_qubits, "n_qubits", 0)
         amps = np.zeros(2 ** n_qubits, dtype=complex)
         amps[0] = 1.0
         return cls(n_qubits, amps)

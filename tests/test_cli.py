@@ -80,6 +80,13 @@ class TestRun:
         assert main(["run", str(cfg)]) == 0
         assert (target / "surface.csv").exists()
 
+    def test_default_output_dir(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, pipeline="exact", noise=None, ell_max=2)
+        monkeypatch.delenv("SPINWEAVE_OUTPUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(cfg)]) == 0
+        assert (tmp_path / "spinweave_out" / "surface.csv").exists()
+
     def test_negative_seed_override_rejected_before_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

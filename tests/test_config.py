@@ -329,6 +329,29 @@ class TestValidation:
                               "noise": {"spam_epsilon": 0.01,
                                         "t1_given_0": [0.0] * 4}})
 
+    @pytest.mark.parametrize("data, line", [
+        ({"regime": {"J": -1.0, "Bx": 0.7}},
+         "regime: coupling object needs keys J, Bx, Bz (missing ['Bz'], unexpected [])"),
+        ({"regime": {"J": -1.0, "Bx": 0.7, "Bz": 1.5, "By": 0.0}},
+         "regime: coupling object needs keys J, Bx, Bz (missing [], unexpected ['By'])"),
+        ({"regime": 3}, "regime: must be a preset name or a coupling object"),
+        ({"pipeline": "noisy", "noise": [0.01]}, "noise: must be an object"),
+        ({"pipeline": "noisy", "noise": {"cnot": 0.01}}, "noise: unknown keys ['cnot']"),
+        ({"pipeline": "mitigated", "mitigation": "tmem"}, "mitigation: must be an object"),
+        ({"pipeline": "mitigated", "mitigation": {"tmem": True, "zne_folds": 3}},
+         "mitigation: unknown keys ['zne_folds']")],
+        ids=["coupling-missing", "coupling-extra", "regime-number", "noise-list",
+             "noise-key", "mitigation-string", "mitigation-key"])
+    def test_malformed_object_gets_its_one_line(self, data, line):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"regime": "chaotic", **data})
+        assert str(info.value) == f"invalid configuration:\n  {line}"
+
+    def test_config_root_must_be_an_object(self):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict([{"regime": "chaotic"}])
+        assert str(info.value) == "config root must be a JSON object"
+
     def test_noisy_pipeline_defaults_to_calibration_noise(self):
         cfg = config_from_dict({"regime": "chaotic", "pipeline": "mitigated"})
         assert cfg.noise.cnot_error == (7.67e-3, 7.00e-3, 7.68e-3)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -145,6 +147,18 @@ class TestExactUnitary:
         # the eigenbasis kernel relies on real eigenvectors
         with pytest.raises(ValueError, match="real symmetric"):
             ExactEvolution(np.array([[0.0, -1j], [1j, 0.0]]))
+
+    def test_non_square_matrix_rejected(self):
+        # numpy failed to broadcast h - h.T
+        with pytest.raises(ValueError,
+                           match=re.escape("h must be a square matrix, got shape (2, 3)")):
+            ExactEvolution(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, entry):
+        # NaN passed the symmetry test and came back as a NaN eigenvalue
+        with pytest.raises(ValueError, match="h must hold only finite entries"):
+            ExactEvolution(np.array([[entry, 0.0], [0.0, 1.0]]))
 
     def test_flip_matrix_is_the_flip_in_the_eigenbasis(self):
         ev = ExactEvolution(build_hamiltonian(preset_params("chaotic", 3)))

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -137,6 +138,12 @@ class TestProjectSimplex:
             pu, pv = project_simplex(u), project_simplex(v)
             assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-12
 
+    def test_rejects_an_empty_vector(self):
+        # this raised a bare IndexError
+        with pytest.raises(ValueError,
+                           match=re.escape("v must hold at least one entry, got shape (0,)")):
+            project_simplex(np.array([]))
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             project_simplex(np.array([np.nan, 0.5]))
@@ -205,6 +212,14 @@ class TestTmem:
     def test_non_stochastic_matrix_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
             TmemSolver(2 * np.eye(2))
+
+    @pytest.mark.parametrize("t", [[[np.nan, 0.0], [0.0, 1.0]], [[2.0, 0.0], [-1.0, 1.0]]],
+                             ids=["nan", "columns-sum-to-one"])
+    def test_entries_outside_the_unit_interval_rejected(self, t):
+        # NaN reached pinv's SVD, and the second matrix was accepted
+        with pytest.raises(ValueError,
+                           match=re.escape("T entries must be finite and lie in [0, 1]")):
+            TmemSolver(np.array(t))
 
     def test_singular_matrix_returns_minimizer(self):
         # a 50% readout error on qubit 1 hides that bit entirely

@@ -249,6 +249,10 @@ class TestSimulateNoisy:
         assert dist.probabilities[0] == pytest.approx(0.75)
         assert dist.probabilities[2] == pytest.approx(0.25)
 
+    def test_noise_model_of_another_width_rejected(self):
+        with pytest.raises(ValueError, match="noise model and circuit qubit counts differ"):
+            simulate_noisy(Circuit(3), NoiseModel.default(4))
+
     def test_capacity(self):
         with pytest.raises(CapacityError):
             simulate_noisy(Circuit(9), NoiseModel(9, 0.0, 0.0, 0.0))
@@ -325,6 +329,11 @@ class TestSampling:
         emp = empirical_distribution(sample_counts(d, 10_000, 3))
         assert emp.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(emp.probabilities - d.probabilities)) < 0.05
+
+    def test_empirical_distribution_of_no_shots_rejected(self):
+        # the counts used to divide by 0 into NaN probabilities
+        with pytest.raises(ValueError, match="counts must hold at least one shot, got 0"):
+            empirical_distribution(np.zeros(4, dtype=int))
 
     def test_shots_validation(self):
         d = BitstringDistribution(1, np.array([1.0, 0.0]))

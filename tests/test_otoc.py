@@ -1,5 +1,6 @@
 import functools
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from spinweave.errors import CapacityError
 from spinweave.ising import (ExactEvolution, IsingParams, build_hamiltonian,
                              preset_params)
 from spinweave.otoc import (_otoc_value, build_surface, fabs_measurement_circuit,
-                            fixed_node_commutator, fixed_node_otoc, otoc_exact,
+                            fixed_node_commutator, otoc_exact,
                             readout_distributions)
 from spinweave.qsim import (Circuit, StateVector, apply_circuit,
                             measurement_distribution, pz, x_gate)
@@ -111,6 +112,15 @@ class TestOtocExact:
         with pytest.raises(ValueError, match="t must be finite"):
             otoc_exact(CHAOTIC4, 1, 2, 1e308)
         assert np.isfinite(otoc_exact(CHAOTIC4, 1, 2, 1e306))
+
+    @pytest.mark.parametrize("t, message", [
+        ("1", "t must be a real number, got '1'"),
+        (True, "t must be a real number, got True"),
+        (float("inf"), "t must be finite, got inf")], ids=["str", "bool", "inf"])
+    def test_non_real_time_rejected(self, t, message):
+        # the string raised a bare TypeError, and True ran as t = 1
+        with pytest.raises(ValueError, match=re.escape(message)):
+            otoc_exact(CHAOTIC4, 1, 2, t)
 
     # True used to read F_11, 2.0 to raise a bare IndexError and 1.5 a
     # bare TypeError
@@ -328,27 +338,37 @@ class TestFixedNode:
             assert fixed_node_commutator(0.0, CHAOTIC4, j, 1.3) == pytest.approx(2.0, abs=0)
 
     def test_polar_reconstruction(self):
-        f = fixed_node_otoc(0.62, CHAOTIC4, 2, 0.4)
-        assert abs(f) == pytest.approx(0.62, abs=1e-12)
-        assert np.angle(f) == pytest.approx(4 * CHAOTIC4.J * 0.4, abs=1e-12)
+        c = fixed_node_commutator(0.62, CHAOTIC4, 2, 0.4)
+        assert c == pytest.approx(2 - 2 * 0.62 * np.cos(4 * CHAOTIC4.J * 0.4), abs=1e-12)
 
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
-            fixed_node_otoc(1.1, CHAOTIC4, 2, 0.1)
+            fixed_node_commutator(1.1, CHAOTIC4, 2, 0.1)
         with pytest.raises(ValueError):
             fixed_node_commutator(-0.2, CHAOTIC4, 2, 0.1)
 
-    @pytest.mark.parametrize("fn", [fixed_node_otoc, fixed_node_commutator])
+    @pytest.mark.parametrize("fn", [fixed_node_commutator])
     @pytest.mark.parametrize("t", [1e308, float("nan")])
     def test_time_overflowing_the_phase_rejected(self, fn, t):
         with pytest.raises(ValueError, match="t must be finite"):
             fn(0.5, CHAOTIC4, 1, t)
 
-    @pytest.mark.parametrize("fn", [fixed_node_otoc, fixed_node_commutator])
+    @pytest.mark.parametrize("fn", [fixed_node_commutator])
     def test_non_integer_site_rejected(self, fn):
         # 2.5 used to take the far-site phase 0, so the commutator read 1.0
         with pytest.raises(ValueError, match="site j must be an integer, got 2.5"):
             fn(0.5, CHAOTIC4, 2.5, 0.3)
+
+    @pytest.mark.parametrize("f_abs, t, message", [
+        (0.5, "0.1", "t must be a real number, got '0.1'"),
+        ("0.5", 0.1, "|F| must be a real number, got '0.5'"),
+        (True, 0.1, "|F| must be a real number, got True"),
+        (float("nan"), 0.1, "|F| must be finite, got nan")],
+        ids=["str-time", "str-modulus", "bool-modulus", "nan-modulus"])
+    def test_non_real_argument_rejected(self, f_abs, t, message):
+        # each string raised a bare TypeError, and True ran as |F| = 1
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fixed_node_commutator(f_abs, CHAOTIC4, 2, t)
 
     def test_integrable_fixed_node_equals_exact(self):
         # with Bx = 0 the classical phase is the exact phase

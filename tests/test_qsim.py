@@ -115,6 +115,12 @@ class TestGateMatrix:
         with pytest.raises(MalformedGateError):
             Gate("CNOT", (0,))
 
+    def test_unknown_kind_and_negative_qubit_rejected(self):
+        with pytest.raises(MalformedGateError, match=re.escape("unknown gate kind 'Y'")):
+            Gate("Y", (0,))
+        with pytest.raises(MalformedGateError, match="qubit indices must be non-negative"):
+            Gate("X", (-1,))
+
     @pytest.mark.parametrize("angle", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("kind", ["RX", "PZ"])
     def test_non_finite_angle_rejected(self, kind, angle):
@@ -533,6 +539,18 @@ class TestHeldTypes:
         # the first three were accepted, and apply_circuit then raised a bare TypeError
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
+
+    @pytest.mark.parametrize("n_qubits, message", [
+        (2.0, "n_qubits must be an integer, got 2.0"),
+        (-1, "n_qubits must be >= 0, got -1")], ids=["float", "negative"])
+    def test_zeros_checks_its_width_before_it_allocates(self, n_qubits, message):
+        # both raised a bare TypeError from np.zeros(2 ** n_qubits)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StateVector.zeros(n_qubits)
+
+    def test_amplitudes_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("expected 4 amplitudes, got shape (3,)")):
+            StateVector(2, np.ones(3))
 
     def test_any_integer_width_from_zero_accepted(self):
         # a one-entry count vector is a distribution over 0 qubits
