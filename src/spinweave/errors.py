@@ -1,9 +1,11 @@
 """Exception types shared across the package, the formatter that their
-messages use for a rejected value, and the checks of an integer and of a
-real argument."""
+messages use for a rejected value, and the checks of an integer, a real
+and an array argument."""
 
 import math
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class MalformedGateError(ValueError):
@@ -57,3 +59,21 @@ def check_real(value, name: str, error: type[ValueError] = ValueError):
         finite = False
     if not finite:
         raise error(f"{name} must be finite, got {show_value(value)}")
+
+
+def check_array(value, name: str, ndim: int, integer: bool = False) -> np.ndarray:
+    """``value`` as an array; raise ``ValueError`` naming ``name`` unless it
+    is a vector (``ndim`` 1) or a square matrix (``ndim`` 2) with at least
+    one entry, and its entries are ints or floats (ints alone when
+    ``integer``), never bools, strings, objects or complex numbers: checked,
+    not converted.  Only the shape and the dtype are read, so this is O(1)."""
+    a = np.asarray(value)
+    if a.ndim != ndim or a.shape[0] != a.shape[-1]:
+        raise ValueError(
+            f"{name} must be a {('vector', 'square matrix')[ndim - 1]}, got shape {a.shape}")
+    if not a.size:
+        raise ValueError(f"{name} must hold at least one entry, got shape {a.shape}")
+    if a.dtype.kind not in ("iu" if integer else "iuf"):
+        raise ValueError(f"{name} must hold {'integers' if integer else 'real numbers'}, "
+                         f"got dtype {a.dtype}")
+    return a

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, check_integer, check_real
+from .errors import CapacityError, check_array, check_integer, check_real
 from .qsim import MAX_QUBITS
 
 MAX_OTOC_QUBITS = 10
@@ -94,7 +94,8 @@ def build_hamiltonian(p: IsingParams) -> np.ndarray:
 class ExactEvolution:
     """Exact evolution under a fixed real-symmetric matrix H = V E V^T,
     eigendecomposed once; V is real.  A matrix ``h`` that is complex, not
-    square, not finite or not symmetric is rejected before ``eigh``.
+    square, empty, not of ints or floats, not finite or not symmetric is
+    rejected before ``eigh``.
 
     The surface runs never form the propagator.  They conjugate a bit-flip
     operator X in the eigenbasis once, M = V^T X V (:meth:`flip_matrix`),
@@ -107,9 +108,7 @@ class ExactEvolution:
     def __init__(self, h: np.ndarray):
         if np.iscomplexobj(h):
             raise ValueError("matrix must be real symmetric")
-        h = np.asarray(h)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError(f"h must be a square matrix, got shape {h.shape}")
+        h = check_array(h, "h", 2)
         if not np.isfinite(h).all():
             raise ValueError("h must hold only finite entries")
         if np.max(np.abs(h - h.T)) > 1e-10:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_array
 from .qsim import BitstringDistribution
 
 TMEM_TOL = 1e-10
@@ -41,9 +42,7 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     u_j + (1 - S_j) / j > 0, and the projection is max(v + lambda, 0) with
     lambda = (1 - S_j) / j.  Idempotent and non-expansive.
     """
-    v = np.asarray(v, dtype=float)
-    if not v.size:
-        raise ValueError(f"v must hold at least one entry, got shape {v.shape}")
+    v = np.asarray(check_array(v, "v", 1), dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("simplex projection requires finite entries")
     u = np.sort(v)[::-1]
@@ -59,9 +58,7 @@ class TmemSolver:
     singular): finite entries in [0, 1], each column summing to 1."""
 
     def __init__(self, t: np.ndarray):
-        t = np.asarray(t, dtype=float)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError(f"T must be square, got shape {t.shape}")
+        t = np.asarray(check_array(t, "T", 2), dtype=float)
         if np.max(np.abs(t.sum(axis=0) - 1.0)) > 1e-9:
             raise ValueError("T columns must sum to 1")
         if not ((t >= 0.0) & (t <= 1.0)).all():
@@ -81,10 +78,10 @@ class TmemSolver:
         g_i - x.g, g = T^T (T x - b), is below -TMEM_TOL, else the most
         negative one joins S.  ``iterations`` (<= TMEM_MAX_ITER) counts these.
         """
-        b = np.asarray(b, dtype=float)
-        if b.shape != self.t.shape[:1]:
+        if np.shape(b) != self.t.shape[:1]:
             raise ValueError(f"distribution must have {self.t.shape[0]} entries, "
-                             f"got shape {b.shape}")
+                             f"got shape {np.shape(b)}")
+        b = np.asarray(check_array(b, "distribution", 1), dtype=float)
         x = project_simplex(self.t_pinv @ b)
         support = x > 0.0
         for it in range(1, TMEM_MAX_ITER + 1):

@@ -34,7 +34,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import CapacityError, check_integer
+from .errors import CapacityError, check_array, check_integer
 from .qsim import (BLOCK_CACHE_SIZE, BitstringDistribution, Circuit, Gate,
                    _block_unitary, _contract)
 
@@ -192,8 +192,12 @@ def sample_counts(d: BitstringDistribution, shots: int, seed) -> np.ndarray:
 
 
 def empirical_distribution(counts: np.ndarray) -> BitstringDistribution:
-    """Shot frequencies: the count vector divided by the shot count."""
+    """Shot frequencies: the count vector, of non-negative integers, divided
+    by the shot count."""
+    counts = check_array(counts, "counts", 1, integer=True)
     shots = counts.sum()
     if not shots > 0:
         raise ValueError(f"counts must hold at least one shot, got {shots}")
+    if counts.min() < 0:
+        raise ValueError(f"counts must be non-negative, got {counts.min()}")
     return BitstringDistribution(counts.size.bit_length() - 1, counts / shots)

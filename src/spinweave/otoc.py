@@ -54,8 +54,8 @@ from .ising import (ExactEvolution, IsingParams, MAX_OTOC_QUBITS, _check_site,
 from .mitigation import ZNE_FOLDS, TmemSolver, ZnePair, zne_correct
 from .noise import (build_confusion_matrix, empirical_distribution, sample_counts,
                     simulate_noisy)
-from .qsim import (BitstringDistribution, Circuit, StateVector, apply_circuit,
-                   measurement_distribution, x_gate)
+from .qsim import (BitstringDistribution, Circuit, Gate, StateVector, apply_circuit,
+                   measurement_distribution)
 from .surface_io import VALUE_COLUMNS, SurfaceTable
 from .weave import weave_circuit
 
@@ -163,7 +163,7 @@ def fabs_measurement_circuit(u: Circuit, i: int, j: int) -> Circuit:
     _check_site(n, i, "i")
     _check_site(n, j, "j")
     udg = u.inverse
-    xi, xj = (x_gate(i - 1),), (x_gate(j - 1),)
+    xi, xj = (Gate("X", (i - 1,)),), (Gate("X", (j - 1,)),)
     gates = xj + u.gates + xi + udg.gates + xj + u.gates + xi + udg.gates
     return Circuit(n, gates)
 

@@ -111,34 +111,6 @@ class Gate(namedtuple("Gate", "kind qubits angle")):
         return super().__new__(cls, kind, qubits, angle)
 
 
-def rx(q: int, theta: float) -> Gate:
-    return Gate("RX", (q,), theta)
-
-
-def pz(q: int, phi: float) -> Gate:
-    return Gate("PZ", (q,), phi)
-
-
-def cnot(control: int, target: int) -> Gate:
-    return Gate("CNOT", (control, target))
-
-
-def s_gate(q: int) -> Gate:
-    return Gate("S", (q,))
-
-
-def sdg_gate(q: int) -> Gate:
-    return Gate("SDG", (q,))
-
-
-def h_gate(q: int) -> Gate:
-    return Gate("H", (q,))
-
-
-def x_gate(q: int) -> Gate:
-    return Gate("X", (q,))
-
-
 @dataclass(frozen=True)
 class Circuit:
     """An ordered gate list on ``n_qubits`` qubits; gates apply left to right."""

@@ -30,7 +30,7 @@ import math
 
 from .errors import check_integer
 from .ising import IsingParams
-from .qsim import Circuit, Gate, cnot, h_gate, pz, rx, s_gate, sdg_gate
+from .qsim import Circuit, Gate
 
 
 def rzz_decomposition(theta: float, i: int, j: int) -> tuple[Gate, ...]:
@@ -40,7 +40,7 @@ def rzz_decomposition(theta: float, i: int, j: int) -> tuple[Gate, ...]:
     The phase gate must sit on the target: on the control it commutes with
     the CNOTs and the product degenerates to a local phase.
     """
-    return cnot(i, j), pz(j, theta), cnot(i, j)
+    return Gate("CNOT", (i, j)), Gate("PZ", (j,), theta), Gate("CNOT", (i, j))
 
 
 def magic_rzz(i: int, j: int, sign: int) -> tuple[Gate, ...]:
@@ -53,8 +53,9 @@ def magic_rzz(i: int, j: int, sign: int) -> tuple[Gate, ...]:
     check_integer(sign, "sign")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    phase = s_gate if sign > 0 else sdg_gate
-    return phase(i), phase(j), h_gate(j), cnot(i, j), h_gate(j)
+    phase = "S" if sign > 0 else "SDG"
+    return (Gate(phase, (i,)), Gate(phase, (j,)), Gate("H", (j,)), Gate("CNOT", (i, j)),
+            Gate("H", (j,)))
 
 
 def trotter_step(p: IsingParams, dt: float, magic: bool = False) -> Circuit:
@@ -68,13 +69,13 @@ def trotter_step(p: IsingParams, dt: float, magic: bool = False) -> Circuit:
         raise ValueError("dt must be finite")
     n = p.n
     gates: list[Gate] = []
-    half = [rx(q, p.Bx * dt) for q in range(n)] if p.Bx * dt != 0.0 else []
+    half = [Gate("RX", (q,), p.Bx * dt) for q in range(n)] if p.Bx * dt != 0.0 else []
     gates += half
     theta = 2.0 * p.J * dt
     sign = 1 if theta >= 0 else -1
     for q in range(n - 1):
         gates += magic_rzz(q, q + 1, sign) if magic else rzz_decomposition(theta, q, q + 1)
-    gates += [pz(q, 2.0 * p.Bz * dt) for q in range(n)]
+    gates += [Gate("PZ", (q,), 2.0 * p.Bz * dt) for q in range(n)]
     gates += half
     return Circuit(n, tuple(gates))
 

@@ -154,6 +154,17 @@ class TestExactUnitary:
                            match=re.escape("h must be a square matrix, got shape (2, 3)")):
             ExactEvolution(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("h, message", [
+        (np.zeros((0, 0)), "h must hold at least one entry, got shape (0, 0)"),
+        (np.array([["1", "0"], ["0", "1"]]), "h must hold real numbers, got dtype <U1"),
+        (np.eye(2, dtype=bool), "h must hold real numbers, got dtype bool"),
+        (np.eye(2, dtype=int).astype(object), "h must hold real numbers, got dtype object")],
+        ids=["empty", "strings", "bools", "objects"])
+    def test_empty_or_non_numeric_matrix_rejected(self, h, message):
+        # numpy failed with its own message, or took bools as numbers
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExactEvolution(h)
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_non_finite_matrix_rejected(self, entry):
         # NaN passed the symmetry test and came back as a NaN eigenvalue

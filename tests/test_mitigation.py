@@ -144,6 +144,16 @@ class TestProjectSimplex:
                            match=re.escape("v must hold at least one entry, got shape (0,)")):
             project_simplex(np.array([]))
 
+    @pytest.mark.parametrize("v, message", [
+        (np.ones((2, 2)), "v must be a vector, got shape (2, 2)"),
+        (["0.5", "0.5"], "v must hold real numbers, got dtype <U3"),
+        ([True, False], "v must hold real numbers, got dtype bool")],
+        ids=["matrix", "strings", "bools"])
+    def test_rejects_what_is_not_a_numeric_vector(self, v, message):
+        # the matrix failed to broadcast; strings and bools were converted
+        with pytest.raises(ValueError, match=re.escape(message)):
+            project_simplex(v)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             project_simplex(np.array([np.nan, 0.5]))
@@ -208,6 +218,23 @@ class TestTmem:
             TmemSolver(np.full((4, 2), 0.25))
         with pytest.raises(ValueError, match="4 entries"):
             TmemSolver(np.eye(4)).solve(np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("t, message", [
+        (np.zeros((0, 0)), "T must hold at least one entry, got shape (0, 0)"),
+        ([["1", "0"], ["0", "1"]], "T must hold real numbers, got dtype <U1"),
+        (np.eye(2) * (1 + 0j), "T must hold real numbers, got dtype complex128")],
+        ids=["empty", "strings", "complex"])
+    def test_empty_or_non_numeric_matrix_rejected(self, t, message):
+        # numpy's reduction failed on the empty matrix, the strings were
+        # converted, and the imaginary part was dropped with a warning
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TmemSolver(t)
+
+    def test_non_numeric_distribution_rejected(self):
+        # the strings were converted and solved
+        with pytest.raises(ValueError,
+                           match=re.escape("distribution must hold real numbers, got dtype <U3")):
+            TmemSolver(np.eye(2)).solve(["0.5", "0.5"])
 
     def test_non_stochastic_matrix_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):

@@ -12,8 +12,8 @@ from spinweave.noise import (NoiseModel, build_confusion_matrix,
                              empirical_distribution, sample_counts, simulate_noisy)
 from spinweave.otoc import fabs_measurement_circuit
 from spinweave.qsim import (GATES, BitstringDistribution, Circuit, Gate,
-                            StateVector, apply_circuit, cnot, fuse_gates,
-                            h_gate, kind_matrix, measurement_distribution, rx)
+                            StateVector, apply_circuit, fuse_gates, kind_matrix,
+                            measurement_distribution)
 from spinweave.weave import weave_circuit
 
 from conftest import I2, X2, Y2, Z2, cnot_count, embed_dense
@@ -164,8 +164,10 @@ class TestDepolarizing:
     def test_superoperator_matches_kraus_channel_after_each_cnot(self):
         # reversed (2, 0) and non-adjacent (0, 2) pairs take the rate of edge
         # min(pair); the closing rotations turn coherences into populations
-        c = Circuit(3, (h_gate(0), rx(1, 0.4), cnot(2, 0), rx(2, 0.7), cnot(0, 2),
-                        h_gate(2), cnot(1, 2), rx(0, 1.1), rx(1, -0.8), rx(2, 0.3)))
+        c = Circuit(3, (Gate("H", (0,)), Gate("RX", (1,), 0.4), Gate("CNOT", (2, 0)),
+                        Gate("RX", (2,), 0.7), Gate("CNOT", (0, 2)), Gate("H", (2,)),
+                        Gate("CNOT", (1, 2)), Gate("RX", (0,), 1.1), Gate("RX", (1,), -0.8),
+                        Gate("RX", (2,), 0.3)))
         nm = NoiseModel(3, (0.23, 0.11), 0.0, 0.0)
         oracle = kraus_oracle(c, nm)
         assert np.max(np.abs(simulate_noisy(c, nm).probabilities - oracle)) < 1e-12
@@ -176,7 +178,8 @@ class TestDepolarizing:
     def test_each_cnot_rate_gets_its_own_superoperator(self):
         # one process, one gate list, two rates: a superoperator cached
         # without its rate would hand the first rate's channel to the second
-        c = Circuit(2, (h_gate(0), cnot(0, 1), rx(1, 0.9), cnot(1, 0), h_gate(1)))
+        c = Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("RX", (1,), 0.9),
+                        Gate("CNOT", (1, 0)), Gate("H", (1,))))
         dists = []
         for p in (0.05, 0.4):
             nm = NoiseModel(2, p, 0.0, 0.0)
@@ -189,7 +192,8 @@ class TestDepolarizing:
         # m CNOTs of one pair fuse into one block, whose single depolarizing
         # step has strength 1 - (1 - p)^m; the oracle applies one per CNOT
         p = 0.3
-        base = Circuit(2, (h_gate(0), cnot(0, 1), rx(1, 0.9), cnot(1, 0), h_gate(1)))
+        base = Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("RX", (1,), 0.9),
+                           Gate("CNOT", (1, 0)), Gate("H", (1,))))
         c = fold_cnots(base, m)
         assert len(fuse_gates(c.gates)) == 1
         nm = NoiseModel(2, p, 0.0, 0.0)
@@ -199,7 +203,7 @@ class TestDepolarizing:
         assert np.array_equal(simulate_noisy(base, nm, fold=m).probabilities,
                               simulate_noisy(c, nm).probabilities)
         q = 1.0 - (1.0 - p) ** m
-        lone = simulate_noisy(fold_cnots(Circuit(2, (cnot(0, 1),)), m), nm)
+        lone = simulate_noisy(fold_cnots(Circuit(2, (Gate("CNOT", (0, 1)),)), m), nm)
         assert lone.probabilities[0] == pytest.approx(1 - q + q / 4, abs=1e-12)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -222,13 +226,13 @@ class TestSimulateNoisy:
         # CNOT on |00> leaves the state; depolarizing mixes in I/4, so the
         # all-zeros probability is (1 - p) + p/4
         p = 0.1
-        c = Circuit(2, (cnot(0, 1),))
+        c = Circuit(2, (Gate("CNOT", (0, 1)),))
         dist = simulate_noisy(c, NoiseModel(2, p, 0.0, 0.0))
         assert dist.probabilities[0] == pytest.approx(1 - p + p / 4, abs=1e-12)
 
     def test_single_cnot_matches_dense_channel_oracle(self):
         p = 0.37
-        c = Circuit(2, (h_gate(0), cnot(0, 1)))
+        c = Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1))))
         nm = NoiseModel(2, p, 0.0, 0.0)
         oracle = kraus_oracle(c, nm)
         dist = simulate_noisy(c, nm)
@@ -270,7 +274,7 @@ class TestFolding:
         assert np.max(np.abs(circuit_unitary(folded) - circuit_unitary(c))) < 1e-12
 
     def test_even_m_rejected(self):
-        c = Circuit(2, (cnot(0, 1),))
+        c = Circuit(2, (Gate("CNOT", (0, 1)),))
         with pytest.raises(ValueError):
             fold_cnots(c, 2)
         for fold in (0, 2, -1):
@@ -279,7 +283,7 @@ class TestFolding:
 
     def test_bool_fold_rejected(self):
         # True used to run as fold 1
-        c = Circuit(2, (cnot(0, 1),))
+        c = Circuit(2, (Gate("CNOT", (0, 1)),))
         with pytest.raises(ValueError, match="fold must be odd and positive, got True"):
             simulate_noisy(c, NoiseModel(2, 0.1, 0.0, 0.0), fold=True)
 
@@ -292,7 +296,7 @@ class TestFolding:
 
     @pytest.mark.parametrize("fold", [3.0, 0, 4, np.int64(2)])
     def test_bad_fold_message(self, fold):
-        c = Circuit(2, (cnot(0, 1),))
+        c = Circuit(2, (Gate("CNOT", (0, 1)),))
         message = f"fold must be odd and positive, got {fold!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             simulate_noisy(c, NoiseModel(2, 0.1, 0.0, 0.0), fold)
@@ -334,6 +338,16 @@ class TestSampling:
         # the counts used to divide by 0 into NaN probabilities
         with pytest.raises(ValueError, match="counts must hold at least one shot, got 0"):
             empirical_distribution(np.zeros(4, dtype=int))
+
+    @pytest.mark.parametrize("counts, message", [
+        (np.array([3, -1]), "counts must be non-negative, got -1"),
+        (np.ones((2, 2), dtype=int), "counts must be a vector, got shape (2, 2)"),
+        (np.array([1.0, 3.0]), "counts must hold integers, got dtype float64")],
+        ids=["negative", "matrix", "floats"])
+    def test_empirical_distribution_rejects_what_is_not_counts(self, counts, message):
+        # [3, -1] came back as the probabilities [1.5, -0.5]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            empirical_distribution(counts)
 
     def test_shots_validation(self):
         d = BitstringDistribution(1, np.array([1.0, 0.0]))

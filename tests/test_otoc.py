@@ -17,8 +17,8 @@ from spinweave.ising import (ExactEvolution, IsingParams, build_hamiltonian,
 from spinweave.otoc import (_otoc_value, build_surface, fabs_measurement_circuit,
                             fixed_node_commutator, otoc_exact,
                             readout_distributions)
-from spinweave.qsim import (Circuit, StateVector, apply_circuit,
-                            measurement_distribution, pz, x_gate)
+from spinweave.qsim import (Circuit, Gate, StateVector, apply_circuit,
+                            measurement_distribution)
 from spinweave.surface_io import VALUE_COLUMNS
 from spinweave.weave import weave_circuit
 
@@ -240,7 +240,8 @@ class TestFabsProtocol:
         # X PZ(phi) X PZ(phi) multiplies the unitary by exp(i phi)
         phi = 0.917
         shifted = Circuit(u.n_qubits,
-                          u.gates + (x_gate(0), pz(0, phi), x_gate(0), pz(0, phi)))
+                          u.gates + (Gate("X", (0,)), Gate("PZ", (0,), phi),
+                                     Gate("X", (0,)), Gate("PZ", (0,), phi)))
         ref = circuit_unitary(u)
         assert np.max(np.abs(circuit_unitary(shifted) - np.exp(1j * phi) * ref)) < 1e-12
         p_ref = measurement_distribution(apply_circuit(

@@ -18,9 +18,7 @@ from spinweave.errors import CapacityError, MalformedGateError
 from spinweave.noise import NoiseModel, simulate_noisy
 from spinweave.otoc import fabs_measurement_circuit
 from spinweave.qsim import (BitstringDistribution, Circuit, Gate, StateVector,
-                            apply_circuit, cnot, h_gate, kind_matrix,
-                            measurement_distribution, pz, rx, s_gate, sdg_gate,
-                            x_gate)
+                            apply_circuit, kind_matrix, measurement_distribution)
 from spinweave.ising import preset_params
 from spinweave.weave import trotter_step, weave_circuit
 
@@ -30,8 +28,8 @@ from oracles import (circuit_unitary, gatewise_amplitudes, gatewise_readout,
                      tensordot_contract)
 
 ALL_GATES = [
-    rx(0, 0.37), pz(0, -1.1), s_gate(0), sdg_gate(0), h_gate(0),
-    x_gate(0), cnot(0, 1), cnot(1, 0),
+    Gate("RX", (0,), 0.37), Gate("PZ", (0,), -1.1), Gate("S", (0,)), Gate("SDG", (0,)),
+    Gate("H", (0,)), Gate("X", (0,)), Gate("CNOT", (0, 1)), Gate("CNOT", (1, 0)),
 ]
 
 
@@ -46,22 +44,23 @@ def random_circuit(rng, n, depth):
         kind = rng.integers(0, 6)
         q = int(rng.integers(0, n))
         if kind == 0:
-            gates.append(rx(q, float(rng.uniform(-np.pi, np.pi))))
+            gates.append(Gate("RX", (q,), float(rng.uniform(-np.pi, np.pi))))
         elif kind == 1:
-            gates.append(pz(q, float(rng.uniform(-np.pi, np.pi))))
+            gates.append(Gate("PZ", (q,), float(rng.uniform(-np.pi, np.pi))))
         elif kind == 2:
-            gates.append(h_gate(q))
+            gates.append(Gate("H", (q,)))
         elif kind == 3:
-            gates.append(s_gate(q) if rng.random() < 0.5 else sdg_gate(q))
+            gates.append(Gate("S", (q,)) if rng.random() < 0.5 else Gate("SDG", (q,)))
         else:
             q2 = int(rng.integers(0, n))
             while q2 == q:
                 q2 = int(rng.integers(0, n))
             if kind == 4:
-                gates.append(cnot(q, q2))
+                gates.append(Gate("CNOT", (q, q2)))
             else:  # the ZZ rotation as the weave expands it
                 theta = float(rng.uniform(-np.pi, np.pi))
-                gates += [cnot(q, q2), pz(q2, theta), cnot(q, q2)]
+                gates += [Gate("CNOT", (q, q2)), Gate("PZ", (q2,), theta),
+                          Gate("CNOT", (q, q2))]
     return Circuit(n, tuple(gates))
 
 
@@ -71,7 +70,8 @@ class TestGateMatrix:
 
     def test_rzz_quarter_turn_phases(self):
         # CNOT . PZ(theta) . CNOT is the ZZ rotation times exp(i theta / 2)
-        u = circuit_unitary(Circuit(2, (cnot(0, 1), pz(1, np.pi / 2), cnot(0, 1))))
+        u = circuit_unitary(Circuit(2, (Gate("CNOT", (0, 1)), Gate("PZ", (1,), np.pi / 2),
+                                        Gate("CNOT", (0, 1)))))
         expected = np.exp(1j * np.pi / 4) * rzz_matrix(np.pi / 2)
         assert np.allclose(u, expected, atol=1e-15)
 
@@ -93,7 +93,7 @@ class TestGateMatrix:
 
     @pytest.mark.parametrize("theta", [-2.5, -0.3, 0.0, 0.7, 3.1])
     def test_parametric_gates_unitary(self, theta):
-        for g in (rx(0, theta), pz(0, theta)):
+        for g in (Gate("RX", (0,), theta), Gate("PZ", (0,), theta)):
             u = kind_matrix(g.kind, g.angle)
             assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-12
 
@@ -188,14 +188,14 @@ class TestGateMatrix:
 
 class TestApplyGate:
     def test_cnot_control_zero(self):
-        out = apply_circuit(StateVector.zeros(2), Circuit(2, (cnot(0, 1),)))
+        out = apply_circuit(StateVector.zeros(2), Circuit(2, (Gate("CNOT", (0, 1)),)))
         assert np.allclose(out.amplitudes, [1, 0, 0, 0], atol=0)
 
     def test_cnot_control_one(self):
         # |10> is index 2 under the qubit-0-most-significant convention
         amps = np.zeros(4, dtype=complex)
         amps[2] = 1.0
-        out = apply_circuit(StateVector(2, amps), Circuit(2, (cnot(0, 1),)))
+        out = apply_circuit(StateVector(2, amps), Circuit(2, (Gate("CNOT", (0, 1)),)))
         expected = np.zeros(4)
         expected[3] = 1.0
         assert np.allclose(out.amplitudes, expected, atol=0)
@@ -215,7 +215,7 @@ class TestApplyGate:
 
     def test_out_of_range_raises(self):
         with pytest.raises(MalformedGateError):
-            apply_circuit(StateVector.zeros(2), Circuit(2, (x_gate(2),)))
+            apply_circuit(StateVector.zeros(2), Circuit(2, (Gate("X", (2,)),)))
 
     def test_norm_preserved_long_circuit(self, rng):
         state = StateVector.zeros(4)
@@ -261,7 +261,8 @@ class TestApplyCircuit:
     def test_gate_matrix_built_once_per_distinct_gate(self):
         # every block reads the (qubits, gates) cache, which builds on a
         # miss, and a build reads the (kind, angle) cache once per gate
-        cell = (h_gate(0), cnot(0, 2), rx(1, 0.3), pz(2, -0.8), cnot(2, 1), h_gate(0))
+        cell = (Gate("H", (0,)), Gate("CNOT", (0, 2)), Gate("RX", (1,), 0.3),
+                Gate("PZ", (2,), -0.8), Gate("CNOT", (2, 1)), Gate("H", (0,)))
         c = Circuit(3, cell * 4 + tuple(Circuit(3, cell).inverse.gates))
         qsim.kind_matrix.cache_clear()
         qsim._block_unitary.cache_clear()
@@ -344,8 +345,9 @@ class TestFusion:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(fusion_cases())
     @example(fusion_case(3, ()))
-    @example(fusion_case(4, (h_gate(3), cnot(3, 0), pz(0, 0.4), cnot(2, 0), rx(3, 1.1),
-                             cnot(0, 3)), (0.1, 0.2, 0.3)))
+    @example(fusion_case(4, (Gate("H", (3,)), Gate("CNOT", (3, 0)), Gate("PZ", (0,), 0.4),
+                             Gate("CNOT", (2, 0)), Gate("RX", (3,), 1.1),
+                             Gate("CNOT", (0, 3))), (0.1, 0.2, 0.3)))
     def test_property_engines_match_gatewise_oracle(self, case):
         c, nm, amps = case
         fused = apply_circuit(StateVector(c.n_qubits, amps), c).amplitudes
@@ -398,7 +400,7 @@ class TestLightCone:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(fusion_cases())
     @example(fusion_case(3, ()))
-    @example(fusion_case(3, (x_gate(2), pz(1, 0.3), cnot(1, 2))))
+    @example(fusion_case(3, (Gate("X", (2,)), Gate("PZ", (1,), 0.3), Gate("CNOT", (1, 2)))))
     def test_property_heisenberg_operator_is_unchanged(self, case):
         u = case[0]
         n = u.n_qubits
@@ -409,32 +411,33 @@ class TestLightCone:
             assert cone.n_qubits == n
             rest = iter(u.gates)  # an order-preserving subsequence of u's gates
             assert all(any(g == h for h in rest) for g in cone.gates)
-            x = circuit_unitary(Circuit(n, (x_gate(q),)))
+            x = circuit_unitary(Circuit(n, (Gate("X", (q,)),)))
             v = circuit_unitary(cone)
             expected = full.conj().T @ x @ full
             assert np.max(np.abs(v.conj().T @ x @ v - expected)) < 1e-12, q
 
     def test_gates_off_the_cone_are_dropped(self):
-        u = Circuit(3, (x_gate(2), cnot(1, 0), pz(1, 0.3), x_gate(0)))
-        assert otoc._light_cone(u, 0)[0].gates == (cnot(1, 0), x_gate(0))
-        assert otoc._light_cone(u, 1)[0].gates == (cnot(1, 0), pz(1, 0.3))
+        u = Circuit(3, (Gate("X", (2,)), Gate("CNOT", (1, 0)), Gate("PZ", (1,), 0.3),
+                        Gate("X", (0,))))
+        assert otoc._light_cone(u, 0)[0].gates == (Gate("CNOT", (1, 0)), Gate("X", (0,)))
+        assert otoc._light_cone(u, 1)[0].gates == (Gate("CNOT", (1, 0)), Gate("PZ", (1,), 0.3))
         assert otoc._light_cone(Circuit(3), 0)[0].gates == ()
 
 
 class TestDagger:
     def test_rx_angle_negated(self):
-        d = Circuit(1, (rx(0, 0.4),)).inverse
-        assert d.gates == (rx(0, -0.4),)
+        d = Circuit(1, (Gate("RX", (0,), 0.4),)).inverse
+        assert d.gates == (Gate("RX", (0,), -0.4),)
 
     def test_cnot_self_inverse(self):
-        d = Circuit(2, (cnot(0, 1),)).inverse
-        assert d.gates == (cnot(0, 1),)
+        d = Circuit(2, (Gate("CNOT", (0, 1)),)).inverse
+        assert d.gates == (Gate("CNOT", (0, 1)),)
 
     def test_s_swaps_with_sdg(self):
-        assert Circuit(1, (s_gate(0),)).inverse.gates == (sdg_gate(0),)
-        assert Circuit(1, (sdg_gate(0),)).inverse.gates == (s_gate(0),)
-        assert Circuit(1, (s_gate(0), sdg_gate(0))).inverse.gates == \
-            (s_gate(0), sdg_gate(0))
+        assert Circuit(1, (Gate("S", (0,)),)).inverse.gates == (Gate("SDG", (0,)),)
+        assert Circuit(1, (Gate("SDG", (0,)),)).inverse.gates == (Gate("S", (0,)),)
+        assert Circuit(1, (Gate("S", (0,)), Gate("SDG", (0,)))).inverse.gates == \
+            (Gate("S", (0,)), Gate("SDG", (0,)))
 
     def test_identity_on_five_random_states(self, rng):
         c = random_circuit(rng, 4, 60)
@@ -473,7 +476,8 @@ class TestDensityMatrix:
     def test_identity_kraus_unchanged(self):
         # every CNOT sits on edge 1, whose rate 0 is the identity Kraus set;
         # the noisy edge 0 is never touched
-        c = Circuit(3, (h_gate(1), cnot(1, 2), rx(2, 0.4), cnot(2, 1), h_gate(2)))
+        c = Circuit(3, (Gate("H", (1,)), Gate("CNOT", (1, 2)), Gate("RX", (2,), 0.4),
+                        Gate("CNOT", (2, 1)), Gate("H", (2,))))
         dist = simulate_noisy(c, NoiseModel(3, (0.5, 0.0), 0.0, 0.0))
         ideal = measurement_distribution(apply_circuit(StateVector.zeros(3), c))
         assert np.max(np.abs(dist.probabilities - ideal.probabilities)) < 1e-14
@@ -481,7 +485,7 @@ class TestDensityMatrix:
     def test_full_depolarizing_gives_maximally_mixed_pair(self):
         # |+>|0>|1> entangled by CNOT(0, 2), then p=1 depolarizing on the
         # pair (0, 2): the pair reads uniformly, qubit 1 stays 0
-        c = Circuit(3, (h_gate(0), x_gate(2), cnot(0, 2)))
+        c = Circuit(3, (Gate("H", (0,)), Gate("X", (2,)), Gate("CNOT", (0, 2))))
         dist = simulate_noisy(c, NoiseModel(3, (1.0, 0.0), 0.0, 0.0))
         expected = np.array([0.25, 0.25, 0.0, 0.0, 0.25, 0.25, 0.0, 0.0])
         assert np.max(np.abs(dist.probabilities - expected)) < 1e-12
@@ -509,7 +513,8 @@ class TestCapacity:
             Circuit(15)
 
     def test_cnot_count(self):
-        c = Circuit(3, (cnot(0, 1), h_gate(2), cnot(1, 2), pz(0, 0.3)))
+        c = Circuit(3, (Gate("CNOT", (0, 1)), Gate("H", (2,)), Gate("CNOT", (1, 2)),
+                        Gate("PZ", (0,), 0.3)))
         assert cnot_count(c) == 2
 
     def test_distribution_shape_validation(self):
@@ -521,7 +526,7 @@ class TestHeldTypes:
     @pytest.mark.parametrize("gates, message", [
         ((("X", (0,), None),), "gate 0 is not a Gate, got ('X', (0,), None)"),
         (("X",), "gate 0 is not a Gate, got 'X'"),
-        ((x_gate(0), ("X", (1,), None)), "gate 1 is not a Gate, got ('X', (1,), None)")],
+        ((Gate("X", (0,)), ("X", (1,), None)), "gate 1 is not a Gate, got ('X', (1,), None)")],
         ids=["tuple", "string", "second"])
     def test_circuit_rejects_what_is_not_a_gate(self, gates, message):
         # each raised a bare AttributeError; a tuple equals a Gate but is not one

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from spinweave.ising import preset_params
-from spinweave.qsim import Circuit, StateVector, apply_circuit, pz, rx
+from spinweave.qsim import Circuit, Gate, StateVector, apply_circuit
 from spinweave.weave import magic_rzz, rzz_decomposition, trotter_step, weave_circuit
 
 from conftest import (align_global_phase, cnot_count, dense_hamiltonian,
@@ -55,8 +55,8 @@ class TestTrotterStep:
         step = trotter_step(p, dt, magic)
         zz = (magic_rzz(q, q + 1, 1 if p.J * dt >= 0 else -1) if magic
               else rzz_decomposition(2.0 * p.J * dt, q, q + 1) for q in range(3))
-        half = tuple(rx(q, p.Bx * dt) for q in range(4))
-        full = Circuit(4, half + sum(zz, ()) + tuple(pz(q, 2.0 * p.Bz * dt)
+        half = tuple(Gate("RX", (q,), p.Bx * dt) for q in range(4))
+        full = Circuit(4, half + sum(zz, ()) + tuple(Gate("PZ", (q,), 2.0 * p.Bz * dt)
                                                       for q in range(4)) + half)
         if regime == "integrable":
             assert p.Bx == 0.0
