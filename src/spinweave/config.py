@@ -55,7 +55,7 @@ from pathlib import Path
 from .errors import ConfigError, show_value
 from .ising import (MAX_OTOC_QUBITS, REGIME_COUPLINGS, IsingParams, phase_rate,
                     preset_params)
-from .noise import DEFAULT_SHOTS, MAX_DM_QUBITS, NoiseModel
+from .noise import DEFAULT_SHOTS, MAX_DM_QUBITS, MAX_SHOTS, NoiseModel
 
 # The optional fields each pipeline reads (any other is None on the validated
 # config and absent from the metadata echo), and the largest n it accepts.
@@ -87,8 +87,6 @@ _NOISE_KEYS = {"cnot_error", "spam_epsilon", "t1_given_0", "t0_given_1"}
 
 # a magic cell's ZZ angle 2*J*k*tau must be +-pi/2 within this
 MAGIC_ANGLE_TOL = 1e-9
-# numpy's multinomial draws int64 counts
-MAX_SHOTS = 2 ** 63 - 1
 # n * (ell_max + 1) is the surface's row count; the bundled presets need at
 # most 438, and a grid past this bound would only exhaust memory
 MAX_GRID_POINTS = 2 ** 20

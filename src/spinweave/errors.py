@@ -61,19 +61,30 @@ def check_real(value, name: str, error: type[ValueError] = ValueError):
         raise error(f"{name} must be finite, got {show_value(value)}")
 
 
-def check_array(value, name: str, ndim: int, integer: bool = False) -> np.ndarray:
+# what each dtype-kind rule admits, as the rejection states it
+_KINDS = {"iu": "integers", "iuf": "real numbers", "iufc": "real or complex numbers"}
+
+
+def check_kind(a: np.ndarray, name: str, kinds: str = "iuf"):
+    """Raise ``ValueError`` naming ``name`` unless the entries of the array
+    ``a`` are of the numpy dtype ``kinds``: integers ("iu"), real numbers
+    ("iuf") or real or complex numbers ("iufc"), never bools, strings or
+    objects.  Only the dtype is read, so this is O(1)."""
+    if a.dtype.kind not in kinds:
+        raise ValueError(f"{name} must hold {_KINDS[kinds]}, got dtype {a.dtype}")
+
+
+def check_array(value, name: str, ndim: int, kinds: str = "iuf") -> np.ndarray:
     """``value`` as an array; raise ``ValueError`` naming ``name`` unless it
     is a vector (``ndim`` 1) or a square matrix (``ndim`` 2) with at least
-    one entry, and its entries are ints or floats (ints alone when
-    ``integer``), never bools, strings, objects or complex numbers: checked,
-    not converted.  Only the shape and the dtype are read, so this is O(1)."""
+    one entry, and :func:`check_kind` admits its entries (ints or floats by
+    default, never complex numbers): checked, not converted.  Only the shape
+    and the dtype are read, so this is O(1)."""
     a = np.asarray(value)
     if a.ndim != ndim or a.shape[0] != a.shape[-1]:
         raise ValueError(
             f"{name} must be a {('vector', 'square matrix')[ndim - 1]}, got shape {a.shape}")
     if not a.size:
         raise ValueError(f"{name} must hold at least one entry, got shape {a.shape}")
-    if a.dtype.kind not in ("iu" if integer else "iuf"):
-        raise ValueError(f"{name} must hold {'integers' if integer else 'real numbers'}, "
-                         f"got dtype {a.dtype}")
+    check_kind(a, name, kinds)
     return a

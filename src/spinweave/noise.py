@@ -34,7 +34,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import CapacityError, check_array, check_integer
+from .errors import CapacityError, check_array, check_integer, show_value
 from .qsim import (BLOCK_CACHE_SIZE, BitstringDistribution, Circuit, Gate,
                    _block_unitary, _contract)
 
@@ -43,6 +43,8 @@ MAX_DM_QUBITS = 8
 DEFAULT_CNOT_ERRORS = (7.67e-3, 7.00e-3, 7.68e-3)
 DEFAULT_SPAM_EPSILON = (0.043, 0.015, 0.017, 0.017)
 DEFAULT_SHOTS = 8192
+# numpy's multinomial draws int64 counts
+MAX_SHOTS = 2 ** 63 - 1
 
 
 def _rates(value, count: int, name: str) -> tuple[float, ...]:
@@ -119,7 +121,9 @@ _VEC_I4 = np.eye(4).reshape(16)
 def _block_superoperator(qubits: tuple[int, ...], gates: tuple[Gate, ...],
                          p: float, fold: int) -> np.ndarray:
     """Read-only superoperator of a fused block on its qubits' row axes,
-    then their column axes, built once per (qubits, gates, p, fold).
+    then their column axes, built once per (qubits, gates, p, fold), so a
+    two-qubit block off a chain edge (q, q + 1) is rejected once per
+    distinct block.
 
     It is S = U (x) conj(U) of the block's unitary, followed by one pair
     depolarizing step (1 - q) S + (q/4) vec(I) vec(I)^T S with
@@ -131,6 +135,10 @@ def _block_superoperator(qubits: tuple[int, ...], gates: tuple[Gate, ...],
     every CNOT repeated ``fold`` times, since the repeats compose to one
     CNOT and only add (fold - 1) m channels.
     """
+    if len(qubits) == 2 and abs(qubits[0] - qubits[1]) != 1:
+        cnot = next(g for g in gates if g.kind == "CNOT")
+        raise ValueError(f"c must put each CNOT on a chain edge (q, q + 1), "
+                         f"got CNOT on {cnot.qubits}")
     u = _block_unitary(qubits, gates)
     s = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(u.size, u.size)
     m = fold * sum(g.kind == "CNOT" for g in gates)
@@ -149,9 +157,10 @@ def simulate_noisy(c: Circuit, nm: NoiseModel, fold: int = 1) -> BitstringDistri
     Each fused block (:attr:`~spinweave.qsim.Circuit.blocks`) is one
     superoperator (:func:`_block_superoperator`) on its row and column axes
     of the (2,)*(2n) density tensor: one O(4^n) contraction per block.  A
-    block spans two qubits only through a CNOT, so one edge's rate serves
-    the whole block.  The readout distribution is the diagonal multiplied
-    by the confusion matrix.
+    block spans two qubits only through a CNOT, which must act on a chain
+    edge (q, q + 1), so that edge's rate serves the whole block; a CNOT on
+    any other pair is rejected.  The readout distribution is the diagonal
+    multiplied by the confusion matrix.
     """
     n = c.n_qubits
     if n > MAX_DM_QUBITS:
@@ -181,9 +190,12 @@ def sample_counts(d: BitstringDistribution, shots: int, seed) -> np.ndarray:
 
     ``seed`` may be anything ``numpy.random.default_rng`` accepts, including
     a ``SeedSequence`` for derived per-point streams.  ``d`` must hold a
-    positive, finite mass once its negative entries are clipped to 0.
+    positive, finite mass once its negative entries are clipped to 0, and
+    ``shots`` may not exceed :data:`MAX_SHOTS`.
     """
     check_integer(shots, "shots", 1)
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be <= {MAX_SHOTS}, got {show_value(shots)}")
     p = np.clip(d.probabilities, 0.0, None)
     mass = p.sum()
     if not 0.0 < mass < np.inf:
@@ -194,7 +206,7 @@ def sample_counts(d: BitstringDistribution, shots: int, seed) -> np.ndarray:
 def empirical_distribution(counts: np.ndarray) -> BitstringDistribution:
     """Shot frequencies: the count vector, of non-negative integers, divided
     by the shot count."""
-    counts = check_array(counts, "counts", 1, integer=True)
+    counts = check_array(counts, "counts", 1, "iu")
     shots = counts.sum()
     if not shots > 0:
         raise ValueError(f"counts must hold at least one shot, got {shots}")

@@ -35,8 +35,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import (CapacityError, MalformedGateError, check_integer, check_real,
-                     show_value)
+from .errors import (CapacityError, MalformedGateError, check_integer, check_kind,
+                     check_real, show_value)
 
 MAX_QUBITS = 14
 # Operators held by each fused-block cache.  A run needs one per distinct
@@ -163,6 +163,19 @@ def inverse_gate(g: Gate) -> Gate:
 
 # --- state representations -------------------------------------------------
 
+def _basis_vector(n_qubits: int, values, name: str, dtype: type) -> np.ndarray:
+    """The record field ``name``: ``values``, a vector of one entry per basis
+    state of ``n_qubits`` qubits (an integer >= 0), as a ``dtype`` array.
+    Its entries must be real numbers, or complex ones where ``dtype`` is
+    complex; bools, strings and objects are rejected, not converted."""
+    check_integer(n_qubits, "n_qubits", 0)
+    a = np.asarray(values)
+    if a.shape != (2 ** n_qubits,):
+        raise ValueError(f"expected {2 ** n_qubits} {name}, got shape {a.shape}")
+    check_kind(a, name, "iufc" if dtype is complex else "iuf")
+    return a.astype(dtype, copy=False)
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Complex amplitudes of a pure n-qubit state, length 2^n."""
@@ -171,12 +184,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        check_integer(self.n_qubits, "n_qubits", 0)
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2 ** self.n_qubits,):
-            raise ValueError(
-                f"expected {2 ** self.n_qubits} amplitudes, got shape {amps.shape}")
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _basis_vector(
+            self.n_qubits, self.amplitudes, "amplitudes", complex))
 
     @classmethod
     def zeros(cls, n_qubits: int) -> "StateVector":
@@ -194,12 +203,8 @@ class BitstringDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        check_integer(self.n_qubits, "n_qubits", 0)
-        p = np.asarray(self.probabilities, dtype=float)
-        if p.shape != (2 ** self.n_qubits,):
-            raise ValueError(
-                f"expected {2 ** self.n_qubits} probabilities, got shape {p.shape}")
-        object.__setattr__(self, "probabilities", p)
+        object.__setattr__(self, "probabilities", _basis_vector(
+            self.n_qubits, self.probabilities, "probabilities", float))
 
 
 # --- gate application ------------------------------------------------------

@@ -26,9 +26,7 @@ configuration checks that angle; here a magic cell always takes the
 
 from __future__ import annotations
 
-import math
-
-from .errors import check_integer
+from .errors import check_integer, check_real
 from .ising import IsingParams
 from .qsim import Circuit, Gate
 
@@ -65,8 +63,7 @@ def trotter_step(p: IsingParams, dt: float, magic: bool = False) -> Circuit:
     realizes the +-pi/2 rotation whose sign matches the nominal angle
     2*J*dt; it equals the nominal layer only when that angle is +-pi/2.
     """
-    if not math.isfinite(dt):
-        raise ValueError("dt must be finite")
+    check_real(dt, "dt")
     n = p.n
     gates: list[Gate] = []
     half = [Gate("RX", (q,), p.Bx * dt) for q in range(n)] if p.Bx * dt != 0.0 else []
@@ -89,6 +86,7 @@ def weave_circuit(p: IsingParams, tau: float, k: int, ell: int,
     circuit, and ell mod k = 0 uses no shift at all.  Only the shift and
     the cell are built, and only the cell takes the magic decomposition.
     """
+    check_real(tau, "tau")
     check_integer(k, "k", 1)
     check_integer(ell, "ell", 0)
     cell = trotter_step(p, k * tau, magic=magic)

@@ -31,6 +31,10 @@ circuit with every CNOT repeated m times, whose channel
 2^n x 2^n operator of a circuit, which no run needs, composed gate by
 gate with ``tensordot_contract``, so it shares no kernel with the engines.
 An oracle here runs on ``tensordot_contract``, never on ``qsim._contract``.
+
+``integrable_noisy_readout`` is the density engine's |F| protocol readout
+in closed form for a weave without a transverse field (Bx = 0), from the
+config's fields alone: it builds no circuit and runs no engine.
 """
 
 import numpy as np
@@ -164,3 +168,39 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     for g in c.gates:
         t = tensordot_contract(t, kind_matrix(g.kind, g.angle), g.qubits)
     return t.reshape(d, d)
+
+
+def integrable_noisy_readout(cfg, ell: int, fold: int) -> np.ndarray:
+    """The (2^n,) readout before shots of every site's |F| protocol at time
+    index ``ell`` and CNOT fold ``fold``, on the density engine with the
+    noise of ``cfg.noise``, for a config whose transverse field Bx is 0.
+
+    Without RX layers every protocol gate is a permutation of the basis or
+    diagonal, magic cell or not (H CNOT H is the diagonal CZ, and each
+    CNOT's pair channel commutes past the H on its pair).  So the density
+    matrix stays diagonal: a distribution over bitstrings.  The noiseless
+    protocol returns |0...0> to itself, as F is a pure phase, and each
+    CNOT's channel keeps the distribution with probability 1 - p_q or
+    averages it over the bits of its edge (q, q + 1).  These averages
+    commute with one another and with every later gate (each ZZ rotation's
+    CNOTs undo each other, and an X flip commutes with an average), so the
+    readout is the same at every site: from the point mass on 0, each
+    edge's average applied with weight 1 - keep, keep = (1 - p_q)^m, for
+    its m = 4 fold (2 [ell mod k != 0] + c floor(ell / k)) CNOTs over the
+    four copies of U or U^dag (c = 1 on a magic cell, else 2), and then
+    the readout confusion of each qubit.
+    """
+    if cfg.params.Bx != 0.0:
+        raise ValueError("the closed form holds only for Bx = 0")
+    n, k, nm = cfg.params.n, cfg.k, cfg.noise
+    cnots = 4 * fold * (2 * (ell % k != 0) + (1 if cfg.magic else 2) * (ell // k))
+    p = np.zeros((2,) * n)
+    p[(0,) * n] = 1.0
+    for q, rate in enumerate(nm.cnot_error):
+        keep = (1.0 - rate) ** cnots
+        p = keep * p + (1.0 - keep) * p.mean(axis=(q, q + 1), keepdims=True)
+    for q in range(n):
+        t10, t01 = nm.t1_given_0[q], nm.t0_given_1[q]
+        confusion = np.array([[1.0 - t10, t01], [t10, 1.0 - t01]])
+        p = np.moveaxis(np.tensordot(confusion, p, axes=(1, q)), 0, q)
+    return p.reshape(-1)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from spinweave.errors import CapacityError
 from spinweave.ising import preset_params
-from spinweave.noise import (NoiseModel, build_confusion_matrix,
+from spinweave.noise import (MAX_SHOTS, NoiseModel, build_confusion_matrix,
                              empirical_distribution, sample_counts, simulate_noisy)
 from spinweave.otoc import fabs_measurement_circuit
 from spinweave.qsim import (GATES, BitstringDistribution, Circuit, Gate,
@@ -63,7 +63,8 @@ def noisy_circuits(draw):
     gates = []
     for _ in range(draw(st.integers(1, 12))):
         q, theta = draw(qubit), draw(angle)
-        other = draw(qubit.filter(lambda r: r != q))
+        # a CNOT acts on a chain edge, either way round
+        other = draw(st.sampled_from([r for r in (q - 1, q + 1) if 0 <= r < n]))
         kind = draw(st.sampled_from(sorted(GATES)))
         spec = GATES[kind]
         gates.append(Gate(kind, (q,) if spec.qubits == 1 else (q, other),
@@ -162,11 +163,11 @@ class TestDepolarizing:
             assert np.max(np.abs(total - np.eye(4))) < 1e-12
 
     def test_superoperator_matches_kraus_channel_after_each_cnot(self):
-        # reversed (2, 0) and non-adjacent (0, 2) pairs take the rate of edge
-        # min(pair); the closing rotations turn coherences into populations
-        c = Circuit(3, (Gate("H", (0,)), Gate("RX", (1,), 0.4), Gate("CNOT", (2, 0)),
-                        Gate("RX", (2,), 0.7), Gate("CNOT", (0, 2)), Gate("H", (2,)),
-                        Gate("CNOT", (1, 2)), Gate("RX", (0,), 1.1), Gate("RX", (1,), -0.8),
+        # reversed (1, 0) and (2, 1) pairs take the rate of edge min(pair);
+        # the closing rotations turn coherences into populations
+        c = Circuit(3, (Gate("H", (0,)), Gate("RX", (1,), 0.4), Gate("CNOT", (1, 0)),
+                        Gate("RX", (2,), 0.7), Gate("CNOT", (2, 1)), Gate("H", (2,)),
+                        Gate("CNOT", (0, 1)), Gate("RX", (0,), 1.1), Gate("RX", (1,), -0.8),
                         Gate("RX", (2,), 0.3)))
         nm = NoiseModel(3, (0.23, 0.11), 0.0, 0.0)
         oracle = kraus_oracle(c, nm)
@@ -252,6 +253,15 @@ class TestSimulateNoisy:
         # |00> misread as |10> with probability 0.25
         assert dist.probabilities[0] == pytest.approx(0.75)
         assert dist.probabilities[2] == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("pair", [(0, 2), (2, 0), (3, 1)])
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    def test_cnot_off_a_chain_edge_rejected(self, pair, rate):
+        # CNOT(0, 2) used to take the rate of edge (0, 1) without a word
+        c = Circuit(4, (Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("CNOT", pair)))
+        message = f"c must put each CNOT on a chain edge (q, q + 1), got CNOT on {pair}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate_noisy(c, NoiseModel(4, rate, 0.0, 0.0))
 
     def test_noise_model_of_another_width_rejected(self):
         with pytest.raises(ValueError, match="noise model and circuit qubit counts differ"):
@@ -353,6 +363,14 @@ class TestSampling:
         d = BitstringDistribution(1, np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             sample_counts(d, 0, 1)
+
+    def test_shots_past_the_int64_limit_rejected(self):
+        # 2**63 shots died inside numpy with a bare OverflowError
+        d = BitstringDistribution(1, np.array([0.5, 0.5]))
+        assert sample_counts(d, MAX_SHOTS, 1).sum() == MAX_SHOTS
+        with pytest.raises(ValueError, match=re.escape(
+                f"shots must be <= {MAX_SHOTS}, got {MAX_SHOTS + 1}")):
+            sample_counts(d, MAX_SHOTS + 1, 1)
 
     @pytest.mark.parametrize("shots", [True, 10.5, 10.0, "10"])
     def test_non_integer_shots_rejected(self, shots):

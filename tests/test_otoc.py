@@ -24,7 +24,8 @@ from spinweave.weave import weave_circuit
 
 from conftest import commutator, dense_hamiltonian, dense_otoc, load_preset
 from oracles import (circuit_unitary, fold_cnots, gatewise_amplitudes,
-                     gatewise_readout, heisenberg_x, matrix_otoc_value)
+                     gatewise_readout, heisenberg_x, integrable_noisy_readout,
+                     matrix_otoc_value)
 
 CHAOTIC4 = preset_params("chaotic", 4)
 INTEGRABLE4 = preset_params("integrable", 4)
@@ -737,6 +738,46 @@ def combiner_surfaces():
             {**COMBINER_BASE, "pipeline": "mitigated",
              "mitigation": {"tmem": tmem, "zne": zne, "order": order}}))
     return out
+
+
+# integrable density configs beyond the presets: n=6 with its own rate per
+# edge and per qubit, at fold 1 and 3 through a shift, a cell and both; and
+# an n=8 magic cell (2 J k tau = -pi/2) on the unmitigated path
+CLOSED_FORM_CONFIGS = {
+    "n6_edge_rates": {
+        "regime": "integrable", "n": 6, "tau": 0.06, "k": 3, "ell_max": 5,
+        "pipeline": "mitigated", "shots": 64, "seed": 1,
+        "noise": {"cnot_error": [0.004, 0.006, 0.008, 0.01, 0.012],
+                  "t1_given_0": [0.01, 0.02, 0.03, 0.04, 0.05, 0.06],
+                  "t0_given_1": [0.06, 0.05, 0.04, 0.03, 0.02, 0.01]}},
+    "n8_magic": {"regime": "integrable", "n": 8, "tau": np.pi / 8, "k": 2, "ell_max": 2,
+                 "magic": True, "pipeline": "noisy", "shots": 64, "seed": 1},
+}
+
+
+class TestIntegrableReadoutClosedForm:
+    """The density engine's readout against ``integrable_noisy_readout``,
+    which builds no circuit: without a transverse field every site reads
+    the same closed form."""
+
+    @pytest.mark.parametrize("name", ["fig4", "fig5a", "fig6a", *CLOSED_FORM_CONFIGS])
+    def test_every_site_reads_the_closed_form(self, name):
+        cfg = (config_from_dict(CLOSED_FORM_CONFIGS[name]) if name in CLOSED_FORM_CONFIGS
+               else load_preset(name))
+        for ell in range(cfg.ell_max + 1):
+            got = readout_distributions(cfg, ell)
+            for fold, sites in zip((1, 3), got):
+                expected = integrable_noisy_readout(cfg, ell, fold)
+                assert np.max(np.abs(sites - expected)) <= 1e-12, (ell, fold)
+
+    def test_chaotic_sites_read_apart(self):
+        # the closed form's site independence is the integrable regime's, not
+        # the engine's: fig5's sites differ by up to 0.25
+        cfg = load_preset("fig5")
+        spread = max(np.max(np.abs(got[0] - got[0, 0]))
+                     for got in map(functools.partial(readout_distributions, cfg),
+                                    range(cfg.ell_max + 1)))
+        assert spread > 0.1
 
 
 class TestMitigationCombiner:

@@ -38,7 +38,10 @@ def random_state(rng, n):
     return StateVector(n, amps / np.linalg.norm(amps))
 
 
-def random_circuit(rng, n, depth):
+def random_circuit(rng, n, depth, chain=False):
+    """``depth`` random gates and ZZ rotations on ``n`` qubits, each two-qubit
+    one on a chain edge, either way round, when ``chain`` is set, as the
+    density engine requires."""
     gates = []
     for _ in range(depth):
         kind = rng.integers(0, 6)
@@ -52,9 +55,12 @@ def random_circuit(rng, n, depth):
         elif kind == 3:
             gates.append(Gate("S", (q,)) if rng.random() < 0.5 else Gate("SDG", (q,)))
         else:
-            q2 = int(rng.integers(0, n))
-            while q2 == q:
+            if chain:
+                q2 = q + 1 if q == 0 or (q < n - 1 and rng.random() < 0.5) else q - 1
+            else:
                 q2 = int(rng.integers(0, n))
+                while q2 == q:
+                    q2 = int(rng.integers(0, n))
             if kind == 4:
                 gates.append(Gate("CNOT", (q, q2)))
             else:  # the ZZ rotation as the weave expands it
@@ -325,14 +331,21 @@ def fusion_case(n, gates, rates=None, seed=0):
 @st.composite
 def fusion_cases(draw):
     """n = 1..6 and up to 40 gates of every kind that fits, each on drawn
-    distinct qubits, so CNOTs land on non-adjacent and reversed pairs."""
+    distinct qubits, so CNOTs land on non-adjacent and reversed pairs, or,
+    in about half the cases, on chain edges either way round, as the
+    density engine requires."""
     n = draw(st.integers(1, 6))
     kinds = sorted(k for k, spec in qsim.GATES.items() if spec.qubits <= n)
+    chain = draw(st.booleans())
     gates = []
     for _ in range(draw(st.integers(0, 40))):
         kind = draw(st.sampled_from(kinds))
         spec = qsim.GATES[kind]
-        qubits = draw(st.permutations(range(n)))[:spec.qubits]
+        if chain and spec.qubits == 2:
+            q = draw(st.integers(0, n - 2))
+            qubits = draw(st.permutations((q, q + 1)))
+        else:
+            qubits = draw(st.permutations(range(n)))[:spec.qubits]
         angle = draw(st.floats(-np.pi, np.pi)) if callable(spec.matrix) else None
         gates.append(Gate(kind, qubits, angle))
     rates = draw(st.lists(st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1))
@@ -348,10 +361,17 @@ class TestFusion:
     @example(fusion_case(4, (Gate("H", (3,)), Gate("CNOT", (3, 0)), Gate("PZ", (0,), 0.4),
                              Gate("CNOT", (2, 0)), Gate("RX", (3,), 1.1),
                              Gate("CNOT", (0, 3))), (0.1, 0.2, 0.3)))
+    @example(fusion_case(4, (Gate("H", (3,)), Gate("CNOT", (3, 2)), Gate("PZ", (2,), 0.4),
+                             Gate("CNOT", (1, 2)), Gate("RX", (3,), 1.1),
+                             Gate("CNOT", (2, 3))), (0.1, 0.2, 0.3)))
     def test_property_engines_match_gatewise_oracle(self, case):
         c, nm, amps = case
         fused = apply_circuit(StateVector(c.n_qubits, amps), c).amplitudes
         assert np.max(np.abs(fused - gatewise_amplitudes(amps, c))) <= 1e-12
+        if any(abs(g.qubits[0] - g.qubits[1]) != 1 for g in c.gates if g.kind == "CNOT"):
+            with pytest.raises(ValueError, match="chain edge"):
+                simulate_noisy(c, nm)
+            return
         noisy = simulate_noisy(c, nm).probabilities
         assert np.max(np.abs(noisy - gatewise_readout(c, nm))) <= 1e-12
 
@@ -468,7 +488,7 @@ class TestDensityMatrix:
     """The density-matrix engine, ``noise.simulate_noisy``, on its readout."""
 
     def test_gate_matches_pure_state(self, rng):
-        c = random_circuit(rng, 3, 25)
+        c = random_circuit(rng, 3, 25, chain=True)
         sv = apply_circuit(StateVector.zeros(3), c)
         dist = simulate_noisy(c, NoiseModel(3, 0.0, 0.0, 0.0))
         assert np.max(np.abs(dist.probabilities - np.abs(sv.amplitudes) ** 2)) < 1e-10
@@ -483,11 +503,11 @@ class TestDensityMatrix:
         assert np.max(np.abs(dist.probabilities - ideal.probabilities)) < 1e-14
 
     def test_full_depolarizing_gives_maximally_mixed_pair(self):
-        # |+>|0>|1> entangled by CNOT(0, 2), then p=1 depolarizing on the
-        # pair (0, 2): the pair reads uniformly, qubit 1 stays 0
-        c = Circuit(3, (Gate("H", (0,)), Gate("X", (2,)), Gate("CNOT", (0, 2))))
-        dist = simulate_noisy(c, NoiseModel(3, (1.0, 0.0), 0.0, 0.0))
-        expected = np.array([0.25, 0.25, 0.0, 0.0, 0.25, 0.25, 0.0, 0.0])
+        # |0>|+>|1> entangled by CNOT(1, 2), then p=1 depolarizing on the
+        # pair (1, 2): the pair reads uniformly, qubit 0 stays 0
+        c = Circuit(3, (Gate("H", (1,)), Gate("X", (2,)), Gate("CNOT", (1, 2))))
+        dist = simulate_noisy(c, NoiseModel(3, (0.0, 1.0), 0.0, 0.0))
+        expected = np.array([0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0])
         assert np.max(np.abs(dist.probabilities - expected)) < 1e-12
 
 
@@ -552,6 +572,33 @@ class TestHeldTypes:
         # both raised a bare TypeError from np.zeros(2 ** n_qubits)
         with pytest.raises(ValueError, match=re.escape(message)):
             StateVector.zeros(n_qubits)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: BitstringDistribution(1, ["0.5", "0.5"]),
+         "probabilities must hold real numbers, got dtype <U3"),
+        (lambda: BitstringDistribution(1, [True, False]),
+         "probabilities must hold real numbers, got dtype bool"),
+        (lambda: BitstringDistribution(1, [None, None]),
+         "probabilities must hold real numbers, got dtype object"),
+        (lambda: BitstringDistribution(1, [0.5 + 0j, 0.5]),
+         "probabilities must hold real numbers, got dtype complex128"),
+        (lambda: StateVector(1, ["1", "0"]),
+         "amplitudes must hold real or complex numbers, got dtype <U1"),
+        (lambda: StateVector(1, [True, False]),
+         "amplitudes must hold real or complex numbers, got dtype bool"),
+        (lambda: StateVector(1, np.array([1, 0], dtype=object)),
+         "amplitudes must hold real or complex numbers, got dtype object")],
+        ids=["distribution-strings", "distribution-bools", "distribution-objects",
+             "distribution-complex", "state-strings", "state-bools", "state-objects"])
+    def test_records_reject_entries_that_are_not_numbers(self, build, message):
+        # np.asarray converted each of these: ["0.5", "0.5"] to [0.5, 0.5] and
+        # [True, False] to [1.0, 0.0]; object amplitudes became complex
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
+    def test_records_keep_converting_integer_and_real_entries(self):
+        assert BitstringDistribution(1, [1, 0]).probabilities.dtype == np.float64
+        assert StateVector(1, np.array([1.0, 0.0])).amplitudes.dtype == np.complex128
 
     def test_amplitudes_of_the_wrong_length_rejected(self):
         with pytest.raises(ValueError, match=re.escape("expected 4 amplitudes, got shape (3,)")):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,22 @@ class TestTrotterStep:
     def test_infinite_dt_rejected(self):
         with pytest.raises(ValueError):
             trotter_step(CHAOTIC4, float("inf"))
+
+    @pytest.mark.parametrize("name, build", [
+        ("dt", lambda t: trotter_step(CHAOTIC4, t)),
+        ("tau", lambda t: weave_circuit(CHAOTIC4, t, 2, 3))], ids=["dt", "tau"])
+    @pytest.mark.parametrize("value, message", [
+        (True, "must be a real number, got True"),
+        ("x", "must be a real number, got 'x'"),
+        (None, "must be a real number, got None"),
+        (0.1 + 0j, "must be a real number, got (0.1+0j)"),
+        (float("nan"), "must be finite, got nan")],
+        ids=["bool", "string", "none", "complex", "nan"])
+    def test_time_step_that_is_not_a_finite_real_rejected(self, name, build, value,
+                                                          message):
+        # tau=True ran as 1.0, and 'x', None or a complex number raised a bare TypeError
+        with pytest.raises(ValueError, match=re.escape(f"{name} {message}")):
+            build(value)
 
     @pytest.mark.parametrize("magic", [False, True])
     @pytest.mark.parametrize("regime", ["integrable", "chaotic"])

@@ -12,6 +12,7 @@ benchmark times.  Nothing here imports spinweave.
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -61,6 +62,12 @@ CONFIGS = {
     # 0.25 runs it on 64 outcomes, where a solve takes up to 22 active-set passes
     "mitigated_spam_n6": {**BASE_N6, "pipeline": "mitigated",
                           "noise": {"spam_epsilon": 0.25}},
+    # no config runs the magic cell (S, SDG, H) on the density engine above
+    # n=4, so an integrable n=8 mitigated run does, its cell at k tau = pi/4
+    # (2 J k tau = -pi/2) and two steps holding a shift and a cell
+    "mitigated_magic_n8": {"regime": "integrable", "n": 8, "tau": math.pi / 8, "k": 2,
+                           "ell_max": 2, "magic": True, "seed": 3,
+                           "pipeline": "mitigated"},
 }
 
 
