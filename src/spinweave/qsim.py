@@ -7,10 +7,10 @@ Conventions used throughout the package:
   index ``sum(q_i << (n - 1 - i))``.  ``|10>`` on two qubits is index 2.
 * All values are immutable; every operation returns a new object.
 * The gate set is exactly what the weave and the |F| protocol emit: RX, PZ,
-  S, SDG, H, X and CNOT, one row each of the table :data:`GATES`; validation,
-  inverses (:attr:`Circuit.inverse`, built once per circuit) and both
-  engines read it, building a matrix once per (kind, angle).  A :class:`Gate`
-  is a tuple, checked (a finite angle included) when built and unpickled.
+  H, X and CNOT, each its own inverse at the negated angle, one row each of
+  the table :data:`GATES`, which validation and both engines read, building
+  a matrix once per (kind, angle).  A :class:`Gate` is a tuple, checked (a
+  finite angle included) when built and unpickled.
 * Both engines run a circuit as its fused blocks, :attr:`Circuit.blocks`:
   :func:`fuse_gates` groups the gates, once per circuit and in one pass,
   into blocks of at most two qubits, and each block costs O(2^n): one
@@ -53,18 +53,16 @@ def _rx(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]])
 
 
-# kind -> (qubit count, matrix, inverse kind).  A parametric kind's matrix is
-# the function of the angle that gives it, and its inverse negates the angle.
-GateKind = namedtuple("GateKind", "qubits matrix inverse")
+# kind -> (qubit count, matrix).  A parametric kind's matrix is the function
+# of the angle that gives it.  Every kind is its own inverse at the negated
+# angle: RX and PZ negate theirs, and H, X and CNOT are self-inverse.
+GateKind = namedtuple("GateKind", "qubits matrix")
 GATES = {
-    "RX": GateKind(1, _rx, "RX"),
-    "PZ": GateKind(1, lambda phi: np.diag([1.0, np.exp(1j * phi)]), "PZ"),
-    "S": GateKind(1, [[1, 0], [0, 1j]], "SDG"),
-    "SDG": GateKind(1, [[1, 0], [0, -1j]], "S"),
-    "H": GateKind(1, [[_SQRT05, _SQRT05], [_SQRT05, -_SQRT05]], "H"),
-    "X": GateKind(1, [[0, 1], [1, 0]], "X"),
-    "CNOT": GateKind(2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-                     "CNOT"),
+    "RX": GateKind(1, _rx),
+    "PZ": GateKind(1, lambda phi: np.diag([1.0, np.exp(1j * phi)])),
+    "H": GateKind(1, [[_SQRT05, _SQRT05], [_SQRT05, -_SQRT05]]),
+    "X": GateKind(1, [[0, 1], [1, 0]]),
+    "CNOT": GateKind(2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
 }
 # the widest kind: a fused block spans at most this many qubits
 BLOCK_QUBITS = max(spec.qubits for spec in GATES.values())
@@ -141,8 +139,10 @@ class Circuit:
 
     @functools.cached_property
     def inverse(self) -> "Circuit":
-        """Built once: the gates reversed, each replaced by its inverse."""
-        return Circuit(self.n_qubits, tuple(map(inverse_gate, reversed(self.gates))))
+        """Built once: the gates reversed, each at its negated angle."""
+        return Circuit(self.n_qubits, tuple(
+            Gate(g.kind, g.qubits, None if g.angle is None else -g.angle)
+            for g in reversed(self.gates)))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -153,12 +153,6 @@ def kind_matrix(kind: str, angle: float | None) -> np.ndarray:
     matrix = np.array(matrix if angle is None else matrix(angle), dtype=complex)
     matrix.flags.writeable = False
     return matrix
-
-
-@functools.lru_cache(maxsize=1024)
-def inverse_gate(g: Gate) -> Gate:
-    """The inverse of a gate, built once per distinct gate."""
-    return Gate(GATES[g.kind].inverse, g.qubits, None if g.angle is None else -g.angle)
 
 
 # --- state representations -------------------------------------------------

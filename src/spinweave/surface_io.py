@@ -113,7 +113,9 @@ def write_surface(table: SurfaceTable, cfg: ExperimentConfig, out_dir):
 
 
 def _parse_field(text: str, column: str, where: str) -> float:
-    """One CSV field as a float; j >= 1, ell >= 0 (whole) and t are required."""
+    """One CSV field as a finite float (the writer writes NaN as the empty
+    field, and no other non-finite number); j >= 1, ell >= 0 (whole) and t
+    are required."""
     if not text and column not in ("j", "ell", "t"):
         return np.nan
     try:
@@ -121,6 +123,9 @@ def _parse_field(text: str, column: str, where: str) -> float:
     except ValueError:
         raise ValueError(f"{where}, column {column}: expected a number, "
                          f"got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{where}, column {column}: expected a finite number, "
+                         f"got {text!r}")
     lowest = {"j": 1, "ell": 0}.get(column)
     if lowest is not None and not (value.is_integer() and value >= lowest):
         raise ValueError(f"{where}, column {column}: expected a whole number "

@@ -18,15 +18,17 @@ U((ell mod k) tau) once and then the cell (ell - ell mod k)/k times,
 cutting circuit depth k-fold compared to repeating U(tau).
 
 When the cell's ZZ angle 2*J*k*tau equals +-pi/2 the cell is "magic": each
-edge rotation collapses to S_i S_j CZ_ij up to a global phase, and with
-CZ written as H CNOT H the ZZ layer needs only one CNOT per edge.  The
-configuration checks that angle; here a magic cell always takes the
-+-pi/2 turn whose sign matches 2*J*k*tau.
+edge rotation collapses to PZ_i(+-pi/2) PZ_j(+-pi/2) CZ_ij up to a global
+phase, and with CZ written as H CNOT H the ZZ layer needs only one CNOT per
+edge.  The configuration checks that angle; here a magic cell always takes
+the +-pi/2 turn whose sign matches 2*J*k*tau.
 """
 
 from __future__ import annotations
 
-from .errors import check_integer, check_real
+import math
+
+from .errors import check_integer, check_real, show_value
 from .ising import IsingParams
 from .qsim import Circuit, Gate
 
@@ -44,16 +46,16 @@ def rzz_decomposition(theta: float, i: int, j: int) -> tuple[Gate, ...]:
 def magic_rzz(i: int, j: int, sign: int) -> tuple[Gate, ...]:
     """One-CNOT realization of RZZ(sign * pi/2), up to a global phase.
 
-    sign=+1 gives S_i S_j CZ_ij; sign=-1 is its inverse (daggered S gates).
-    CZ is written as H_j CNOT_ij H_j so the CNOT cost per edge is 1 instead
-    of the 2 used by :func:`rzz_decomposition`.
+    It is PZ_i(sign * pi/2) PZ_j(sign * pi/2) CZ_ij, so sign=-1 gives the
+    inverse of sign=+1.  CZ is written as H_j CNOT_ij H_j so the CNOT cost
+    per edge is 1 instead of the 2 used by :func:`rzz_decomposition`.
     """
     check_integer(sign, "sign")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    phase = "S" if sign > 0 else "SDG"
-    return (Gate(phase, (i,)), Gate(phase, (j,)), Gate("H", (j,)), Gate("CNOT", (i, j)),
-            Gate("H", (j,)))
+    phase = sign * math.pi / 2
+    return (Gate("PZ", (i,), phase), Gate("PZ", (j,), phase), Gate("H", (j,)),
+            Gate("CNOT", (i, j)), Gate("H", (j,)))
 
 
 def trotter_step(p: IsingParams, dt: float, magic: bool = False) -> Circuit:
@@ -64,6 +66,8 @@ def trotter_step(p: IsingParams, dt: float, magic: bool = False) -> Circuit:
     2*J*dt; it equals the nominal layer only when that angle is +-pi/2.
     """
     check_real(dt, "dt")
+    if not isinstance(magic, bool):
+        raise ValueError(f"magic must be a bool, got {show_value(magic, repr)}")
     n = p.n
     gates: list[Gate] = []
     half = [Gate("RX", (q,), p.Bx * dt) for q in range(n)] if p.Bx * dt != 0.0 else []

@@ -161,6 +161,17 @@ class TestRender:
                      "--out", str(svg2)]) == 0
         assert svg1.read_bytes() == svg2.read_bytes()
 
+    def test_default_out_is_beside_the_csv(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, pipeline="exact")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output-dir", str(out)]) == 0
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["render", str(out / "surface.csv"), "--variant", "C_exact"]) == 0
+        svg = out / "surface_C_exact.svg"
+        assert capsys.readouterr().out == f"{svg}\n"
+        assert svg.read_bytes() == (out / "heatmap_C_exact.svg").read_bytes()
+
     def test_unknown_variant_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, pipeline="exact")
         out = tmp_path / "out"
@@ -202,6 +213,24 @@ class TestDiff:
                      "--column", "C_exact", "--out", str(diff_path)]) == 0
         table = load_surface(diff_path)
         assert np.nanmax(np.abs(table.columns["C_exact"])) == 0.0
+
+    def test_default_out_is_in_the_working_directory(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, pipeline="exact")
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main(["run", str(cfg), "--output-dir", str(out)]) == 0
+        (b / "surface.csv").rename(b / "other.csv")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        assert main(["diff", str(a / "surface.csv"), str(b / "other.csv"),
+                     "--column", "C_exact"]) == 0
+        assert capsys.readouterr().out == "surface_minus_other.csv\n"
+        table = load_surface(work / "surface_minus_other.csv")
+        assert np.nanmax(np.abs(table.columns["C_exact"])) == 0.0
+        assert sorted(p.name for p in work.iterdir()) == [
+            "surface_minus_other.csv", "surface_minus_other.meta.json"]
 
     def test_cross_column_consistency(self, tmp_path):
         # C_corr - C_raw computed by the CLI equals the stored columns' gap

@@ -28,9 +28,12 @@ from oracles import (circuit_unitary, gatewise_amplitudes, gatewise_readout,
                      tensordot_contract)
 
 ALL_GATES = [
-    Gate("RX", (0,), 0.37), Gate("PZ", (0,), -1.1), Gate("S", (0,)), Gate("SDG", (0,)),
-    Gate("H", (0,)), Gate("X", (0,)), Gate("CNOT", (0, 1)), Gate("CNOT", (1, 0)),
+    Gate("RX", (0,), 0.37), Gate("PZ", (0,), -1.1), Gate("PZ", (0,), np.pi / 2),
+    Gate("PZ", (0,), -np.pi / 2), Gate("H", (0,)), Gate("X", (0,)), Gate("CNOT", (0, 1)),
+    Gate("CNOT", (1, 0)),
 ]
+# the magic cell's quarter turns, named apart from the PZ(-1.1) case
+QUARTER_TURNS = {np.pi / 2: "+quarter", -np.pi / 2: "-quarter"}
 
 
 def random_state(rng, n):
@@ -53,7 +56,8 @@ def random_circuit(rng, n, depth, chain=False):
         elif kind == 2:
             gates.append(Gate("H", (q,)))
         elif kind == 3:
-            gates.append(Gate("S", (q,)) if rng.random() < 0.5 else Gate("SDG", (q,)))
+            # the magic cell's quarter turns
+            gates.append(Gate("PZ", (q,), np.pi / 2 if rng.random() < 0.5 else -np.pi / 2))
         else:
             if chain:
                 q2 = q + 1 if q == 0 or (q < n - 1 and rng.random() < 0.5) else q - 1
@@ -89,10 +93,12 @@ class TestGateMatrix:
         assert np.allclose(got, -1j * np.array([[0, 1], [1, 0]]), atol=1e-12)
 
     def test_s_is_quarter_phase(self):
-        assert np.allclose(kind_matrix("S", None),
-                           np.diag([1.0, np.exp(1j * np.pi / 2)]), atol=1e-15)
+        # the magic cell's PZ(+-pi/2) are S = diag(1, i) and its dagger
+        assert np.allclose(kind_matrix("PZ", np.pi / 2), np.diag([1.0, 1j]), atol=1e-15)
+        assert np.allclose(kind_matrix("PZ", -np.pi / 2), np.diag([1.0, -1j]), atol=1e-15)
 
-    @pytest.mark.parametrize("g", ALL_GATES, ids=lambda g: g.kind + str(g.qubits))
+    @pytest.mark.parametrize("g", ALL_GATES, ids=lambda g: g.kind + str(g.qubits)
+                             + QUARTER_TURNS.get(g.angle, ""))
     def test_gate_matrices_unitary(self, g):
         u = kind_matrix(g.kind, g.angle)
         assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-12
@@ -453,11 +459,14 @@ class TestDagger:
         d = Circuit(2, (Gate("CNOT", (0, 1)),)).inverse
         assert d.gates == (Gate("CNOT", (0, 1)),)
 
-    def test_s_swaps_with_sdg(self):
-        assert Circuit(1, (Gate("S", (0,)),)).inverse.gates == (Gate("SDG", (0,)),)
-        assert Circuit(1, (Gate("SDG", (0,)),)).inverse.gates == (Gate("S", (0,)),)
-        assert Circuit(1, (Gate("S", (0,)), Gate("SDG", (0,)))).inverse.gates == \
-            (Gate("S", (0,)), Gate("SDG", (0,)))
+    @pytest.mark.parametrize("kind", sorted(qsim.GATES))
+    def test_inverse_is_the_same_kind_at_the_negated_angle(self, kind):
+        spec = qsim.GATES[kind]
+        qubits = tuple(range(spec.qubits))
+        # at a quarter turn, PZ is the magic cell's S and its inverse S-dagger
+        angle = np.pi / 2 if callable(spec.matrix) else None
+        inverse = Gate(kind, qubits, None if angle is None else -angle)
+        assert Circuit(2, (Gate(kind, qubits, angle),)).inverse.gates == (inverse,)
 
     def test_identity_on_five_random_states(self, rng):
         c = random_circuit(rng, 4, 60)
@@ -660,7 +669,7 @@ class TestGateSet:
     def test_inverse_times_gate_is_identity(self, kind):
         spec = qsim.GATES[kind]
         g = Gate(kind, tuple(range(spec.qubits)), 0.7 if callable(spec.matrix) else None)
-        u, inv = kind_matrix(g.kind, g.angle), qsim.inverse_gate(g)
+        u, (inv,) = kind_matrix(g.kind, g.angle), Circuit(2, (g,)).inverse.gates
         assert np.max(np.abs(kind_matrix(inv.kind, inv.angle) @ u
                              - np.eye(len(u)))) < 1e-12
         assert not u.flags.writeable

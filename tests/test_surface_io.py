@@ -202,8 +202,17 @@ class TestLoadRejectsMalformedFiles:
         ("1,1,0.1,,,,,abc,0.9,0.1", "line 3, column C_exact",
          "expected a number, got 'abc'"),
         ("1,0,0.1,,,,,0.5,0.9,0.1", "line 3", "repeats the grid point j=1, ell=0"),
+        # the writer writes no non-finite number, and these rows loaded silently
+        ("1,1,nan,,,,,0.5,0.9,0.1", "line 3, column t", "expected a finite number, got 'nan'"),
+        ("1,1,-inf,,,,,0.5,0.9,0.1", "line 3, column t",
+         "expected a finite number, got '-inf'"),
+        ("1,1,0.1,,,,,inf,0.9,0.1", "line 3, column C_exact",
+         "expected a finite number, got 'inf'"),
+        ("1,1,0.1,,,,,1e999,0.9,0.1", "line 3, column C_exact",
+         "expected a finite number, got '1e999'"),
     ], ids=["missing_field", "extra_field", "fractional_j", "j_zero",
-            "empty_ell", "negative_ell", "empty_t", "not_a_number", "repeated_point"])
+            "empty_ell", "negative_ell", "empty_t", "not_a_number", "repeated_point",
+            "nan_t", "minus_inf_t", "inf_value", "overflowing_value"])
     def test_bad_row_names_path_line_and_column(self, tmp_path, row, where,
                                                  message):
         path = tmp_path / "bad.csv"

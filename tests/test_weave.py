@@ -174,10 +174,14 @@ class TestWeaveOperators:
 
     def test_magic_cell_uses_negative_rotation_for_negative_j(self):
         tau = np.pi / 4 / 6  # k tau = pi/4, cell angle 2 J k tau = -pi/2
-        cell_kinds = {g.kind for g in weave_circuit(CHAOTIC4, tau, 6, 6, True).gates}
-        assert "SDG" in cell_kinds and "S" not in cell_kinds
-        shift_kinds = {g.kind for g in weave_circuit(CHAOTIC4, tau, 6, 1, True).gates}
-        assert "SDG" not in shift_kinds  # shifts stay standard
+        def quarter_turns(c):
+            return [g for g in c.gates if g.kind == "PZ" and abs(g.angle) == np.pi / 2]
+
+        # PZ(-pi/2) on both qubits of each edge, and no PZ(+pi/2)
+        assert quarter_turns(weave_circuit(CHAOTIC4, tau, 6, 6, True)) == [
+            Gate("PZ", (q,), -np.pi / 2) for edge in range(3) for q in (edge, edge + 1)]
+        # shifts stay standard
+        assert quarter_turns(weave_circuit(CHAOTIC4, tau, 6, 1, True)) == []
 
     def test_magic_constraint_violation(self):
         # the angle is config's to check; off the magic angle the cell takes
@@ -232,6 +236,15 @@ class TestWeaveCircuit:
         value = {"k": k, "ell": ell}[bad]
         with pytest.raises(ValueError, match=f"{bad} must be an integer, got {value!r}"):
             weave_circuit(CHAOTIC4, 0.05, k, ell)
+
+    @pytest.mark.parametrize("build", [lambda m: trotter_step(CHAOTIC4, 0.05, m),
+                                       lambda m: weave_circuit(CHAOTIC4, 0.05, 2, 2, m)],
+                             ids=["trotter_step", "weave_circuit"])
+    @pytest.mark.parametrize("magic", ["no", 1, None])
+    def test_magic_that_is_not_a_bool_rejected(self, build, magic):
+        # 'no' and 1 built a magic cell, and None a standard one
+        with pytest.raises(ValueError, match=re.escape(f"magic must be a bool, got {magic!r}")):
+            build(magic)
 
     def test_ell_out_of_range(self):
         with pytest.raises(ValueError):

@@ -62,12 +62,17 @@ CONFIGS = {
     # 0.25 runs it on 64 outcomes, where a solve takes up to 22 active-set passes
     "mitigated_spam_n6": {**BASE_N6, "pipeline": "mitigated",
                           "noise": {"spam_epsilon": 0.25}},
-    # no config runs the magic cell (S, SDG, H) on the density engine above
+    # no config runs the magic cell (PZ(+-pi/2), H) on the density engine above
     # n=4, so an integrable n=8 mitigated run does, its cell at k tau = pi/4
     # (2 J k tau = -pi/2) and two steps holding a shift and a cell
     "mitigated_magic_n8": {"regime": "integrable", "n": 8, "tau": math.pi / 8, "k": 2,
                            "ell_max": 2, "magic": True, "seed": 3,
                            "pipeline": "mitigated"},
+    # no config runs the magic cell on the statevector engine, so a chaotic
+    # n=6 sampled run does, its cell at k tau = pi/4 (2 J k tau = -pi/2) and
+    # its odd time indices holding a shift before the cells
+    "sampled_magic_n6": {"regime": "chaotic", "n": 6, "tau": math.pi / 8, "k": 2,
+                         "ell_max": 8, "magic": True, "seed": 3, "pipeline": "sampled"},
 }
 
 
