@@ -10,16 +10,14 @@ Subcommands:
   difference surface.
 * ``presets list``: bundled figure configurations.
 
-The output directory resolves as ``--output-dir``, then the config file's
-``output_dir``, then the ``SPINWEAVE_OUTPUT_DIR`` environment variable,
-then ``./spinweave_out``.
+``run`` writes into ``--output-dir``, or into ``./spinweave_out`` when that
+flag is absent or empty.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -30,8 +28,6 @@ from .heatmap import render_heatmap
 from .otoc import build_surface
 from .surface_io import (VALUE_COLUMNS, diff_surfaces, load_surface,
                          write_surface, write_table)
-
-ENV_OUTPUT_DIR = "SPINWEAVE_OUTPUT_DIR"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,18 +65,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_output_dir(cli_value, config_value) -> Path:
-    for value in (cli_value, config_value, os.environ.get(ENV_OUTPUT_DIR)):
-        if value:
-            return Path(value)
-    return Path("spinweave_out")
-
-
 def _cmd_run(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = validate_config(args.config, seed=args.seed)
-    out_dir = _resolve_output_dir(args.output_dir, cfg.output_dir)
+    out_dir = Path(args.output_dir or "spinweave_out")
     surface = build_surface(cfg, jobs=args.jobs)
     csv_path, meta_path = write_surface(surface, cfg, out_dir)
     print(csv_path)

@@ -1,7 +1,8 @@
 """Experiment configuration: JSON schema, validation, bundled presets.
 
 A config file is a flat JSON object.  Field names are normative; unknown
-keys are rejected so typos fail loudly.  Minimal example::
+keys are rejected so typos fail loudly.  ``run`` writes into ``--output-dir``,
+else ``./spinweave_out``; no field moves it.  Minimal example::
 
     {"regime": "integrable"}
 
@@ -22,8 +23,7 @@ Full example::
       "shots": 8192,
       "noise": {"cnot_error": [0.00767, 0.007, 0.00768], "spam_epsilon": [0.043, 0.015, 0.017, 0.017]},
       "mitigation": {"tmem": true, "zne": true, "order": "tmem_then_zne"},
-      "seed": 7,
-      "output_dir": null
+      "seed": 7
     }
 
 Pipelines (:data:`PIPELINES`), each of which also records C_exact::
@@ -108,7 +108,6 @@ _FIELDS = (
     ("state", "zeros", str, lambda v: v in STATES, f"must be one of {STATES}"),
     ("probe", "x", str, lambda v: v in PROBES, f"must be one of {PROBES}"),
     ("description", "", str),
-    ("output_dir", None, str),
     ("regime", "integrable", None),
     ("mitigation", None, None),
     ("noise", None, None),
@@ -150,25 +149,24 @@ class ExperimentConfig:
     noise: NoiseModel | None
     mitigation: MitigationConfig | None
     seed: int | None
-    output_dir: str | None
     description: str
 
 
 def _field(errors: list[str], src: dict, name: str, default, kind, check=None,
            msg: str = "", prefix: str = ""):
     """``src[name]`` (``default`` when absent), checked to be a ``kind``; a
-    ``kind`` of None passes it unchecked, and a None default admits null.
+    ``kind`` of None passes it unchecked.
 
     A value of the wrong type, past the int-to-str digit limit or failing
     ``check`` is reported under ``prefix + name`` and replaced by ``default``.
     Numbers are never parsed from strings; an int field takes a whole float."""
     value = src.get(name, default)
-    if kind is None or (value is None and default is None):
+    if kind is None:
         return value
     if kind is bool and not isinstance(value, bool):
         problem = "expected true/false"
     elif kind is str and not isinstance(value, str):
-        problem = "expected a string" if default is not None else "expected string or null"
+        problem = "expected a string"
     elif kind in (int, float) and (isinstance(value, bool) or not isinstance(value, Real)):
         problem = "expected a number"
     elif kind is int and isinstance(value, float) and not value.is_integer():
@@ -349,11 +347,9 @@ def validate_config(path, seed: int | None = None) -> ExperimentConfig:
 
 def config_echo(cfg: ExperimentConfig) -> dict:
     """Resolved configuration as a JSON-ready dict: every field that the
-    run reads (every one not None) except ``output_dir``, so that runs into
-    different directories still produce byte-identical metadata, and
-    without the noise model's qubit count, which ``params`` already holds."""
-    echo = {name: value for name, value in asdict(cfg).items()
-            if value is not None and name != "output_dir"}
+    run reads (every one not None), without the noise model's qubit count,
+    which ``params`` already holds."""
+    echo = {name: value for name, value in asdict(cfg).items() if value is not None}
     if "noise" in echo:
         del echo["noise"]["n_qubits"]
     return echo

@@ -23,7 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, check_array, check_integer, check_real
+from .errors import (CapacityError, check_array, check_integer, check_real,
+                     show_value)
 from .qsim import MAX_QUBITS
 
 MAX_OTOC_QUBITS = 10
@@ -69,6 +70,13 @@ def phase_rate(p: IsingParams) -> float:
     evolution, or a rate 4|J + Bz| or 4|J| of :func:`classical_otoc_phase`."""
     return max((p.n - 1) * abs(p.J) + p.n * (abs(p.Bz) + abs(p.Bx)),
                4.0 * abs(p.J + p.Bz), 4.0 * abs(p.J))
+
+
+def _check_time(p: IsingParams, t: float):
+    check_real(t, "t")
+    if not np.isfinite(phase_rate(p) * t):
+        raise ValueError(f"phase_rate * t must be finite, with the rate "
+                         f"{phase_rate(p):g} (got t={t!r})")
 
 
 def classical_energies(p: IsingParams) -> np.ndarray:
@@ -121,8 +129,13 @@ class ExactEvolution:
         return (v * np.exp(-1j * self.eigenvalues * t)) @ v.T
 
     def flip_matrix(self, mask: int) -> np.ndarray:
-        """M = V^T X V for X the flip of the index bits in ``mask``; X flips
-        the rows of V, so M costs one real product, kept for later calls."""
+        """M = V^T X V for X the flip of the index bits in ``mask``, an
+        integer in [0, 2^n) for a 2^n-row ``h``; X flips the rows of V, so M
+        costs one real product, kept for later calls."""
+        check_integer(mask, "mask", 0)
+        if mask >= len(self.eigenvectors):
+            raise ValueError(f"mask must be < {len(self.eigenvectors)}, "
+                             f"got {show_value(mask)}")
         if mask not in self._flips:
             v = self.eigenvectors
             self._flips[mask] = v.T @ v[np.arange(len(v)) ^ mask]
@@ -148,6 +161,7 @@ def classical_otoc_phase(p: IsingParams, j: int, t: float) -> float:
     4(J + Bz)t at the butterfly site, 4Jt at its neighbour, and 0 further
     out (including the far chain end).
     """
+    _check_time(p, t)
     _check_site(p.n, j)
     if j == 1:
         return 4.0 * (p.J + p.Bz) * t

@@ -204,9 +204,11 @@ def sample_counts(d: BitstringDistribution, shots: int, seed) -> np.ndarray:
 
 
 def empirical_distribution(counts: np.ndarray) -> BitstringDistribution:
-    """Shot frequencies: the count vector, of non-negative integers, divided
-    by the shot count."""
+    """Shot frequencies: the count vector, of non-negative integers, one per
+    basis index (so its length is a power of two), divided by the shot count."""
     counts = check_array(counts, "counts", 1, "iu")
+    if counts.size & (counts.size - 1):
+        raise ValueError(f"counts must have a power-of-two length, got {counts.size}")
     shots = counts.sum()
     if not shots > 0:
         raise ValueError(f"counts must hold at least one shot, got {shots}")

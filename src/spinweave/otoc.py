@@ -50,7 +50,7 @@ import numpy as np
 from .config import PROBES, STATES
 from .errors import CapacityError, check_integer, check_real
 from .ising import (ExactEvolution, IsingParams, MAX_OTOC_QUBITS, _check_site,
-                    cached_evolution, classical_otoc_phase, phase_rate)
+                    _check_time, cached_evolution, classical_otoc_phase)
 from .mitigation import ZNE_FOLDS, TmemSolver, ZnePair, zne_correct
 from .noise import (build_confusion_matrix, empirical_distribution, sample_counts,
                     simulate_noisy)
@@ -128,13 +128,6 @@ def _otoc_value(ev: ExactEvolution, i: int, t: float, state: str,
     return out
 
 
-def _check_time(p: IsingParams, t: float):
-    check_real(t, "t")
-    if not np.isfinite(phase_rate(p) * t):
-        raise ValueError(f"phase_rate * t must be finite, with the rate "
-                         f"{phase_rate(p):g} (got t={t!r})")
-
-
 def otoc_exact(p: IsingParams, i: int, j: int, t: float,
                state: str = "zeros", probe: str = "x") -> complex:
     """F_ij(t) under exact evolution of the full Hamiltonian, with the X_j
@@ -199,7 +192,6 @@ def fixed_node_commutator(f_abs: float, p: IsingParams, j: int, t: float) -> flo
     check_real(f_abs, "|F|")
     if not -1e-9 <= f_abs <= 1.0 + 1e-9:
         raise ValueError(f"|F| must lie in [0, 1] (within 1e-9), got {f_abs}")
-    _check_time(p, t)
     return 2.0 - 2.0 * f_abs * np.cos(classical_otoc_phase(p, j, t))
 
 

@@ -21,6 +21,7 @@ reconstruction is C_exact).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -136,24 +137,28 @@ def _parse_field(text: str, column: str, where: str) -> float:
 def load_surface(path) -> SurfaceTable:
     """Read a surface CSV back into column arrays (empty fields become NaN);
     a malformed file raises ValueError naming the path, line and column, and
-    one whose rows do not fill the (j, ell) grid names the path."""
+    one that is not UTF-8 or whose rows do not fill the (j, ell) grid names
+    the path."""
+    try:
+        reader = csv.reader(io.StringIO(Path(path).read_bytes().decode("utf-8"),
+                                        newline=""))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
     rows, grid = [], set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CSV_COLUMNS):
-            raise ValueError(f"{path}: expected columns {CSV_COLUMNS}, got {header}")
-        for fields in reader:
-            where = f"{path}: line {reader.line_num}"
-            if len(fields) != len(CSV_COLUMNS):
-                raise ValueError(f"{where}: expected {len(CSV_COLUMNS)} fields, "
-                                 f"got {len(fields)}")
-            rows.append([_parse_field(text, column, where)
-                         for column, text in zip(CSV_COLUMNS, fields)])
-            if tuple(rows[-1][:2]) in grid:
-                raise ValueError(f"{where}: repeats the grid point "
-                                 f"j={fields[0]}, ell={fields[1]}")
-            grid.add(tuple(rows[-1][:2]))
+    header = next(reader, None)
+    if header != list(CSV_COLUMNS):
+        raise ValueError(f"{path}: expected columns {CSV_COLUMNS}, got {header}")
+    for fields in reader:
+        where = f"{path}: line {reader.line_num}"
+        if len(fields) != len(CSV_COLUMNS):
+            raise ValueError(f"{where}: expected {len(CSV_COLUMNS)} fields, "
+                             f"got {len(fields)}")
+        rows.append([_parse_field(text, column, where)
+                     for column, text in zip(CSV_COLUMNS, fields)])
+        if tuple(rows[-1][:2]) in grid:
+            raise ValueError(f"{where}: repeats the grid point "
+                             f"j={fields[0]}, ell={fields[1]}")
+        grid.add(tuple(rows[-1][:2]))
     if not rows:
         raise ValueError(f"{path}: no data rows")
     table = SurfaceTable(dict(zip(CSV_COLUMNS, np.array(rows).T.copy())))

@@ -71,14 +71,14 @@ class TestRun:
         assert main(["run", str(cfg)]) == 2
         assert "magic" in capsys.readouterr().err
 
-    def test_env_var_output_dir(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, pipeline="exact",
-                           noise=None, ell_max=2)
-        target = tmp_path / "from_env"
-        monkeypatch.setenv("SPINWEAVE_OUTPUT_DIR", str(target))
+    def test_environment_does_not_choose_the_output_dir(self, tmp_path, monkeypatch):
+        # SPINWEAVE_OUTPUT_DIR used to take precedence over the default
+        cfg = write_config(tmp_path, pipeline="exact", noise=None, ell_max=2)
+        monkeypatch.setenv("SPINWEAVE_OUTPUT_DIR", str(tmp_path / "from_env"))
         monkeypatch.chdir(tmp_path)
         assert main(["run", str(cfg)]) == 0
-        assert (target / "surface.csv").exists()
+        assert (tmp_path / "spinweave_out" / "surface.csv").exists()
+        assert not (tmp_path / "from_env").exists()
 
     def test_default_output_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, pipeline="exact", noise=None, ell_max=2)
@@ -190,6 +190,22 @@ class TestRender:
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["render", str(csv_path), "--variant", "C_exact"]) == 2
         assert f"{csv_path}: line 3: expected 10 fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["render", "{0}", "--variant", "C_exact"],
+                                         ["diff", "{0}", "{0}", "--column", "C_exact"]],
+                             ids=["render", "diff"])
+    def test_not_utf8_exits_2_and_names_path(self, tmp_path, capsys, command):
+        # the error used to give the codec's message alone
+        cfg = write_config(tmp_path, pipeline="exact")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output-dir", str(out)]) == 0
+        csv_path = out / "surface.csv"
+        content = csv_path.read_bytes()
+        csv_path.write_bytes(content[:62] + b"\xff" + content[63:])
+        capsys.readouterr()
+        assert main([arg.format(csv_path) for arg in command]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {csv_path}: not UTF-8: 'utf-8' codec can't decode byte 0xff")
 
     @pytest.mark.parametrize("command", [["render", "{0}", "--variant", "C_exact"],
                                          ["diff", "{0}", "{0}", "--column", "C_exact"]],

@@ -70,6 +70,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown fields"):
             config_from_dict({"regime": "integrable", "taus": 0.1})
 
+    def test_output_dir_field_rejected(self):
+        # where a run writes is given by `run --output-dir` alone
+        with pytest.raises(ConfigError, match=re.escape("unknown fields ['output_dir']")):
+            config_from_dict({"regime": "integrable", "output_dir": "out"})
+
     def test_non_integral_and_non_boolean_values_rejected(self):
         with pytest.raises(ConfigError, match="n"):
             config_from_dict({"regime": "integrable", "n": 4.7})
@@ -162,15 +167,14 @@ class TestValidation:
         # k and seed are accepted on every pipeline, read or not; a null
         # noise or mitigation gets the defaults where the run reads it
         cfg = config_from_dict({"regime": "chaotic", "pipeline": pipeline, "k": 3,
-                                "seed": 5, "noise": None, "mitigation": None,
-                                "output_dir": "out"})
+                                "seed": 5, "noise": None, "mitigation": None})
         reads = EXPECTED_READS[pipeline]
         assert PIPELINES[pipeline].reads == reads
         for name in OPTIONAL_FIELDS:
             assert (getattr(cfg, name) is None) == (name not in reads), name
         present = {f.name for f in dataclasses.fields(cfg)
                    if getattr(cfg, f.name) is not None}
-        assert set(config_echo(cfg)) == present - {"output_dir"}
+        assert set(config_echo(cfg)) == present
         if "noise" in reads:
             assert cfg.noise == NoiseModel.default(4)
         if "mitigation" in reads:
@@ -515,17 +519,11 @@ class TestValidation:
 
 
 class TestEcho:
-    def test_echo_excludes_output_dir(self):
-        cfg = config_from_dict({"regime": "integrable", "output_dir": "/tmp/x"})
-        echo = config_echo(cfg)
-        assert "output_dir" not in echo
-        assert echo["params"]["Bz"] == 1.0
-
     def test_echo_keys_are_the_config_fields(self):
         cfg = config_from_dict({"regime": "chaotic", "pipeline": "mitigated"})
         echo = config_echo(cfg)
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert set(echo) == fields - {"output_dir"}
+        assert set(echo) == fields
         assert set(echo["noise"]) == {"cnot_error", "t1_given_0", "t0_given_1"}
 
     @pytest.mark.parametrize("pipeline, unread", [
@@ -541,7 +539,7 @@ class TestEcho:
         echo = config_echo(config_from_dict({"regime": "chaotic", "pipeline": pipeline,
                                              "k": 3, "seed": 5}))
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert set(echo) == fields - {"output_dir"} - unread
+        assert set(echo) == fields - unread
 
     def test_module_docstring_example_lists_every_field(self):
         block = config.__doc__.split("Full example::")[1].split("\n    }")[0] + "}"

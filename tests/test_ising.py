@@ -178,6 +178,19 @@ class TestExactUnitary:
         assert np.max(np.abs(ev.flip_matrix(0b010) - v.T @ flip @ v)) < 1e-12
         assert ev.flip_matrix(0b010) is ev.flip_matrix(0b010)
 
+    @pytest.mark.parametrize("mask, message", [
+        (-1, "mask must be >= 0, got -1"),
+        (8, "mask must be < 8, got 8"),
+        (1.5, "mask must be an integer, got 1.5"),
+        (True, "mask must be an integer, got True")],
+        ids=["negative", "past_the_last_index", "float", "bool"])
+    def test_mask_outside_the_index_range_rejected(self, mask, message):
+        # -1 returned and cached the flip of every bit, 8 raised numpy's
+        # IndexError, 1.5 its TypeError, and True returned the flip of bit 0
+        ev = ExactEvolution(build_hamiltonian(preset_params("chaotic", 3)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ev.flip_matrix(mask)
+
 
 class TestClassicalOtoc:
     @pytest.mark.parametrize("j", [1.5, True, 2.0])
@@ -189,6 +202,17 @@ class TestClassicalOtoc:
     def test_out_of_range_message_unchanged(self):
         with pytest.raises(ValueError, match=r"^site j=5 out of range 1\.\.4$"):
             classical_otoc_phase(preset_params("chaotic", 4), 5, 0.3)
+
+    @pytest.mark.parametrize("t, message", [
+        (float("nan"), "t must be finite, got nan"),
+        (1e308, "phase_rate * t must be finite, with the rate 11.8 (got t=1e+308)"),
+        (True, "t must be a real number, got True"),
+        ("x", "t must be a real number, got 'x'")], ids=["nan", "overflow", "bool", "str"])
+    def test_time_checked_as_in_the_exact_otoc(self, t, message):
+        # nan and 1e308 came back as nan and inf, True as the phase at t = 1,
+        # and 'x' raised a bare TypeError
+        with pytest.raises(ValueError, match=re.escape(message)):
+            classical_otoc_phase(preset_params("chaotic", 4), 1, t)
 
     def test_beyond_neighbour_is_one(self):
         p = preset_params("chaotic", 5)

@@ -352,8 +352,9 @@ class TestSampling:
     @pytest.mark.parametrize("counts, message", [
         (np.array([3, -1]), "counts must be non-negative, got -1"),
         (np.ones((2, 2), dtype=int), "counts must be a vector, got shape (2, 2)"),
-        (np.array([1.0, 3.0]), "counts must hold integers, got dtype float64")],
-        ids=["negative", "matrix", "floats"])
+        (np.array([1.0, 3.0]), "counts must hold integers, got dtype float64"),
+        (np.array([1, 2, 3]), "counts must have a power-of-two length, got 3")],
+        ids=["negative", "matrix", "floats", "three_outcomes"])
     def test_empirical_distribution_rejects_what_is_not_counts(self, counts, message):
         # [3, -1] came back as the probabilities [1.5, -0.5]
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -73,6 +73,12 @@ CONFIGS = {
     # its odd time indices holding a shift before the cells
     "sampled_magic_n6": {"regime": "chaotic", "n": 6, "tau": math.pi / 8, "k": 2,
                          "ell_max": 8, "magic": True, "seed": 3, "pipeline": "sampled"},
+    # the presets run the Y probe only on the all-zeros state (s9), so the
+    # uniform-superposition and maximally mixed states meet it in no sweep;
+    # one short exact n=6 config each runs those two branches of the kernel
+    **{f"exact_{tag}_y": {"regime": "chaotic", "n": 6, "tau": 0.03, "ell_max": 12,
+                          "seed": 3, "pipeline": "exact", "state": state, "probe": "y"}
+       for tag, state in (("plus", "plus"), ("mixed", "maximally_mixed"))},
 }
 
 
