@@ -10,8 +10,9 @@ Subcommands:
   difference surface.
 * ``presets list``: bundled figure configurations.
 
-``run`` writes into ``--output-dir``, or into ``./spinweave_out`` when that
-flag is absent or empty.
+The config says what ``run`` computes, its seed included; ``--output-dir``
+says where it writes (``./spinweave_out`` when that flag is absent or empty)
+and ``--jobs`` in how many worker processes.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("config", help="path to a JSON config file")
-    p_run.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
     p_run.add_argument("--output-dir", default=None)
     p_run.add_argument("--jobs", type=int, default=1,
                        help="worker processes for grid evaluation, at most "
@@ -68,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    cfg = validate_config(args.config, seed=args.seed)
+    cfg = validate_config(args.config)
     out_dir = Path(args.output_dir or "spinweave_out")
     surface = build_surface(cfg, jobs=args.jobs)
     csv_path, meta_path = write_surface(surface, cfg, out_dir)

@@ -326,9 +326,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(params=params, **values)
 
 
-def validate_config(path, seed: int | None = None) -> ExperimentConfig:
+def validate_config(path) -> ExperimentConfig:
     """Parse and validate a config file; a decode or parse failure raises a
-    ConfigError naming the file.  A non-None ``seed`` replaces the file's."""
+    ConfigError naming the file.  The file alone says what is computed, its
+    seed included: no argument overrides a field."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -337,8 +338,6 @@ def validate_config(path, seed: int | None = None) -> ExperimentConfig:
             f"{exc.msg}") from None
     except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits, too deep
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if seed is not None and isinstance(data, dict):
-        data = {**data, "seed": seed}
     try:
         return config_from_dict(data)
     except ConfigError as exc:

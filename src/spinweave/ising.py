@@ -102,8 +102,8 @@ def build_hamiltonian(p: IsingParams) -> np.ndarray:
 class ExactEvolution:
     """Exact evolution under a fixed real-symmetric matrix H = V E V^T,
     eigendecomposed once; V is real.  A matrix ``h`` that is complex, not
-    square, empty, not of ints or floats, not finite or not symmetric is
-    rejected before ``eigh``.
+    square, empty, not 2^n by 2^n, not of ints or floats, not finite or not
+    symmetric is rejected before ``eigh``.
 
     The surface runs never form the propagator.  They conjugate a bit-flip
     operator X in the eigenbasis once, M = V^T X V (:meth:`flip_matrix`),
@@ -117,6 +117,8 @@ class ExactEvolution:
         if np.iscomplexobj(h):
             raise ValueError("matrix must be real symmetric")
         h = check_array(h, "h", 2)
+        if len(h) & (len(h) - 1):
+            raise ValueError(f"h must have a power-of-two size, got {len(h)}")
         if not np.isfinite(h).all():
             raise ValueError("h must hold only finite entries")
         if np.max(np.abs(h - h.T)) > 1e-10:

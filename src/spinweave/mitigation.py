@@ -82,6 +82,8 @@ class TmemSolver:
             raise ValueError(f"distribution must have {self.t.shape[0]} entries, "
                              f"got shape {np.shape(b)}")
         b = np.asarray(check_array(b, "distribution", 1), dtype=float)
+        if not np.isfinite(b).all():
+            raise ValueError("distribution must hold only finite entries")
         x = project_simplex(self.t_pinv @ b)
         support = x > 0.0
         for it in range(1, TMEM_MAX_ITER + 1):

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,9 +11,12 @@ import numpy as np
 import pytest
 
 import spinweave
-from spinweave.cli import main
+from spinweave.cli import _build_parser, main
 from spinweave.config import PIPELINES, preset_names, preset_path
 from spinweave.surface_io import load_surface
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -35,13 +40,6 @@ class TestRun:
                      "heatmap_C_corr.svg", "heatmap_C_exact.svg"):
             assert (a / name).exists(), name
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
-
-    def test_run_seed_override_changes_samples(self, tmp_path):
-        cfg = write_config(tmp_path)
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", str(cfg), "--output-dir", str(a)]) == 0
-        assert main(["run", str(cfg), "--output-dir", str(b), "--seed", "99"]) == 0
-        assert (a / "surface.csv").read_bytes() != (b / "surface.csv").read_bytes()
 
     def test_invalid_config_exits_2_and_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tau=-0.5)
@@ -87,12 +85,14 @@ class TestRun:
         assert main(["run", str(cfg)]) == 0
         assert (tmp_path / "spinweave_out" / "surface.csv").exists()
 
-    def test_negative_seed_override_rejected_before_run(self, tmp_path, capsys):
+    def test_seed_is_read_from_the_config_alone(self, tmp_path, capsys):
+        # --seed used to override the config's seed
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
-        assert main(["run", str(cfg), "--output-dir", str(out),
-                     "--seed", "-3"]) == 2
-        assert "seed" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(cfg), "--output-dir", str(out), "--seed", "5"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-4"])
@@ -261,6 +261,28 @@ class TestDiff:
         gap = load_surface(diff_path).columns["C_corr"]
         direct = table.columns["C_corr"] - table.columns["C_raw"]
         assert np.allclose(gap, direct, atol=1e-12)
+
+
+class TestSynopsis:
+    def test_readme_synopsis_gives_each_command_its_options(self):
+        # README's "Command line" block against the parser: one line per
+        # command, holding exactly that subparser's options but --help
+        text = README.read_text(encoding="utf-8")
+        section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+        documented = {}
+        for line in block.splitlines():
+            assert line.startswith("spinweave "), line
+            command = line.split()[1]
+            assert command not in documented, line
+            documented[command] = set(re.findall(r"--[a-z][a-z-]*", line))
+        [subparsers] = [action for action in _build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction)]
+        parsed = {command: {option for action in sub._actions
+                            for option in action.option_strings
+                            if option.startswith("--") and option != "--help"}
+                  for command, sub in subparsers.choices.items()}
+        assert documented == parsed
 
 
 class TestPresetsCommand:

@@ -171,6 +171,12 @@ class TestExactUnitary:
         with pytest.raises(ValueError, match="h must hold only finite entries"):
             ExactEvolution(np.array([[entry, 0.0], [0.0, 1.0]]))
 
+    def test_size_not_a_power_of_two_rejected(self):
+        # a 3-row h passed, and flip_matrix(1) raised numpy's IndexError
+        with pytest.raises(ValueError,
+                           match=re.escape("h must have a power-of-two size, got 3")):
+            ExactEvolution(np.diag([0.0, 1.0, 2.0]))
+
     def test_flip_matrix_is_the_flip_in_the_eigenbasis(self):
         ev = ExactEvolution(build_hamiltonian(preset_params("chaotic", 3)))
         flip = np.eye(8)[np.arange(8) ^ 0b010]

@@ -236,6 +236,14 @@ class TestTmem:
                            match=re.escape("distribution must hold real numbers, got dtype <U3")):
             TmemSolver(np.eye(2)).solve(["0.5", "0.5"])
 
+    @pytest.mark.parametrize("b", [[np.nan, 1.0], [np.inf, 0.0]], ids=["nan", "inf"])
+    def test_non_finite_distribution_rejected(self, b):
+        # NaN failed in the simplex projection, whose message names neither
+        # argument nor solve, and inf first warned in the T^+ b product
+        with pytest.raises(ValueError,
+                           match=re.escape("distribution must hold only finite entries")):
+            TmemSolver(np.eye(2)).solve(b)
+
     def test_non_stochastic_matrix_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
             TmemSolver(2 * np.eye(2))

@@ -33,6 +33,15 @@ CONFIGS = {
     "mitigated_no_zne": {**BASE, "pipeline": "mitigated", "mitigation": {"zne": False}},
     "mitigated_zne_then_tmem": {**BASE, "pipeline": "mitigated",
                                 "mitigation": {"order": "zne_then_tmem"}},
+    # no preset or config runs mitigated without TMEM, so C_corr comes from
+    # ZNE alone here and no TmemSolver is built
+    "mitigated_zne_only": {**BASE, "pipeline": "mitigated", "mitigation": {"tmem": False}},
+    # no preset or config gives each qubit's two readout flip rates explicitly,
+    # so one mitigated run gives them, unequal, which runs that branch of
+    # config._build_noise and TMEM on an asymmetric T
+    "mitigated_explicit_spam": {**BASE, "pipeline": "mitigated",
+                                "noise": {"t1_given_0": [0.02, 0.04, 0.01, 0.03],
+                                          "t0_given_1": [0.05, 0.01, 0.03, 0.02]}},
     # no preset runs the density engine above n=4 or gives each edge its own
     # CNOT rate, so a noisy and a mitigated n=6 config do both, the mitigated
     # one through the fold-3 readout of ZNE
